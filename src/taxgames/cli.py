@@ -28,7 +28,7 @@ from .equilibrium import evaluate, find_ne, is_nash
 from .errors import ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement
 from .ltl import Not, eval_on_lasso, parse_ltl
-from .strategy import Profile, check_profile, label_trace, run_at
+from .strategy import Profile, check_profile, run_at
 from .taxation import (
     DynamicTax,
     StaticTax,
@@ -273,8 +273,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not is_nash(game, profile, tax):
         failures.append("witness profile is not an equilibrium under the tax")
     outcome = evaluate(game, profile, tax)
-    trace = label_trace(game.arena, outcome.run)
-    if not eval_on_lasso(objective, trace):
+    if not eval_on_lasso(objective, outcome.trace):
         failures.append("witness run does not satisfy the objective")
     if verdict.problem == "anash" and not failures:
         bad = find_ne(
@@ -357,6 +356,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return RESOURCE_CAP
     except TaxgamesError as err:
         print(f"error: {err}", file=sys.stderr)
+        return INPUT_ERROR
+    except RecursionError:
+        print(
+            "error: input nested too deeply for the recursion limit",
+            file=sys.stderr,
+        )
         return INPUT_ERROR
 
 

@@ -11,18 +11,17 @@ optimal cost is a minimum mean cycle.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._graphs import strongly_connected_components
 from .arena import Game
 from .ltl import (
     BuchiAutomaton,
     Formula,
+    LabelTrace,
     eval_on_lasso,
     to_buchi,
 )
@@ -60,24 +59,43 @@ def prefers(first: LexValue, second: LexValue) -> int:
 
 @dataclass(frozen=True)
 class Outcome:
+    """A profile's canonical run, its goal winners and taxed costs; trace is
+    the run's label word, kept for objective checks."""
+
     run: LassoRun
     winners: frozenset[int]
     costs: tuple[Fraction, ...]
+    trace: LabelTrace = field(compare=False, repr=False)
 
     def value(self, agent: int) -> LexValue:
         return LexValue(goal_met=agent in self.winners, cost=self.costs[agent])
 
 
-def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
+def _play(
+    game: Game, profile: Profile
+) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
+    """Canonical run, label trace and goal winners; no costs."""
     run = lasso_canonical(generate_run(game.arena, profile))
     trace = label_trace(game.arena, run)
     winners = frozenset(
         i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
     )
-    costs = tuple(
-        taxed_cost(run, tax, i) for i in range(game.arena.n_agents)
-    )
-    return Outcome(run=run, winners=winners, costs=costs)
+    return run, trace, winners
+
+
+def _outcome(
+    game: Game,
+    run: LassoRun,
+    trace: LabelTrace,
+    winners: frozenset[int],
+    tax: DynamicTax | None,
+) -> Outcome:
+    costs = tuple(taxed_cost(run, tax, i) for i in range(game.arena.n_agents))
+    return Outcome(run=run, winners=winners, costs=costs, trace=trace)
+
+
+def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
+    return _outcome(game, *_play(game, profile), tax)
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +149,38 @@ def _karp(
     return best
 
 
+def _component_means(
+    vertices: Iterable[object],
+    edges: Mapping[object, Sequence[tuple[object, Fraction]]],
+) -> Iterator[tuple[set, Fraction]]:
+    """(member set, minimum cycle mean) of every strongly connected
+    component that contains a cycle."""
+
+    def successors(v: object) -> list[object]:
+        return [t for t, _ in edges.get(v, ())]
+
+    for component in strongly_connected_components(vertices, successors):
+        member_set = set(component)
+        internal = {
+            v: [(t, w) for t, w in edges.get(v, ()) if t in member_set]
+            for v in component
+        }
+        if len(component) == 1 and not internal[component[0]]:
+            continue
+        mean = _karp(component, internal)
+        if mean is not None:
+            yield member_set, mean
+
+
 def min_mean_cycle(
     graph: Mapping[object, Iterable[tuple[object, Fraction]]],
 ) -> Fraction | None:
     """Minimum over all directed cycles of mean edge weight; None if acyclic."""
     adjacency = {v: tuple(out) for v, out in graph.items()}
-    nodes = list(adjacency)
-
-    def successors(v: object) -> list[object]:
-        return [t for t, _ in adjacency.get(v, ()) if t in adjacency]
-
-    best: Fraction | None = None
-    for component in strongly_connected_components(nodes, successors):
-        member_set = set(component)
-        internal = {
-            v: [(t, w) for t, w in adjacency.get(v, ()) if t in member_set]
-            for v in component
-        }
-        if len(component) == 1 and not internal[component[0]]:
-            continue
-        value = _karp(component, internal)
-        if value is not None and (best is None or value < best):
-            best = value
-    return best
+    return min(
+        (mean for _, mean in _component_means(adjacency, adjacency)),
+        default=None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,53 +291,51 @@ def best_response(
     any value strictly between supremum and current value is attained.
     """
     graph = response_graph(game, profile, agent, tax)
+    means = [
+        (mean, not members.isdisjoint(graph.accepting))
+        for members, mean in _component_means(graph.vertices, graph.edges)
+    ]
+    assert means, "total arenas always reach a cycle"
+    winning = [mean for mean, accepting in means if accepting]
+    if winning:
+        return LexValue(goal_met=True, cost=min(winning))
+    return LexValue(goal_met=False, cost=min(mean for mean, _ in means))
 
-    def successors(vertex: tuple) -> list[tuple]:
-        return [t for t, _ in graph.edges[vertex]]
 
-    components = strongly_connected_components(graph.vertices, successors)
-    winning_cost: Fraction | None = None
-    any_cost: Fraction | None = None
-    for component in components:
-        member_set = set(component)
-        internal = {
-            v: [(t, w) for t, w in graph.edges[v] if t in member_set]
-            for v in component
-        }
-        if len(component) == 1 and not internal[component[0]]:
-            continue
-        mean = _karp(component, internal)
-        if mean is None:
-            continue
-        if any_cost is None or mean < any_cost:
-            any_cost = mean
-        if member_set & graph.accepting:
-            if winning_cost is None or mean < winning_cost:
-                winning_cost = mean
-    if winning_cost is not None:
-        return LexValue(goal_met=True, cost=winning_cost)
-    assert any_cost is not None, "total arenas always reach a cycle"
-    return LexValue(goal_met=False, cost=any_cost)
+def _no_agent_improves(
+    game: Game, profile: Profile, outcome: Outcome, tax: DynamicTax | None
+) -> bool:
+    """Whether no agent's best response strictly beats its outcome value."""
+    return all(
+        prefers(best_response(game, profile, agent, tax), outcome.value(agent)) <= 0
+        for agent in range(game.arena.n_agents)
+    )
 
 
 def is_nash(
     game: Game, profile: Profile, tax: DynamicTax | None = None
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
-    outcome = evaluate(game, profile, tax)
-    for agent in range(game.arena.n_agents):
-        supremum = best_response(game, profile, agent, tax)
-        if prefers(supremum, outcome.value(agent)) > 0:
-            return False
-    return True
+    return _no_agent_improves(game, profile, evaluate(game, profile, tax), tax)
 
 
-def default_workers() -> int:
-    raw = os.environ.get("TAXGAMES_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _nash_sweep(
+    game: Game,
+    tax: DynamicTax | None,
+    memory_bound: int,
+    objective: Formula | None = None,
+    cap: int = 10**7,
+) -> Iterator[tuple[Profile, Outcome]]:
+    """Lazily, in enumeration order, each bounded canonical profile that is
+    an exact Nash equilibrium, with its outcome.  The objective, when given,
+    filters runs before any best response is computed."""
+    for profile in enumerate_profiles(game.arena, memory_bound, cap=cap):
+        run, trace, winners = _play(game, profile)
+        if objective is not None and not eval_on_lasso(objective, trace):
+            continue
+        outcome = _outcome(game, run, trace, winners, tax)
+        if _no_agent_improves(game, profile, outcome, tax):
+            yield profile, outcome
 
 
 def find_ne(
@@ -319,39 +344,15 @@ def find_ne(
     memory_bound: int,
     objective: Formula | None = None,
     cap: int = 10**7,
-    workers: int | None = None,
 ) -> list[Profile]:
     """All bounded canonical profiles that are exact Nash equilibria and,
     when an objective is given, whose run satisfies it.
 
     Every returned profile is an equilibrium of the unrestricted game;
     equilibria needing more than memory_bound machine states are missed.
-    Results keep enumeration order regardless of worker count.
+    Results keep enumeration order.
     """
-    if workers is None:
-        workers = default_workers()
-
-    def check(profile: Profile) -> bool:
-        outcome = evaluate(game, profile, tax)
-        if objective is not None:
-            trace = label_trace(game.arena, outcome.run)
-            if not eval_on_lasso(objective, trace):
-                return False
-        for agent in range(game.arena.n_agents):
-            supremum = best_response(game, profile, agent, tax)
-            if prefers(supremum, outcome.value(agent)) > 0:
-                return False
-        return True
-
-    profiles = enumerate_profiles(game.arena, memory_bound, cap=cap)
-    if workers <= 1:
-        return [p for p in profiles if check(p)]
-    found: list[Profile] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        batch: list[Profile] = []
-        for profile in profiles:
-            batch.append(profile)
-        for profile, ok in zip(batch, pool.map(check, batch, chunksize=64)):
-            if ok:
-                found.append(profile)
-    return found
+    return [
+        profile
+        for profile, _ in _nash_sweep(game, tax, memory_bound, objective, cap)
+    ]

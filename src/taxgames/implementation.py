@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
+from ._graphs import strongly_connected_components
 from .arena import Game, max_cost, zero_cost_game
 from .errors import ResourceLimitError, SearchLimitError
 from .ltl import Formula, Not, eval_on_lasso, to_text
@@ -33,9 +34,6 @@ from .strategy import (
     StrategyMachine,
     canonicalize_machine,
     enumerate_machines,
-    generate_run,
-    label_trace,
-    lasso_canonical,
 )
 from .taxation import (
     DynamicTax,
@@ -47,7 +45,16 @@ from .taxation import (
     uniform_levelling_tax,
     zero_tax,
 )
-from .equilibrium import LexValue, evaluate, find_ne, is_nash, prefers
+from .equilibrium import (
+    LexValue,
+    _nash_sweep,
+    _no_agent_improves,
+    _play,
+    evaluate,
+    find_ne,
+    is_nash,
+    prefers,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,26 +72,15 @@ class DeviationGraph:
         return len(self.nodes)
 
 
-def _annotate(game: Game, profile: Profile) -> tuple[LassoRun, frozenset[int]]:
-    run = lasso_canonical(generate_run(game.arena, profile))
-    trace = label_trace(game.arena, run)
-    winners = frozenset(
-        i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
-    )
-    return run, winners
-
-
 def initial_deviation(
     game: Game, profile: Profile, agent: int, alt: StrategyMachine
 ) -> bool:
     """Whether switching one agent to alt is an initial deviation: the run
     changes, and the agent keeps winning if it was winning.  Goal verdicts
     only depend on the label trace, never on costs."""
-    run, winners = _annotate(game, profile)
-    run2, winners2 = _annotate(game, profile.replace(agent, alt))
-    if run == run2:
-        return False
-    return agent not in winners or agent in winners2
+    run, _, winners = _play(game, profile)
+    run2, _, winners2 = _play(game, profile.replace(agent, alt))
+    return _edge_ok(agent, run, winners, run2, winners2)
 
 
 def _edge_ok(
@@ -131,7 +127,8 @@ def build_deviation_graph(
             return index[profile]
         index[profile] = len(nodes)
         nodes.append(profile)
-        annotations.append(_annotate(game, profile))
+        run, _, winners = _play(game, profile)
+        annotations.append((run, winners))
         return index[profile]
 
     for seed in seeds:
@@ -144,7 +141,7 @@ def build_deviation_graph(
                 if machine == seed.machines[agent]:
                     continue
                 candidate = seed.replace(agent, machine)
-                run, winners = _annotate(game, candidate)
+                run, _, winners = _play(game, candidate)
                 if _edge_ok(agent, src_run, src_winners, run, winners):
                     add(candidate)
 
@@ -285,19 +282,13 @@ def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
         for src, tgt, a in class_edges:
             if a == agent:
                 adjacency[src].append(tgt)
-        memo: dict[int, int] = {}
-
-        def depth(cls: int) -> int:
-            if cls in memo:
-                return memo[cls]
-            memo[cls] = 0
-            best = 0
-            for tgt in adjacency[cls]:
-                best = max(best, 1 + depth(tgt))
-            memo[cls] = best
-            return best
-
-        row = tuple(depth(c) for c in range(n_classes))
+        # acyclic, so components are single classes, successors first
+        depth = [0] * n_classes
+        for (cls,) in strongly_connected_components(
+            range(n_classes), adjacency.__getitem__
+        ):
+            depth[cls] = max((1 + depth[t] for t in adjacency[cls]), default=0)
+        row = tuple(depth)
         d_out.append(row)
         longest.append(max(row, default=0))
     indev = [set() for _ in range(n_classes)]
@@ -595,10 +586,11 @@ def e_nash_implement(
     scratch.  An empty bounded search is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
-    candidates = find_ne(
-        zero_cost_game(game), None, memory_bound, objective, cap=cap
+    first = next(
+        _nash_sweep(zero_cost_game(game), None, memory_bound, objective, cap),
+        None,
     )
-    if not candidates:
+    if first is None:
         return ImplementationVerdict(
             problem="enash",
             answer="no-within-bound",
@@ -608,14 +600,13 @@ def e_nash_implement(
                 f"no cost-free equilibrium satisfies {text} at bound {memory_bound}",
             ),
         )
-    witness = candidates[0]
+    witness, _ = first
     _, tax = _levelling_machine(game)
     outcome = evaluate(game, witness, tax)
-    trace = label_trace(game.arena, outcome.run)
     problems = []
-    if not is_nash(game, witness, tax):
+    if not _no_agent_improves(game, witness, outcome, tax):
         problems.append("witness profile is not an equilibrium under the witness tax")
-    if not eval_on_lasso(objective, trace):
+    if not eval_on_lasso(objective, outcome.trace):
         problems.append("witness run does not satisfy the objective")
     if problems:
         return ImplementationVerdict(
@@ -704,8 +695,10 @@ def a_nash_implement(
         combined = levelling_machine
         diagnostics.append("no objective-violating equilibria at this bound")
 
-    bad = find_ne(game, combined, memory_bound, Not(objective), cap=cap)
-    good = find_ne(game, combined, memory_bound, objective, cap=cap)
+    bad: list[Profile] = []
+    good: list[Profile] = []
+    for profile, outcome in _nash_sweep(game, combined, memory_bound, cap=cap):
+        (good if eval_on_lasso(objective, outcome.trace) else bad).append(profile)
     if bad:
         return ImplementationVerdict(
             problem="anash",
@@ -866,10 +859,9 @@ def static_insufficiency_check(
                 continue
             seen.add(canonical)
             outcome = evaluate(taxed, canonical, None)
-            trace = label_trace(taxed.arena, outcome.run)
-            if not eval_on_lasso(bad, trace):
+            if not eval_on_lasso(bad, outcome.trace):
                 continue
-            if is_nash(taxed, canonical, None):
+            if _no_agent_improves(taxed, canonical, outcome, None):
                 costs = ", ".join(str(c) for c in outcome.costs)
                 hit = StaticInsufficiencyRow(
                     tax=tax,

@@ -271,39 +271,3 @@ def truncated_mean(
         total += step.costs[agent] + tax.outputs[q].rate(step.state, step.letter)[agent]
         q = tax.next_state(q, step.letter)
     return Fraction(total, t + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class TaxedGameView:
-    """A game seen through an optional dynamic tax."""
-
-    game: Game
-    tax: DynamicTax | None = None
-
-    def step_cost(
-        self, state: int, letter: int, tax_state: int = 0
-    ) -> tuple[Fraction, ...]:
-        base = self.game.arena.cost[state][letter]
-        if base is None:
-            raise ValueError("game must be total")
-        if self.tax is None:
-            return base
-        rate = self.tax.outputs[tax_state].rate(state, letter)
-        return tuple(x + y for x, y in zip(base, rate))
-
-    def next_tax_state(self, tax_state: int, letter: int) -> int:
-        if self.tax is None:
-            return 0
-        return self.tax.next_state(tax_state, letter)
-
-    def max_step_cost(self, agent: int) -> Fraction:
-        arena = self.game.arena
-        tax_states = range(self.tax.n_states) if self.tax is not None else (0,)
-        best = Fraction(0)
-        for q in tax_states:
-            for s in range(arena.n_states):
-                for letter in arena.letters():
-                    value = self.step_cost(s, letter, q)[agent]
-                    if value > best:
-                        best = value
-        return best

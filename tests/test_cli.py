@@ -150,6 +150,16 @@ class TestCheck:
     def test_missing_objective(self, capsys):
         assert main(["check", "enash", "--game", GAME, "--bound", "1"]) == 2
 
+    def test_deep_objective_is_input_error(self, capsys):
+        deep = "X " * 600 + "p"
+        code = main(
+            ["check", "enash", "--game", GAME, "--objective", deep, "--bound", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply")
+        assert err.count("\n") == 1
+
 
 class TestGridworld:
     def test_prints_generated_game(self, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from random import Random
 
@@ -15,8 +14,10 @@ from helpers import (
     constant_profile,
     junction_game,
     junction_tax,
+    oracle_eval,
     oracle_response_values,
     random_game,
+    random_static_tax,
     simple_cycle_min_mean,
 )
 
@@ -179,14 +180,42 @@ class TestFindNe:
         with pytest.raises(tg.ResourceLimitError):
             tg.find_ne(game, None, 2, None, cap=100)
 
-    def test_worker_pool_matches_sequential(self):
-        game = junction_game()
-        sequential = tg.find_ne(game, None, 1, None, workers=1)
-        parallel = tg.find_ne(game, None, 1, None, workers=4)
-        assert sequential == parallel
+    def test_sweep_matches_profilewise_check(self):
+        # unit costs leave ties, so most games have several equilibria
+        rng = Random(41)
+        for _ in range(10):
+            game = random_game(rng, n_states=3, n_actions=(3, 3), max_cost=1)
+            arena = game.arena
+            static = random_static_tax(rng, game, max_component=1)
+            taxes = [None, tg.lift_static(static, arena.n_letters)]
+            objectives = [None] + [
+                tg.parse_ltl(text, arena.vocabulary)
+                for text in ("G F p", "!G F p")
+            ]
+            for tax in taxes:
+                for objective in objectives:
+                    assert tg.find_ne(game, tax, 1, objective) == profilewise_ne(
+                        game, tax, objective
+                    )
+            for objective in objectives[1:]:
+                expected = profilewise_ne(tg.zero_cost_game(game), None, objective)
+                verdict = tg.e_nash_implement(game, objective, 1)
+                assert verdict.witness_profile == (
+                    expected[0] if expected else None
+                )
 
-    def test_workers_env_variable(self, monkeypatch):
-        monkeypatch.setenv("TAXGAMES_THREADS", "3")
-        from taxgames.equilibrium import default_workers
 
-        assert default_workers() == 3
+def profilewise_ne(game, tax, objective) -> list[tg.Profile]:
+    """Bound-1 equilibria satisfying the objective, one profile at a time."""
+    return [
+        p
+        for p in tg.enumerate_profiles(game.arena, 1)
+        if tg.is_nash(game, p, tax)
+        and (
+            objective is None
+            or oracle_eval(
+                objective,
+                tg.label_trace(game.arena, tg.evaluate(game, p, tax).run),
+            )
+        )
+    ]

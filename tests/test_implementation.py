@@ -114,6 +114,24 @@ class TestObservedQuotient:
         assert index.longest == (1, 1)
         assert index.indev[root] == frozenset({0, 1})
 
+    def test_long_single_agent_chain(self):
+        # one class per node, agent 0 deviating from each class to the next
+        n = 5000
+        machine = constant_machine(0, 1)
+        graph = tg.DeviationGraph(
+            nodes=(tg.Profile((machine,)),) * n,
+            runs=tuple(
+                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0, ()),))
+                for i in range(n)
+            ),
+            winners=(frozenset(),) * n,
+            edges=tuple((i, i + 1, 0) for i in range(n - 1)),
+        )
+        index = tg.observed_path_index(graph)
+        assert index.longest == (n - 1,)
+        assert index.d_out[0][0] == n - 1
+        assert index.d_out[0][n - 1] == 0
+
 
 class TestSynthesize:
     def test_junction_witness(self):
