@@ -71,6 +71,7 @@ from .implementation import (
     single_agent_observed_cycle,
     static_insufficiency_check,
     synthesize_eliminating_tax,
+    verify_witness,
 )
 from .ltl import (
     FALSE,
@@ -122,6 +123,7 @@ from .taxation import (
     StaticTax,
     add_static,
     apply_static,
+    check_tax,
     compose_tax,
     lift_static,
     static_tax,

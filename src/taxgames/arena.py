@@ -9,7 +9,7 @@ tuple of per-agent action indices are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -265,20 +265,8 @@ def max_cost(game: Game, agent: int) -> Fraction:
 def zero_cost_game(game: Game) -> Game:
     arena = game.arena
     zero = tuple(Fraction(0) for _ in range(arena.n_agents))
-    cost = tuple(
-        tuple(zero for _ in row) for row in arena.cost
-    )
-    stripped = Arena(
-        states=arena.states,
-        vocabulary=arena.vocabulary,
-        agents=arena.agents,
-        actions=arena.actions,
-        labels=arena.labels,
-        transition=arena.transition,
-        cost=cost,
-        initial=arena.initial,
-    )
-    return Game(arena=stripped, goals=game.goals, goal_texts=game.goal_texts)
+    cost = tuple(tuple(zero for _ in row) for row in arena.cost)
+    return replace(game, arena=replace(arena, cost=cost))
 
 
 # ---------------------------------------------------------------------------

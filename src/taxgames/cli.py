@@ -24,14 +24,15 @@ from .documents import (
     load_verdict,
     verdict_to_yaml,
 )
-from .equilibrium import evaluate, find_ne, is_nash
+from .equilibrium import evaluate, is_nash
 from .errors import ResourceLimitError, TaxgamesError
-from .implementation import a_nash_implement, e_nash_implement
-from .ltl import Not, eval_on_lasso, parse_ltl
+from .implementation import a_nash_implement, e_nash_implement, verify_witness
+from .ltl import parse_ltl
 from .strategy import Profile, check_profile, run_at
 from .taxation import (
     DynamicTax,
     StaticTax,
+    check_tax,
     lift_static,
     tax_sequence,
     tax_state_trace,
@@ -55,26 +56,9 @@ def _prepare_tax(game: Game, path: str | None) -> DynamicTax | None:
     if path is None:
         return None
     tax = load_tax(path)
-    n_letters = game.arena.n_letters
     if isinstance(tax, StaticTax):
-        tax = lift_static(tax, n_letters)
-    if tax.n_agents != game.arena.n_agents:
-        raise TaxgamesError(
-            f"tax covers {tax.n_agents} agents, game has {game.arena.n_agents}"
-        )
-    for q, row in enumerate(tax.transitions):
-        if len(row) != n_letters:
-            raise TaxgamesError(
-                f"tax machine state {q} reads {len(row)} letters, "
-                f"game has {n_letters}"
-            )
-    for q, output in enumerate(tax.outputs):
-        for state, letter, _ in output.entries:
-            if state >= game.arena.n_states or letter >= n_letters:
-                raise TaxgamesError(
-                    f"tax machine state {q} rates unknown cell "
-                    f"({state}, {letter})"
-                )
+        tax = lift_static(tax, game.arena.n_letters)
+    check_tax(game.arena, tax)
     return tax
 
 
@@ -265,25 +249,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ):
         raise TaxgamesError("verdict carries no witness to verify")
     objective = parse_ltl(verdict.objective_text, game.arena.vocabulary)
-    profile = verdict.witness_profile
-    check_profile(game.arena, profile)
-    tax = verdict.witness_tax
-
-    failures: list[str] = []
-    if not is_nash(game, profile, tax):
-        failures.append("witness profile is not an equilibrium under the tax")
-    outcome = evaluate(game, profile, tax)
-    if not eval_on_lasso(objective, outcome.trace):
-        failures.append("witness run does not satisfy the objective")
-    if verdict.problem == "anash" and not failures:
-        bad = find_ne(
-            game, tax, verdict.bound, Not(objective), cap=args.cap_profiles
-        )
-        if bad:
-            failures.append(
-                f"{len(bad)} objective-violating equilibria survive the tax "
-                f"at bound {verdict.bound}"
-            )
+    check_profile(game.arena, verdict.witness_profile)
+    check_tax(game.arena, verdict.witness_tax)
+    failures = verify_witness(
+        game,
+        verdict.problem,
+        objective,
+        verdict.bound,
+        verdict.witness_tax,
+        verdict.witness_profile,
+        cap=args.cap_profiles,
+    )
     if failures:
         for line in failures:
             print(f"failure: {line}", file=sys.stderr)

@@ -346,7 +346,10 @@ def _parse_machine(item: Any, where: str) -> StrategyMachine:
 
 
 def parse_profile(text: str) -> Profile:
-    body = _body(text, "profile")
+    return _parse_profile_body(_body(text, "profile"))
+
+
+def _parse_profile_body(body: dict) -> Profile:
     _expect_keys(body, ("machines",), "profile")
     machines_raw = _need(body, "machines", "profile")
     if not isinstance(machines_raw, list) or not machines_raw:
@@ -363,19 +366,20 @@ def parse_profile(text: str) -> Profile:
     return Profile(machines=machines)
 
 
-def profile_to_yaml(profile: Profile) -> str:
-    data = {
-        "profile": {
-            "machines": [
-                {
-                    "outputs": list(m.outputs),
-                    "transitions": [list(row) for row in m.transitions],
-                }
-                for m in profile.machines
-            ]
-        }
+def _profile_body(profile: Profile) -> dict:
+    return {
+        "machines": [
+            {
+                "outputs": list(m.outputs),
+                "transitions": [list(row) for row in m.transitions],
+            }
+            for m in profile.machines
+        ]
     }
-    return dump_yaml(data)
+
+
+def profile_to_yaml(profile: Profile) -> str:
+    return dump_yaml({"profile": _profile_body(profile)})
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +456,6 @@ def _parse_tax_body(body: dict, where: str) -> StaticTax | DynamicTax:
             not isinstance(value, int) or isinstance(value, bool) or value < 1
         ):
             raise DocumentError(f"{where}.{key} must be a positive integer")
-    known = {"agents", "arena_states", "letters", "rates", "machine"}
-    extra = set(body) - known
-    if extra:
-        raise DocumentError(f"{where} has unknown keys {sorted(extra)}")
     if ("rates" in body) == ("machine" in body):
         raise DocumentError(f"{where} needs exactly one of 'rates' or 'machine'")
     if "rates" in body:
@@ -656,7 +656,7 @@ def parse_verdict(text: str) -> ImplementationVerdict:
         raw = body["witness_profile"]
         if not isinstance(raw, dict) or "machines" not in raw:
             raise DocumentError("verdict.witness_profile must map 'machines'")
-        profile = parse_profile(dump_yaml({"profile": raw}))
+        profile = _parse_profile_body(raw)
     return ImplementationVerdict(
         problem=problem,
         answer=answer,
@@ -680,8 +680,7 @@ def verdict_to_yaml(verdict: ImplementationVerdict) -> str:
     if verdict.witness_tax is not None:
         body["witness_tax"] = _tax_body(verdict.witness_tax)
     if verdict.witness_profile is not None:
-        profile_doc = yaml.safe_load(profile_to_yaml(verdict.witness_profile))
-        body["witness_profile"] = profile_doc["profile"]
+        body["witness_profile"] = _profile_body(verdict.witness_profile)
     return dump_yaml({"verdict": body})
 
 

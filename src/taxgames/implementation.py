@@ -219,74 +219,71 @@ def _quotient(
     return class_nodes, node_class, class_edges
 
 
+def _agent_class_graphs(
+    graph: DeviationGraph,
+    n_classes: int,
+    class_edges: Sequence[tuple[int, int, int]],
+) -> list[list[list[int]]]:
+    """adjacency[i][c] lists the classes that agent-i edges lead to from c."""
+    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
+    adjacency = [[[] for _ in range(n_classes)] for _ in range(n_agents)]
+    for src, tgt, agent in class_edges:
+        adjacency[agent][src].append(tgt)
+    return adjacency
+
+
 def single_agent_observed_cycle(
     graph: DeviationGraph,
 ) -> tuple[int, tuple[int, ...]] | None:
     """A cycle in the run quotient whose edges all carry one agent, as
     (agent, class cycle), or None.  Self-loops cannot occur because edges
-    require distinguishable runs."""
+    require distinguishable runs, so exactly the strongly connected
+    components of two or more classes hold cycles."""
     class_nodes, _, class_edges = _quotient(graph)
     n_classes = len(class_nodes)
-    agents = sorted({agent for _, _, agent in class_edges})
-    for agent in agents:
-        adjacency: list[list[int]] = [[] for _ in range(n_classes)]
-        for src, tgt, a in class_edges:
-            if a == agent:
-                adjacency[src].append(tgt)
-        color = [0] * n_classes  # 0 new, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-
-        def hunt(start: int) -> tuple[int, ...] | None:
-            stack = [(start, iter(adjacency[start]))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if color[succ] == 1:
-                        chain = [node]
-                        walk = node
-                        while walk != succ:
-                            walk = parent[walk]
-                            chain.append(walk)
-                        return tuple(reversed(chain))
-                    if color[succ] == 0:
-                        color[succ] = 1
-                        parent[succ] = node
-                        stack.append((succ, iter(adjacency[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-            return None
-
-        for start in range(n_classes):
-            if color[start] == 0:
-                found = hunt(start)
-                if found is not None:
-                    return agent, found
+    for agent, adjacency in enumerate(
+        _agent_class_graphs(graph, n_classes, class_edges)
+    ):
+        for component in strongly_connected_components(
+            range(n_classes), adjacency.__getitem__
+        ):
+            if len(component) > 1:
+                # every member has a successor inside the component, so a
+                # walk that stays inside must revisit a class
+                members = set(component)
+                position: dict[int, int] = {}
+                walk: list[int] = []
+                cls = component[0]
+                while cls not in position:
+                    position[cls] = len(walk)
+                    walk.append(cls)
+                    cls = next(t for t in adjacency[cls] if t in members)
+                return agent, tuple(walk[position[cls]:])
     return None
 
 
 def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
-    if single_agent_observed_cycle(graph) is not None:
-        raise ValueError("single-agent observed cycle: path lengths diverge")
+    """Path statistics of the run quotient; raises ValueError naming the
+    first agent whose class graph has a cycle, where path lengths diverge."""
     class_nodes, node_class, class_edges = _quotient(graph)
     n_classes = len(class_nodes)
-    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
     d_out: list[tuple[int, ...]] = []
     longest: list[int] = []
-    for agent in range(n_agents):
-        adjacency: list[list[int]] = [[] for _ in range(n_classes)]
-        for src, tgt, a in class_edges:
-            if a == agent:
-                adjacency[src].append(tgt)
-        # acyclic, so components are single classes, successors first
+    for agent, adjacency in enumerate(
+        _agent_class_graphs(graph, n_classes, class_edges)
+    ):
+        # components come successors first; one of two or more classes
+        # holds a cycle
         depth = [0] * n_classes
-        for (cls,) in strongly_connected_components(
+        for component in strongly_connected_components(
             range(n_classes), adjacency.__getitem__
         ):
+            if len(component) > 1:
+                raise ValueError(
+                    f"single-agent observed cycle for agent {agent}: "
+                    "no acyclic surcharge assignment exists"
+                )
+            (cls,) = component
             depth[cls] = max((1 + depth[t] for t in adjacency[cls]), default=0)
         row = tuple(depth)
         d_out.append(row)
@@ -341,12 +338,6 @@ def synthesize_eliminating_tax(
                 raise ValueError(
                     "deviation graph gives a targeted profile no outgoing edge"
                 )
-    cycle_hit = single_agent_observed_cycle(graph)
-    if cycle_hit is not None:
-        raise ValueError(
-            f"single-agent observed cycle for agent {cycle_hit[0]}: "
-            "no acyclic surcharge assignment exists"
-        )
 
     arena = game.arena
     n_agents = arena.n_agents
@@ -571,6 +562,34 @@ def _levelling_machine(game: Game) -> tuple[StaticTax, DynamicTax]:
     return levelling, lift_static(levelling, game.arena.n_letters)
 
 
+def verify_witness(
+    game: Game,
+    problem: str,
+    objective: Formula,
+    memory_bound: int,
+    tax: DynamicTax,
+    profile: Profile,
+    cap: int = 10**7,
+) -> tuple[str, ...]:
+    """Why a witness fails, or () when it holds: the profile is an exact
+    equilibrium under the tax and its run satisfies the objective; for
+    anash, also no bounded equilibrium under the tax violates it."""
+    outcome = evaluate(game, profile, tax)
+    problems = []
+    if not _no_agent_improves(game, profile, outcome, tax):
+        problems.append("witness profile is not an equilibrium under the witness tax")
+    if not eval_on_lasso(objective, outcome.trace):
+        problems.append("witness run does not satisfy the objective")
+    if problem == "anash" and not problems:
+        bad = find_ne(game, tax, memory_bound, Not(objective), cap)
+        if bad:
+            problems.append(
+                f"{len(bad)} objective-violating equilibria survive the tax "
+                f"at bound {memory_bound}"
+            )
+    return tuple(problems)
+
+
 def e_nash_implement(
     game: Game,
     objective: Formula,
@@ -602,19 +621,16 @@ def e_nash_implement(
         )
     witness, _ = first
     _, tax = _levelling_machine(game)
-    outcome = evaluate(game, witness, tax)
-    problems = []
-    if not _no_agent_improves(game, witness, outcome, tax):
-        problems.append("witness profile is not an equilibrium under the witness tax")
-    if not eval_on_lasso(objective, outcome.trace):
-        problems.append("witness run does not satisfy the objective")
+    problems = verify_witness(
+        game, "enash", objective, memory_bound, tax, witness, cap
+    )
     if problems:
         return ImplementationVerdict(
             problem="enash",
             answer="no-within-bound",
             bound=memory_bound,
             objective_text=text,
-            diagnostics=tuple(problems),
+            diagnostics=problems,
         )
     return ImplementationVerdict(
         problem="enash",
@@ -695,31 +711,25 @@ def a_nash_implement(
         combined = levelling_machine
         diagnostics.append("no objective-violating equilibria at this bound")
 
-    bad: list[Profile] = []
-    good: list[Profile] = []
-    for profile, outcome in _nash_sweep(game, combined, memory_bound, cap=cap):
-        (good if eval_on_lasso(objective, outcome.trace) else bad).append(profile)
-    if bad:
-        return ImplementationVerdict(
-            problem="anash",
-            answer="no-within-bound",
-            bound=memory_bound,
-            objective_text=text,
-            diagnostics=tuple(diagnostics) + (
-                f"verification failed: {len(bad)} objective-violating "
-                "equilibria survive the synthesized tax",
-            ),
+    first = next(_nash_sweep(game, combined, memory_bound, objective, cap), None)
+    if first is None:
+        problems: tuple[str, ...] = (
+            "no equilibrium satisfying the objective survives the "
+            "synthesized tax",
         )
-    if not good:
+    else:
+        witness, _ = first
+        problems = verify_witness(
+            game, "anash", objective, memory_bound, combined, witness, cap
+        )
+    if problems:
         return ImplementationVerdict(
             problem="anash",
             answer="no-within-bound",
             bound=memory_bound,
             objective_text=text,
-            diagnostics=tuple(diagnostics) + (
-                "verification failed: no equilibrium satisfying the "
-                "objective survives the synthesized tax",
-            ),
+            diagnostics=tuple(diagnostics)
+            + tuple(f"verification failed: {line}" for line in problems),
         )
     return ImplementationVerdict(
         problem="anash",
@@ -727,7 +737,7 @@ def a_nash_implement(
         bound=memory_bound,
         objective_text=text,
         witness_tax=combined,
-        witness_profile=good[0],
+        witness_profile=witness,
         diagnostics=tuple(diagnostics),
     )
 

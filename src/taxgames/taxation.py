@@ -10,7 +10,7 @@ equals that mean, so nothing is approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -80,29 +80,14 @@ def add_static(first: StaticTax, second: StaticTax) -> StaticTax:
 def apply_static(game: Game, tax: StaticTax) -> Game:
     """A copy of the game with the tax folded into the cost table."""
     arena = game.arena
-    if tax.n_agents != arena.n_agents:
-        raise AlphabetMismatchError(
-            f"tax for {tax.n_agents} agents applied to {arena.n_agents}"
-        )
-    for s, a, _ in tax.entries:
-        if not (0 <= s < arena.n_states) or not (0 <= a < arena.n_letters):
-            raise AlphabetMismatchError(f"tax entry ({s}, {a}) outside arena")
+    check_tax(arena, lift_static(tax, arena.n_letters))
     cost = [list(row) for row in arena.cost]
     for s, a, vector in tax.entries:
         base = cost[s][a]
         if base is not None:
             cost[s][a] = tuple(x + y for x, y in zip(base, vector))
-    taxed = Arena(
-        states=arena.states,
-        vocabulary=arena.vocabulary,
-        agents=arena.agents,
-        actions=arena.actions,
-        labels=arena.labels,
-        transition=arena.transition,
-        cost=tuple(tuple(row) for row in cost),
-        initial=arena.initial,
-    )
-    return Game(arena=taxed, goals=game.goals, goal_texts=game.goal_texts)
+    taxed = replace(arena, cost=tuple(tuple(row) for row in cost))
+    return replace(game, arena=taxed)
 
 
 @dataclass(frozen=True)
@@ -135,6 +120,29 @@ def lift_static(tax: StaticTax, n_letters: int = 1) -> DynamicTax:
         outputs=(tax,),
         transitions=((0,) * max(1, n_letters),),
     )
+
+
+def check_tax(arena: Arena, tax: DynamicTax) -> None:
+    """Raise AlphabetMismatchError unless the tax machine covers the arena's
+    agents, reads its letters and rates only its cells."""
+    if tax.n_agents != arena.n_agents:
+        raise AlphabetMismatchError(
+            f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
+        )
+    n_letters = arena.n_letters
+    for q, row in enumerate(tax.transitions):
+        if len(row) != n_letters:
+            raise AlphabetMismatchError(
+                f"tax machine state {q} reads {len(row)} letters, "
+                f"game has {n_letters}"
+            )
+    for q, output in enumerate(tax.outputs):
+        for state, letter, _ in output.entries:
+            if not (0 <= state < arena.n_states and 0 <= letter < n_letters):
+                raise AlphabetMismatchError(
+                    f"tax machine state {q} rates unknown cell "
+                    f"({state}, {letter})"
+                )
 
 
 def compose_tax(dynamic: DynamicTax, extra: StaticTax) -> DynamicTax:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import taxgames as tg
 from taxgames.cli import main
 
@@ -221,6 +223,25 @@ class TestVerify:
         code = main(["verify", "--game", GAME, "--verdict", str(out)])
         assert code == 5
         assert "failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tax",
+        [
+            tg.DynamicTax(outputs=(tg.zero_tax(2),), transitions=((0, 0),)),
+            tg.lift_static(tg.zero_tax(3), 4),
+            tg.lift_static(tg.static_tax(2, {(99, 0): (1, 1)}), 4),
+        ],
+        ids=["two-letters", "three-agents", "unknown-cell"],
+    )
+    def test_mismatched_witness_tax(self, tmp_path, capsys, tax):
+        out = self.run_anash(tmp_path)
+        verdict = tg.load_verdict(out)
+        out.write_text(tg.verdict_to_yaml(replace(verdict, witness_tax=tax)))
+        capsys.readouterr()
+        code = main(["verify", "--game", GAME, "--verdict", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tax ")
 
     def test_witnessless_verdict(self, tmp_path, capsys):
         text = "\n".join(

@@ -95,6 +95,38 @@ class TestObservedQuotient:
         agent, cycle = hit
         assert agent in (0, 1)
         assert len(cycle) == 2
+        # classes are numbered by first occurrence of their run
+        class_of: dict = {}
+        for run in graph.runs:
+            class_of.setdefault(run, len(class_of))
+        agent_edges = {
+            (class_of[graph.runs[u]], class_of[graph.runs[v]])
+            for u, v, a in graph.edges
+            if a == agent
+        }
+        for k, cls in enumerate(cycle):
+            assert (cls, cycle[(k + 1) % len(cycle)]) in agent_edges
+
+    def test_long_single_agent_ring(self):
+        n = 5000
+        machine = constant_machine(0, 1)
+        graph = tg.DeviationGraph(
+            nodes=(tg.Profile((machine,)),) * n,
+            runs=tuple(
+                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0, ()),))
+                for i in range(n)
+            ),
+            winners=(frozenset(),) * n,
+            edges=tuple((i, (i + 1) % n, 0) for i in range(n)),
+        )
+        agent, cycle = tg.single_agent_observed_cycle(graph)
+        assert agent == 0
+        assert len(cycle) == n
+        assert all(
+            cycle[(k + 1) % n] == (cls + 1) % n for k, cls in enumerate(cycle)
+        )
+        with pytest.raises(ValueError, match="for agent 0"):
+            tg.observed_path_index(graph)
 
     def test_index_rejects_cyclic_graph(self):
         game = junction_game()
@@ -232,6 +264,59 @@ class TestImplementationVerdicts:
         assert verdict.problem == "anash"
         assert verdict.answer == "no-within-bound"
         assert any("precondition" in d for d in verdict.diagnostics)
+
+
+class TestVerifyWitness:
+    def objective(self, game) -> tg.Formula:
+        return tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+
+    @pytest.mark.parametrize(
+        "problem, driver",
+        [("enash", tg.e_nash_implement), ("anash", tg.a_nash_implement)],
+    )
+    def test_driver_witnesses_hold(self, problem, driver):
+        game = junction_game()
+        objective = self.objective(game)
+        verdict = driver(game, objective, 1)
+        assert verdict.answer == "yes"
+        assert tg.verify_witness(
+            game,
+            problem,
+            objective,
+            1,
+            verdict.witness_tax,
+            verdict.witness_profile,
+        ) == ()
+
+    def test_non_equilibrium(self):
+        # driver1 pays 9 for heading to s1 and would rather cut through
+        game = junction_game()
+        tax = tg.lift_static(tg.static_tax(2, {(0, 1): (9, 0)}), 4)
+        problems = tg.verify_witness(
+            game, "enash", self.objective(game), 1, tax, alpha(game, 0, 1)
+        )
+        assert problems == (
+            "witness profile is not an equilibrium under the witness tax",
+        )
+
+    def test_run_violates_objective(self):
+        game = junction_game()
+        objective = self.objective(game)
+        levelling = tg.e_nash_implement(game, objective, 1).witness_tax
+        problems = tg.verify_witness(
+            game, "enash", objective, 1, levelling, alpha(game, 0, 0)
+        )
+        assert problems == ("witness run does not satisfy the objective",)
+
+    def test_violating_equilibrium_survives_levelling(self):
+        game = junction_game()
+        objective = self.objective(game)
+        verdict = tg.e_nash_implement(game, objective, 1)
+        witness = (verdict.witness_tax, verdict.witness_profile)
+        assert tg.verify_witness(game, "enash", objective, 1, *witness) == ()
+        assert tg.verify_witness(game, "anash", objective, 1, *witness) == (
+            "1 objective-violating equilibria survive the tax at bound 1",
+        )
 
 
 class TestStaticInsufficiency:

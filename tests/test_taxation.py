@@ -58,6 +58,35 @@ class TestApplyStatic:
             tg.apply_static(game, tg.static_tax(2, {(9, 0): (1, 1)}))
 
 
+class TestCheckTax:
+    def test_fitting_tax_passes(self):
+        game = junction_game()
+        tg.check_tax(game.arena, junction_tax())
+
+    @pytest.mark.parametrize(
+        "tax, message",
+        [
+            (tg.lift_static(tg.zero_tax(3), 4), "tax covers 3 agents, game has 2"),
+            (
+                tg.lift_static(tg.zero_tax(2), 2),
+                "tax machine state 0 reads 2 letters, game has 4",
+            ),
+            (
+                tg.lift_static(tg.static_tax(2, {(99, 0): (1, 1)}), 4),
+                r"tax machine state 0 rates unknown cell \(99, 0\)",
+            ),
+            (
+                tg.lift_static(tg.static_tax(2, {(-1, 0): (1, 1)}), 4),
+                r"rates unknown cell \(-1, 0\)",
+            ),
+        ],
+    )
+    def test_mismatch_raises(self, tax, message):
+        game = junction_game()
+        with pytest.raises(tg.AlphabetMismatchError, match=message):
+            tg.check_tax(game.arena, tax)
+
+
 class TestDynamicTax:
     def test_lift_static_single_state(self):
         tax = tg.lift_static(tg.static_tax(2, {(0, 0): (1, 1)}), 4)
