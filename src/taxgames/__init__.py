@@ -95,8 +95,6 @@ from .ltl import (
     eventually,
     iff,
     implies,
-    not_,
-    or_,
     parse_ltl,
     subformulas,
     to_buchi,
@@ -127,9 +125,8 @@ from .taxation import (
     compose_tax,
     lift_static,
     static_tax,
-    tax_sequence,
-    tax_state_trace,
     taxed_cost,
+    taxed_steps,
     truncated_mean,
     uniform_levelling_tax,
     zero_tax,

@@ -28,15 +28,15 @@ from .equilibrium import evaluate, is_nash
 from .errors import ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement, verify_witness
 from .ltl import parse_ltl
-from .strategy import Profile, check_profile, run_at
+from .strategy import Profile, RunStep, check_profile
 from .taxation import (
     DynamicTax,
     StaticTax,
+    TaxedStep,
     check_tax,
     lift_static,
-    tax_sequence,
-    tax_state_trace,
     taxed_cost,
+    taxed_steps,
 )
 
 OK = 0
@@ -77,34 +77,20 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
     arena = game.arena
     outcome = evaluate(game, profile, tax)
     run = outcome.run
-    total = len(run.prefix) + len(run.cycle)
-    wrap = len(run.prefix)
 
-    if tax is not None:
-        head_states, loop_states = tax_state_trace(run, tax)
-        head_rates, loop_rates = tax_sequence(run, tax)
-        states = list(head_states) + list(loop_states)
-        rates = list(head_rates) + list(loop_rates)
-        split = len(head_states)
-        length = len(states)
-    else:
-        split = wrap
-        length = total
-
-    def step_data(k: int) -> dict:
-        pos = k if k < total else wrap + (k - wrap) % (total - wrap)
-        step = run_at(run, pos)
+    def step_data(item: RunStep | TaxedStep) -> dict:
+        step = item if tax is None else item.step
         data: dict[str, Any] = {
             "state": arena.states[step.state],
             "actions": list(arena.letter_names(step.letter)),
             "costs": [str(c) for c in step.costs],
         }
         if tax is not None:
-            data["tax_state"] = states[k]
-            data["rates"] = [str(r) for r in rates[k]]
+            data["tax_state"] = item.tax_state
+            data["rates"] = [str(r) for r in item.rates]
         return data
 
-    steps = [step_data(k) for k in range(length)]
+    head, loop = (run.prefix, run.cycle) if tax is None else taxed_steps(run, tax)
     report: dict[str, Any] = {
         "goals": [
             {
@@ -121,7 +107,10 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
             }
             for i in range(arena.n_agents)
         ],
-        "run": {"prefix": steps[:split], "cycle": steps[split:]},
+        "run": {
+            "prefix": [step_data(item) for item in head],
+            "cycle": [step_data(item) for item in loop],
+        },
     }
     if tax is not None:
         for i, row in enumerate(report["costs"]):

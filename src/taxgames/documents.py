@@ -346,22 +346,22 @@ def _parse_machine(item: Any, where: str) -> StrategyMachine:
 
 
 def parse_profile(text: str) -> Profile:
-    return _parse_profile_body(_body(text, "profile"))
+    return _parse_profile_body(_body(text, "profile"), "profile")
 
 
-def _parse_profile_body(body: dict) -> Profile:
-    _expect_keys(body, ("machines",), "profile")
-    machines_raw = _need(body, "machines", "profile")
+def _parse_profile_body(body: dict, where: str) -> Profile:
+    _expect_keys(body, ("machines",), where)
+    machines_raw = _need(body, "machines", where)
     if not isinstance(machines_raw, list) or not machines_raw:
-        raise DocumentError("profile.machines must be a non-empty list")
+        raise DocumentError(f"{where}.machines must be a non-empty list")
     machines = tuple(
-        _parse_machine(item, f"profile.machines[{i}]")
+        _parse_machine(item, f"{where}.machines[{i}]")
         for i, item in enumerate(machines_raw)
     )
     widths = {len(m.transitions[0]) for m in machines}
     if len(widths) != 1:
         raise DocumentError(
-            "profile machines disagree on the letter alphabet size"
+            f"{where} machines disagree on the letter alphabet size"
         )
     return Profile(machines=machines)
 
@@ -656,7 +656,7 @@ def parse_verdict(text: str) -> ImplementationVerdict:
         raw = body["witness_profile"]
         if not isinstance(raw, dict) or "machines" not in raw:
             raise DocumentError("verdict.witness_profile must map 'machines'")
-        profile = _parse_profile_body(raw)
+        profile = _parse_profile_body(raw, "verdict.witness_profile")
     return ImplementationVerdict(
         problem=problem,
         answer=answer,

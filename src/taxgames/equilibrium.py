@@ -33,7 +33,7 @@ from .strategy import (
     label_trace,
     lasso_canonical,
 )
-from .taxation import DynamicTax, taxed_cost
+from .taxation import DynamicTax, _taxed_costs
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,16 @@ def _play(
 
 
 def _outcome(
-    game: Game,
     run: LassoRun,
     trace: LabelTrace,
     winners: frozenset[int],
     tax: DynamicTax | None,
 ) -> Outcome:
-    costs = tuple(taxed_cost(run, tax, i) for i in range(game.arena.n_agents))
-    return Outcome(run=run, winners=winners, costs=costs, trace=trace)
+    return Outcome(run=run, winners=winners, costs=_taxed_costs(run, tax), trace=trace)
 
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
-    return _outcome(game, *_play(game, profile), tax)
+    return _outcome(*_play(game, profile), tax)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ def _nash_sweep(
         run, trace, winners = _play(game, profile)
         if objective is not None and not eval_on_lasso(objective, trace):
             continue
-        outcome = _outcome(game, run, trace, winners, tax)
+        outcome = _outcome(run, trace, winners, tax)
         if _no_agent_improves(game, profile, outcome, tax):
             yield profile, outcome
 

@@ -72,6 +72,10 @@ class DeviationGraph:
         return len(self.nodes)
 
 
+def _canonical(profile: Profile) -> Profile:
+    return Profile(tuple(canonicalize_machine(m) for m in profile.machines))
+
+
 def initial_deviation(
     game: Game, profile: Profile, agent: int, alt: StrategyMachine
 ) -> bool:
@@ -105,10 +109,7 @@ def build_deviation_graph(
     reachable from a seed within the bounded machine universe; edges are all
     initial deviations among the node set."""
     arena = game.arena
-    seeds = [
-        Profile(tuple(canonicalize_machine(m) for m in p.machines))
-        for p in seed_nodes
-    ]
+    seeds = [_canonical(p) for p in seed_nodes]
     universes = [
         list(enumerate_machines(len(arena.actions[i]), arena.n_letters, memory_bound))
         for i in range(arena.n_agents)
@@ -122,28 +123,27 @@ def build_deviation_graph(
     index: dict[Profile, int] = {}
     annotations: list[tuple[LassoRun, frozenset[int]]] = []
 
-    def add(profile: Profile) -> int:
-        if profile in index:
-            return index[profile]
+    def add(profile: Profile, run: LassoRun, winners: frozenset[int]) -> None:
         index[profile] = len(nodes)
         nodes.append(profile)
-        run, _, winners = _play(game, profile)
         annotations.append((run, winners))
-        return index[profile]
 
     for seed in seeds:
-        add(seed)
+        if seed not in index:
+            run, _, winners = _play(game, seed)
+            add(seed, run, winners)
     for seed in seeds:
         src = index[seed]
         src_run, src_winners = annotations[src]
         for agent in range(arena.n_agents):
             for machine in universes[agent]:
-                if machine == seed.machines[agent]:
-                    continue
+                # the seed itself and nodes already added need no play
                 candidate = seed.replace(agent, machine)
+                if candidate in index:
+                    continue
                 run, _, winners = _play(game, candidate)
                 if _edge_ok(agent, src_run, src_winners, run, winners):
-                    add(candidate)
+                    add(candidate, run, winners)
 
     edges: list[tuple[int, int, int]] = []
     for u, source in enumerate(nodes):
@@ -180,20 +180,14 @@ class ObservedPathIndex:
     """Run-equality quotient of a deviation graph with path statistics.
 
     class_nodes[c] lists node indices sharing run class c; node_class maps
-    nodes to classes; class_edges are deduplicated (source class, target
-    class, agent) triples.  d_out[i][c] is the length in edges of the
-    longest path using only agent-i edges that starts at class c, and
-    longest[i] is its maximum over classes; indev[c] collects agents with
-    an edge incident to class c.  All lengths require the per-agent class
-    graphs to be acyclic.
+    nodes to classes.  d_out[i][c] is the length in edges of the longest
+    path using only agent-i edges that starts at class c, which requires
+    the per-agent class graphs to be acyclic.
     """
 
     class_nodes: tuple[tuple[int, ...], ...]
     node_class: tuple[int, ...]
-    class_edges: tuple[tuple[int, int, int], ...]
     d_out: tuple[tuple[int, ...], ...]
-    longest: tuple[int, ...]
-    indev: tuple[frozenset[int], ...]
 
 
 def _quotient(
@@ -268,7 +262,6 @@ def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
     class_nodes, node_class, class_edges = _quotient(graph)
     n_classes = len(class_nodes)
     d_out: list[tuple[int, ...]] = []
-    longest: list[int] = []
     for agent, adjacency in enumerate(
         _agent_class_graphs(graph, n_classes, class_edges)
     ):
@@ -285,20 +278,11 @@ def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
                 )
             (cls,) = component
             depth[cls] = max((1 + depth[t] for t in adjacency[cls]), default=0)
-        row = tuple(depth)
-        d_out.append(row)
-        longest.append(max(row, default=0))
-    indev = [set() for _ in range(n_classes)]
-    for src, tgt, agent in class_edges:
-        indev[src].add(agent)
-        indev[tgt].add(agent)
+        d_out.append(tuple(depth))
     return ObservedPathIndex(
         class_nodes=tuple(tuple(m) for m in class_nodes),
         node_class=tuple(node_class),
-        class_edges=tuple(class_edges),
         d_out=tuple(d_out),
-        longest=tuple(longest),
-        indev=tuple(frozenset(s) for s in indev),
     )
 
 
@@ -423,7 +407,7 @@ def check_eliminable(
     cap: int = 10**7,
     search_cap: int = 100_000,
     state_cap: int = 4096,
-) -> DeviationGraph | None:
+) -> tuple[DeviationGraph, DynamicTax] | None:
     """Search for a witness deviation graph eliminating the given profiles.
 
     Candidate graphs pick one outgoing initial deviation per targeted
@@ -431,18 +415,17 @@ def check_eliminable(
     cycles and surcharges, so one edge per target is complete); a candidate
     is rejected if its edges form a single-agent cycle on runs or if the
     synthesized tax fails re-verification (every edge strict, every target
-    non-Nash).  Returns the reindexed witness graph, None when no candidate
-    works, and raises SearchLimitError when the search budget runs out.
+    non-Nash).  Returns the reindexed witness graph with the tax
+    synthesized and re-verified for it, None when no candidate works, and
+    raises SearchLimitError when the search budget runs out.
     """
     targets = list(profiles)
     if not targets:
-        return DeviationGraph(nodes=(), runs=(), winners=(), edges=())
+        empty = DeviationGraph(nodes=(), runs=(), winners=(), edges=())
+        return empty, synthesize_eliminating_tax(game, empty)
     full = build_deviation_graph(game, targets, memory_bound, cap=cap)
     node_of = {profile: i for i, profile in enumerate(full.nodes)}
-    target_ids = [node_of[p] for p in (
-        Profile(tuple(canonicalize_machine(m) for m in p.machines))
-        for p in targets
-    )]
+    target_ids = [node_of[_canonical(p)] for p in targets]
     out_edges: dict[int, list[tuple[int, int, int]]] = {u: [] for u in target_ids}
     for edge in full.edges:
         if edge[0] in out_edges:
@@ -469,7 +452,9 @@ def check_eliminable(
                     stack.append(nxt)
         return False
 
-    def verify(selection: list[tuple[int, int, int]]) -> DeviationGraph | None:
+    def verify(
+        selection: list[tuple[int, int, int]],
+    ) -> tuple[DeviationGraph, DynamicTax] | None:
         kept = sorted({u for u, _, _ in selection} | {v for _, v, _ in selection})
         renumber = {old: new for new, old in enumerate(kept)}
         candidate = DeviationGraph(
@@ -501,7 +486,7 @@ def check_eliminable(
         for i in target_ids:
             if is_nash(game, full.nodes[i], tax):
                 return None
-        return candidate
+        return candidate, tax
 
     # Quotient edges are counted, not set-inserted: two targets sharing a
     # run class may select the same class edge, and backtracking one must
@@ -553,13 +538,12 @@ class ImplementationVerdict:
     diagnostics: tuple[str, ...] = ()
 
 
-def _levelling_machine(game: Game) -> tuple[StaticTax, DynamicTax]:
+def _levelling_machine(game: Game) -> DynamicTax:
     level = max(
         (max_cost(game, i) for i in range(game.arena.n_agents)),
         default=Fraction(0),
     )
-    levelling = uniform_levelling_tax(game, level)
-    return levelling, lift_static(levelling, game.arena.n_letters)
+    return lift_static(uniform_levelling_tax(game, level), game.arena.n_letters)
 
 
 def verify_witness(
@@ -620,7 +604,7 @@ def e_nash_implement(
             ),
         )
     witness, _ = first
-    _, tax = _levelling_machine(game)
+    tax = _levelling_machine(game)
     problems = verify_witness(
         game, "enash", objective, memory_bound, tax, witness, cap
     )
@@ -669,11 +653,12 @@ def a_nash_implement(
     violating = find_ne(
         zero_cost_game(game), None, memory_bound, Not(objective), cap=cap
     )
-    levelling, levelling_machine = _levelling_machine(game)
+    # the e-nash witness tax is the lifted levelling tax
+    levelling = base.witness_tax
     diagnostics: list[str] = []
     if violating:
         try:
-            witness_graph = check_eliminable(
+            eliminable = check_eliminable(
                 game,
                 violating,
                 memory_bound,
@@ -689,7 +674,7 @@ def a_nash_implement(
                 objective_text=text,
                 diagnostics=(str(stop),),
             )
-        if witness_graph is None:
+        if eliminable is None:
             return ImplementationVerdict(
                 problem="anash",
                 answer="no-within-bound",
@@ -700,15 +685,13 @@ def a_nash_implement(
                     f"not eliminable at bound {memory_bound}",
                 ),
             )
-        eliminator = synthesize_eliminating_tax(
-            game, witness_graph, targets=violating, state_cap=state_cap
-        )
-        combined = compose_tax(eliminator, levelling)
+        _, eliminator = eliminable
+        combined = compose_tax(eliminator, levelling.outputs[0])
         diagnostics.append(
             f"eliminated {len(violating)} objective-violating equilibria"
         )
     else:
-        combined = levelling_machine
+        combined = levelling
         diagnostics.append("no objective-violating equilibria at this bound")
 
     first = next(_nash_sweep(game, combined, memory_bound, objective, cap), None)
@@ -862,9 +845,7 @@ def static_insufficiency_check(
         hit: StaticInsufficiencyRow | None = None
         seen: set[Profile] = set()
         for family, profile in _candidate_profiles(taxed, memory_bound):
-            canonical = Profile(
-                tuple(canonicalize_machine(m) for m in profile.machines)
-            )
+            canonical = _canonical(profile)
             if canonical in seen:
                 continue
             seen.add(canonical)

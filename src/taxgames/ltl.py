@@ -80,14 +80,6 @@ TRUE = TrueConst()
 FALSE = Not(TRUE)
 
 
-def not_(operand: Formula) -> Formula:
-    return Not(operand)
-
-
-def or_(left: Formula, right: Formula) -> Formula:
-    return Or(left, right)
-
-
 def and_(left: Formula, right: Formula) -> Formula:
     return Not(Or(Not(left), Not(right)))
 

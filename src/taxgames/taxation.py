@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .arena import Arena, Game, max_cost, to_fraction
 from .errors import AlphabetMismatchError
-from .strategy import LassoRun, run_at
+from .strategy import LassoRun, RunStep, run_at
 
 
 @dataclass(frozen=True)
@@ -194,72 +194,61 @@ def _check_run_tax(run: LassoRun, tax: DynamicTax) -> None:
         )
 
 
-def _joint_lasso(
-    run: LassoRun, tax: DynamicTax
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Pairs (run position, tax state) split into prefix and cycle.
+class TaxedStep(NamedTuple):
+    """One step of a run read by a tax machine: the run step, the machine
+    state it is read in, and the tax vector that state charges for it."""
 
-    Run positions are the canonical len(prefix)+len(cycle) indices with the
-    usual wrap; the joint sequence is ultimately periodic because both
-    components are.
+    step: RunStep
+    tax_state: int
+    rates: tuple[Fraction, ...]
+
+
+def taxed_steps(
+    run: LassoRun, tax: DynamicTax
+) -> tuple[tuple[TaxedStep, ...], tuple[TaxedStep, ...]]:
+    """The run under the tax, as a (prefix, cycle) lasso of joint steps.
+
+    Pairs (run position, tax state) are ultimately periodic because both
+    components are, so the walk stops at the first repeated pair; the joint
+    cycle can be longer than the run's.
     """
-    total = len(run.prefix) + len(run.cycle)
+    _check_run_tax(run, tax)
+    steps = run.prefix + run.cycle
     wrap = len(run.prefix)
     pair = (0, 0)
     seen: dict[tuple[int, int], int] = {}
-    sequence: list[tuple[int, int]] = []
+    walk: list[TaxedStep] = []
     while pair not in seen:
-        seen[pair] = len(sequence)
-        sequence.append(pair)
+        seen[pair] = len(walk)
         pos, q = pair
-        step = run_at(run, pos)
-        nxt = pos + 1 if pos + 1 < total else wrap
+        step = steps[pos]
+        walk.append(TaxedStep(step, q, tax.outputs[q].rate(step.state, step.letter)))
+        nxt = pos + 1 if pos + 1 < len(steps) else wrap
         pair = (nxt, tax.next_state(q, step.letter))
     split = seen[pair]
-    return sequence[:split], sequence[split:]
+    return tuple(walk[:split]), tuple(walk[split:])
 
 
-def tax_sequence(
-    run: LassoRun, tax: DynamicTax
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """Per-step tax vectors along the run, as a (prefix, cycle) lasso."""
-    _check_run_tax(run, tax)
-
-    def vector(pair: tuple[int, int]) -> tuple[Fraction, ...]:
-        pos, q = pair
-        step = run_at(run, pos)
-        return tax.outputs[q].rate(step.state, step.letter)
-
-    head, loop = _joint_lasso(run, tax)
-    return tuple(vector(p) for p in head), tuple(vector(p) for p in loop)
-
-
-def tax_state_trace(
-    run: LassoRun, tax: DynamicTax
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tax machine states along the run, as a (prefix, cycle) lasso."""
-    _check_run_tax(run, tax)
-    head, loop = _joint_lasso(run, tax)
-    return tuple(q for _, q in head), tuple(q for _, q in loop)
-
-
-def taxed_cost(run: LassoRun, tax: DynamicTax | None, agent: int) -> Fraction:
-    """Exact limit-average taxed cost of one agent along the run.
+def _taxed_costs(run: LassoRun, tax: DynamicTax | None) -> tuple[Fraction, ...]:
+    """Exact limit-average taxed cost of every agent along the run.
 
     The per-step taxed cost sequence is ultimately periodic, so the liminf
     of running averages is the plain mean over the joint cycle; the prefix
     contributes nothing.
     """
     if tax is None:
-        total = sum(step.costs[agent] for step in run.cycle)
-        return Fraction(total, len(run.cycle))
-    _check_run_tax(run, tax)
-    _, loop = _joint_lasso(run, tax)
-    total = Fraction(0)
-    for pos, q in loop:
-        step = run_at(run, pos)
-        total += step.costs[agent] + tax.outputs[q].rate(step.state, step.letter)[agent]
-    return Fraction(total, len(loop))
+        loop = [step.costs for step in run.cycle]
+    else:
+        loop = [
+            tuple(c + r for c, r in zip(item.step.costs, item.rates))
+            for item in taxed_steps(run, tax)[1]
+        ]
+    return tuple(Fraction(sum(column), len(loop)) for column in zip(*loop))
+
+
+def taxed_cost(run: LassoRun, tax: DynamicTax | None, agent: int) -> Fraction:
+    """Exact limit-average taxed cost of one agent along the run."""
+    return _taxed_costs(run, tax)[agent]
 
 
 def truncated_mean(

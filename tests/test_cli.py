@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 import taxgames as tg
 from taxgames.cli import main
@@ -49,6 +50,39 @@ class TestEvaluate:
         )
         assert code == 0
         assert "report:" in out.read_text()
+
+    def test_joint_cycle_longer_than_run_cycle(self, tmp_path, capsys):
+        # the run cycles s0, s2; a 3-state tax machine rotating on every
+        # letter makes the joint (run step, tax state) cycle 6 steps long
+        game = tg.load_game(GAME)
+        rotating = tg.DynamicTax(
+            outputs=tuple(
+                tg.static_tax(2, {(0, 0): (q + 1, 0)}) for q in range(3)
+            ),
+            transitions=((1,) * 4, (2,) * 4, (0,) * 4),
+        )
+        tax = tmp_path / "rotating.tax"
+        tax.write_text(tg.tax_to_yaml(rotating))
+        out = tmp_path / "report.yaml"
+        code = main(
+            [
+                "evaluate", "--game", GAME, "--profile", PROFILE_AC,
+                "--tax", str(tax), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        run = tg.evaluate(game, tg.load_profile(PROFILE_AC)).run
+        assert (len(run.prefix), len(run.cycle)) == (0, 2)
+        report = yaml.safe_load(out.read_text())["report"]
+        assert report["run"]["prefix"] == []
+        cycle = report["run"]["cycle"]
+        assert [step["state"] for step in cycle] == ["s0", "s2"] * 3
+        assert [step["tax_state"] for step in cycle] == [0, 1, 2] * 2
+        assert [step["rates"] for step in cycle] == [
+            ["1", "0"], ["0", "0"], ["3", "0"],
+            ["0", "0"], ["2", "0"], ["0", "0"],
+        ]
+        assert report["costs"][0]["taxed"] == "1"
 
     def test_bad_document_is_input_error(self, tmp_path, capsys):
         broken = tmp_path / "broken.game"
@@ -242,6 +276,22 @@ class TestVerify:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: tax ")
+
+    def test_bad_witness_profile_names_its_path(self, tmp_path, capsys):
+        out = self.run_anash(tmp_path)
+        verdict = tg.load_verdict(out)
+        machines = verdict.witness_profile.machines
+        broken = tg.StrategyMachine(outputs=(0,), transitions=((0, 0, 7, 0),))
+        bad = replace(
+            verdict, witness_profile=tg.Profile((machines[0], broken))
+        )
+        out.write_text(tg.verdict_to_yaml(bad))
+        capsys.readouterr()
+        assert main(["verify", "--game", GAME, "--verdict", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: verdict.witness_profile.machines[1].transitions[0][2] "
+            "is 7, want 0..0"
+        ]
 
     def test_witnessless_verdict(self, tmp_path, capsys):
         text = "\n".join(

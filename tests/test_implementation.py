@@ -143,8 +143,7 @@ class TestObservedQuotient:
         root = index.node_class[0]
         assert index.d_out[0][root] == 1
         assert index.d_out[1][root] == 1
-        assert index.longest == (1, 1)
-        assert index.indev[root] == frozenset({0, 1})
+        assert (max(index.d_out[0]), max(index.d_out[1])) == (1, 1)
 
     def test_long_single_agent_chain(self):
         # one class per node, agent 0 deviating from each class to the next
@@ -160,7 +159,7 @@ class TestObservedQuotient:
             edges=tuple((i, i + 1, 0) for i in range(n - 1)),
         )
         index = tg.observed_path_index(graph)
-        assert index.longest == (n - 1,)
+        assert max(index.d_out[0]) == n - 1
         assert index.d_out[0][0] == n - 1
         assert index.d_out[0][n - 1] == 0
 
@@ -203,17 +202,18 @@ class TestCheckEliminable:
     def test_junction_seed_is_eliminable(self):
         game = junction_game()
         target = alpha(game, 0, 0)
-        graph = tg.check_eliminable(game, [target], 1)
-        assert graph is not None
+        found = tg.check_eliminable(game, [target], 1)
+        assert found is not None
+        graph, tax = found
         assert tg.single_agent_observed_cycle(graph) is None
-        tax = tg.synthesize_eliminating_tax(game, graph)
+        assert tax == tg.synthesize_eliminating_tax(game, graph)
         assert not tg.is_nash(game, target, tax)
 
     def test_empty_targets(self):
         game = junction_game()
-        graph = tg.check_eliminable(game, [], 1)
-        assert graph is not None
+        graph, tax = tg.check_eliminable(game, [], 1)
         assert graph.n_nodes == 0
+        assert tax == tg.lift_static(tg.zero_tax(2), game.arena.n_letters)
 
     def test_stuck_profile_is_not_eliminable(self):
         game = one_action_game()
@@ -256,6 +256,19 @@ class TestImplementationVerdicts:
         good = tg.find_ne(game, tax, 1, objective)
         assert verdict.witness_profile in good
         assert any("eliminated" in d for d in verdict.diagnostics)
+
+    def test_a_nash_tax_composes_its_parts(self):
+        # the eliminator for the cost-free violating equilibria, on top of
+        # the tax levelling every cost to the junction's maximum of 2
+        game = junction_game()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        violating = tg.find_ne(
+            tg.zero_cost_game(game), None, 1, tg.Not(objective)
+        )
+        _, eliminator = tg.check_eliminable(game, violating, 1)
+        levelling = tg.uniform_levelling_tax(game, 2)
+        verdict = tg.a_nash_implement(game, objective, 1)
+        assert verdict.witness_tax == tg.compose_tax(eliminator, levelling)
 
     def test_a_nash_inherits_e_nash_failure(self):
         game = junction_game()

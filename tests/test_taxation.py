@@ -156,18 +156,19 @@ class TestTaxedCost:
             transitions=((1,), (0,)),
         )
         assert tg.taxed_cost(run, tax, 0) == 2
-        head, loop = tg.tax_state_trace(run, tax)
+        head, loop = tg.taxed_steps(run, tax)
         assert head == ()
-        assert loop == (0, 1)
+        assert tuple(item.tax_state for item in loop) == (0, 1)
+        assert all(item.step == run.cycle[0] for item in loop)
 
     def test_tax_sequence_vectors(self):
         game = junction_game()
         run = tg.lasso_canonical(
             tg.generate_run(game.arena, constant_profile(game.arena, [0, 0]))
         )
-        head, loop = tg.tax_sequence(run, junction_tax())
-        assert head == (((0, 0)),) or head == ((Fraction(0), Fraction(0)),)
-        assert all(v == (Fraction(3), Fraction(3)) for v in loop)
+        head, loop = tg.taxed_steps(run, junction_tax())
+        assert tuple(item.rates for item in head) == ((Fraction(0), Fraction(0)),)
+        assert all(item.rates == (Fraction(3), Fraction(3)) for item in loop)
 
     def test_truncated_mean_converges(self):
         game = junction_game()
