@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._graphs import strongly_connected_components
@@ -28,6 +29,7 @@ from .ltl import (
 from .strategy import (
     LassoRun,
     Profile,
+    StrategyMachine,
     enumerate_profiles,
     generate_run,
     label_trace,
@@ -97,88 +99,100 @@ def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Out
 
 
 # ---------------------------------------------------------------------------
-# Minimum mean cycle (Karp)
+# Minimum mean cycle (Karp) on integer weights
 
 
-def _karp(
-    members: Sequence[object],
-    edges: Mapping[object, Sequence[tuple[object, Fraction]]],
-) -> Fraction | None:
-    """Minimum cycle mean within one strongly connected vertex set.
+def _below(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """Whether ratio first is below ratio second; each is a (numerator,
+    positive denominator) pair, compared by cross-multiplication."""
+    return first[0] * second[1] < second[0] * first[1]
 
-    d_k(v) = cheapest walk of exactly k edges from a fixed source; the
-    minimum cycle mean is min over v of max over k of (d_n(v) - d_k(v))/(n-k),
+
+def _karp(edges: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+    """Minimum cycle mean of a strongly connected graph with a cycle, as a
+    (numerator, positive denominator) pair.
+
+    Vertices are 0..n-1 and edges[v] lists (target, integer weight) pairs.
+    d_k(v) = cheapest walk of exactly k edges from vertex 0; the minimum
+    cycle mean is min over v of max over k of (d_n(v) - d_k(v))/(n-k),
     restricted to finite entries (walks of a given length need not exist).
     """
-    n = len(members)
-    if n == 0:
-        return None
-    index = {v: i for i, v in enumerate(members)}
-    source = members[0]
-    rows: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
-    rows[0][index[source]] = Fraction(0)
-    for k in range(n):
-        row, nxt = rows[k], rows[k + 1]
-        for i, v in enumerate(members):
-            base = row[i]
+    n = len(edges)
+    rows: list[list[int | None]] = [[0] + [None] * (n - 1)]
+    for _ in range(n):
+        row = rows[-1]
+        nxt: list[int | None] = [None] * n
+        for v, out in enumerate(edges):
+            base = row[v]
             if base is None:
                 continue
-            for target, weight in edges.get(v, ()):
-                j = index.get(target)
-                if j is None:
-                    continue
+            for target, weight in out:
                 candidate = base + weight
-                if nxt[j] is None or candidate < nxt[j]:
-                    nxt[j] = candidate
-    best: Fraction | None = None
-    last = rows[n]
-    for j in range(n):
-        if last[j] is None:
+                old = nxt[target]
+                if old is None or candidate < old:
+                    nxt[target] = candidate
+        rows.append(nxt)
+    best: tuple[int, int] | None = None
+    for v, last in enumerate(rows[n]):
+        if last is None:
             continue
-        worst: Fraction | None = None
+        worst: tuple[int, int] | None = None
         for k in range(n):
-            if rows[k][j] is None:
+            first = rows[k][v]
+            if first is None:
                 continue
-            ratio = Fraction(last[j] - rows[k][j], n - k)
-            if worst is None or ratio > worst:
+            ratio = (last - first, n - k)
+            if worst is None or _below(worst, ratio):
                 worst = ratio
-        if worst is not None and (best is None or worst < best):
+        if worst is not None and (best is None or _below(worst, best)):
             best = worst
+    assert best is not None, "a strongly connected graph with a cycle has a cycle mean"
     return best
 
 
 def _component_means(
-    vertices: Iterable[object],
-    edges: Mapping[object, Sequence[tuple[object, Fraction]]],
-) -> Iterator[tuple[set, Fraction]]:
-    """(member set, minimum cycle mean) of every strongly connected
-    component that contains a cycle."""
-
-    def successors(v: object) -> list[object]:
-        return [t for t, _ in edges.get(v, ())]
-
-    for component in strongly_connected_components(vertices, successors):
-        member_set = set(component)
-        internal = {
-            v: [(t, w) for t, w in edges.get(v, ()) if t in member_set]
-            for v in component
-        }
-        if len(component) == 1 and not internal[component[0]]:
+    edges: Sequence[Sequence[tuple[int, int]]],
+) -> Iterator[tuple[list[int], tuple[int, int]]]:
+    """(members, minimum cycle mean) of every strongly connected component
+    that contains a cycle, in a graph on vertices 0..n-1 whose edges[v]
+    lists (target, integer weight) pairs."""
+    targets = [[t for t, _ in out] for out in edges]
+    for component in strongly_connected_components(
+        range(len(edges)), targets.__getitem__
+    ):
+        local = {v: i for i, v in enumerate(component)}
+        internal = [
+            [(local[t], w) for t, w in edges[v] if t in local] for v in component
+        ]
+        if len(component) == 1 and not internal[0]:
             continue
-        mean = _karp(component, internal)
-        if mean is not None:
-            yield member_set, mean
+        yield component, _karp(internal)
 
 
 def min_mean_cycle(
     graph: Mapping[object, Iterable[tuple[object, Fraction]]],
 ) -> Fraction | None:
-    """Minimum over all directed cycles of mean edge weight; None if acyclic."""
-    adjacency = {v: tuple(out) for v, out in graph.items()}
-    return min(
-        (mean for _, mean in _component_means(adjacency, adjacency)),
-        default=None,
-    )
+    """Minimum over all directed cycles of mean edge weight; None if acyclic.
+
+    The weights are scaled to integers by the lcm of their denominators and
+    the mean is divided back at the end."""
+    adjacency = {v: [(t, Fraction(w)) for t, w in out] for v, out in graph.items()}
+    index: dict[object, int] = {}
+    for v, out in adjacency.items():
+        index.setdefault(v, len(index))
+        for t, _ in out:
+            index.setdefault(t, len(index))
+    scale = lcm(*(w.denominator for out in adjacency.values() for _, w in out))
+    edges: list[list[tuple[int, int]]] = [[] for _ in index]
+    for v, out in adjacency.items():
+        edges[index[v]] = [
+            (index[t], w.numerator * (scale // w.denominator)) for t, w in out
+        ]
+    best: tuple[int, int] | None = None
+    for _, mean in _component_means(edges):
+        if best is None or _below(mean, best):
+            best = mean
+    return None if best is None else Fraction(best[0], best[1] * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +204,18 @@ class ResponseGraph:
     """Product graph of one agent's unconstrained choices against the other
     machines, an optional tax machine, and the agent's goal automaton.
 
-    Vertices are (arena state, others' machine states, tax state, automaton
-    state); each outgoing edge fixes one of the agent's actions and one
-    automaton successor, weighted by the agent's taxed step cost.
+    vertices[i] is (arena state, others' machine states, tax state,
+    automaton state); edges[i] lists (target index, weight) pairs, one per
+    action of the agent and automaton successor, where weight is the agent's
+    taxed step cost times scale, an integer.  initial and accepting hold
+    vertex indices; every vertex is reachable from initial.
     """
 
     vertices: tuple[tuple, ...]
-    edges: dict
-    initial: tuple[tuple, ...]
-    accepting: frozenset
+    edges: tuple[tuple[tuple[int, int], ...], ...]
+    initial: tuple[int, ...]
+    accepting: frozenset[int]
+    scale: int
 
 
 @lru_cache(maxsize=256)
@@ -206,67 +223,153 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> BuchiAutom
     return to_buchi(formula, vocabulary)
 
 
+class _Responses:
+    """Best responses under one (game, tax), memoised on (agent, the other
+    agents' machines): a response reads nothing else of the profile.  The
+    sweep or driver call that creates one owns it, so the memo lives no
+    longer than that call.
+
+    steps holds the taxed step costs (arena cost plus tax rate) of the
+    cells product graphs reach, keyed by (state, letter, tax state), as
+    integer vectors over the common denominator scale.  A cell whose
+    denominators do not divide scale multiplies it and rescales the table.
+    """
+
+    def __init__(self, game: Game, tax: DynamicTax | None) -> None:
+        self.game = game
+        self.tax = tax
+        self.scale = 1
+        self.steps: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.values: dict[tuple[int, tuple[StrategyMachine, ...]], LexValue] = {}
+
+    def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
+        vector = self.game.arena.cost[state][letter]
+        assert vector is not None
+        if self.tax is not None:
+            rates = self.tax.outputs[tax_state].rate(state, letter)
+            vector = tuple(c + r for c, r in zip(vector, rates))
+        scale = lcm(self.scale, *(x.denominator for x in vector))
+        if scale != self.scale:
+            factor = scale // self.scale
+            # in place: a graph being built holds this table
+            for cell, scaled in self.steps.items():
+                self.steps[cell] = tuple(x * factor for x in scaled)
+            self.scale = scale
+        scaled = tuple(x.numerator * (scale // x.denominator) for x in vector)
+        self.steps[(state, letter, tax_state)] = scaled
+        return scaled
+
+    def value(self, profile: Profile, agent: int) -> LexValue:
+        machines = profile.machines
+        key = (agent, machines[:agent] + machines[agent + 1 :])
+        found = self.values.get(key)
+        if found is None:
+            graph = response_graph(self.game, profile, agent, self.tax, self)
+            found = self.values[key] = _response_value(graph)
+        return found
+
+
 def response_graph(
     game: Game,
     profile: Profile,
     agent: int,
     tax: DynamicTax | None = None,
+    responses: _Responses | None = None,
 ) -> ResponseGraph:
+    """The agent's product graph; responses, when given, is the (game, tax)
+    memo whose step-cost table the graph reads and fills."""
+    if responses is None:
+        responses = _Responses(game, tax)
+    scale = responses.scale
+    graph = _product(responses, profile, agent)
+    if responses.scale != scale:
+        # a cell met on the way grew the common denominator; every cell
+        # the graph reaches is in the table now, so the rebuild keeps it
+        graph = _product(responses, profile, agent)
+    return graph
+
+
+def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGraph:
+    game, tax = responses.game, responses.tax
     arena = game.arena
     automaton = _goal_automaton(game.goals[agent], arena.vocabulary)
+    # letter_of is linear in the action indices, so a letter is the sum of
+    # each agent's action times the letter of that agent's unit action
+    n = arena.n_agents
+    strides = [arena.letter_of([int(j == i) for j in range(n)]) for i in range(n)]
     others = [
-        (i, machine) for i, machine in enumerate(profile.machines) if i != agent
+        (machine.outputs, machine.transitions, strides[i])
+        for i, machine in enumerate(profile.machines)
+        if i != agent
     ]
-    own_actions = range(len(arena.actions[agent]))
+    own_letters = [
+        action * strides[agent] for action in range(len(arena.actions[agent]))
+    ]
+    steps = responses.steps
+    # an unsatisfiable goal has no initial automaton state: every run of
+    # the agent then stays in the non-accepting sink
+    starts = automaton.initial or (automaton.sink,)
 
-    def taxed_weight(state: int, letter: int, tax_state: int) -> Fraction:
-        base = arena.cost[state][letter]
-        assert base is not None
-        weight = base[agent]
-        if tax is not None:
-            weight += tax.outputs[tax_state].rate(state, letter)[agent]
-        return weight
-
-    initial = tuple(
-        (arena.initial, tuple(0 for _ in others), 0, b) for b in automaton.initial
-    )
-    edges: dict = {}
-    stack = list(initial)
-    seen = set(initial)
-    while stack:
-        vertex = stack.pop()
-        state, memory, tax_state, b = vertex
+    vertices: list[tuple] = [
+        (arena.initial, (0,) * len(others), 0, b) for b in starts
+    ]
+    index = {vertex: i for i, vertex in enumerate(vertices)}
+    edges: list[tuple[tuple[int, int], ...]] = []
+    # vertices grows while it is walked, so every reached vertex is expanded
+    for state, memory, tax_state, b in vertices:
         out = []
-        profile_actions = [0] * arena.n_agents
-        for (i, machine), q in zip(others, memory):
-            profile_actions[i] = machine.outputs[q]
-        for action in own_actions:
-            profile_actions[agent] = action
-            letter = arena.letter_of(profile_actions)
-            target = arena.transition[state][letter]
+        others_letter = sum(
+            outputs[q] * stride for (outputs, _, stride), q in zip(others, memory)
+        )
+        row = arena.transition[state]
+        b_nexts = automaton.successors(b, arena.labels[state])
+        for own_letter in own_letters:
+            letter = others_letter + own_letter
+            target = row[letter]
             assert target is not None
             memory_next = tuple(
-                machine.transitions[q][letter]
-                for (_, machine), q in zip(others, memory)
+                [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
             )
-            tax_next = tax.next_state(tax_state, letter) if tax is not None else 0
-            weight = taxed_weight(state, letter, tax_state)
-            for b_next in automaton.successors(b, arena.labels[state]):
+            tax_next = tax.transitions[tax_state][letter] if tax is not None else 0
+            cell = steps.get((state, letter, tax_state))
+            if cell is None:
+                cell = responses.step(state, letter, tax_state)
+            weight = cell[agent]
+            for b_next in b_nexts:
                 succ = (target, memory_next, tax_next, b_next)
-                out.append((succ, weight))
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        edges[vertex] = out
+                j = index.get(succ)
+                if j is None:
+                    j = index[succ] = len(vertices)
+                    vertices.append(succ)
+                out.append((j, weight))
+        edges.append(tuple(out))
     accepting = frozenset(
-        v for v in seen if v[3] in automaton.accepting
+        i for i, vertex in enumerate(vertices) if vertex[3] in automaton.accepting
     )
     return ResponseGraph(
-        vertices=tuple(seen),
-        edges=edges,
-        initial=initial,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        initial=tuple(range(len(starts))),
         accepting=accepting,
+        scale=responses.scale,
     )
+
+
+def _response_value(graph: ResponseGraph) -> LexValue:
+    """best_response read off the agent's product graph."""
+    best: tuple[int, int] | None = None
+    best_winning: tuple[int, int] | None = None
+    for members, mean in _component_means(graph.edges):
+        if best is None or _below(mean, best):
+            best = mean
+        if not graph.accepting.isdisjoint(members) and (
+            best_winning is None or _below(mean, best_winning)
+        ):
+            best_winning = mean
+    assert best is not None, "total arenas always reach a cycle"
+    goal_met = best_winning is not None
+    num, den = best_winning if goal_met else best
+    return LexValue(goal_met=goal_met, cost=Fraction(num, den * graph.scale))
 
 
 def best_response(
@@ -288,25 +391,17 @@ def best_response(
     it still decides whether a strictly better deviation exists, because
     any value strictly between supremum and current value is attained.
     """
-    graph = response_graph(game, profile, agent, tax)
-    means = [
-        (mean, not members.isdisjoint(graph.accepting))
-        for members, mean in _component_means(graph.vertices, graph.edges)
-    ]
-    assert means, "total arenas always reach a cycle"
-    winning = [mean for mean, accepting in means if accepting]
-    if winning:
-        return LexValue(goal_met=True, cost=min(winning))
-    return LexValue(goal_met=False, cost=min(mean for mean, _ in means))
+    return _Responses(game, tax).value(profile, agent)
 
 
 def _no_agent_improves(
-    game: Game, profile: Profile, outcome: Outcome, tax: DynamicTax | None
+    responses: _Responses, profile: Profile, outcome: Outcome
 ) -> bool:
-    """Whether no agent's best response strictly beats its outcome value."""
+    """Whether no agent's best response strictly beats its outcome value;
+    stops at the first agent that improves."""
     return all(
-        prefers(best_response(game, profile, agent, tax), outcome.value(agent)) <= 0
-        for agent in range(game.arena.n_agents)
+        prefers(responses.value(profile, agent), outcome.value(agent)) <= 0
+        for agent in range(len(profile.machines))
     )
 
 
@@ -314,25 +409,28 @@ def is_nash(
     game: Game, profile: Profile, tax: DynamicTax | None = None
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
-    return _no_agent_improves(game, profile, evaluate(game, profile, tax), tax)
+    return _no_agent_improves(
+        _Responses(game, tax), profile, evaluate(game, profile, tax)
+    )
 
 
 def _nash_sweep(
-    game: Game,
-    tax: DynamicTax | None,
+    responses: _Responses,
     memory_bound: int,
     objective: Formula | None = None,
     cap: int = 10**7,
 ) -> Iterator[tuple[Profile, Outcome]]:
     """Lazily, in enumeration order, each bounded canonical profile that is
-    an exact Nash equilibrium, with its outcome.  The objective, when given,
-    filters runs before any best response is computed."""
+    an exact Nash equilibrium of the responses' game under their tax, with
+    its outcome.  The objective, when given, filters runs before any best
+    response is computed."""
+    game, tax = responses.game, responses.tax
     for profile in enumerate_profiles(game.arena, memory_bound, cap=cap):
         run, trace, winners = _play(game, profile)
         if objective is not None and not eval_on_lasso(objective, trace):
             continue
         outcome = _outcome(run, trace, winners, tax)
-        if _no_agent_improves(game, profile, outcome, tax):
+        if _no_agent_improves(responses, profile, outcome):
             yield profile, outcome
 
 
@@ -352,5 +450,7 @@ def find_ne(
     """
     return [
         profile
-        for profile, _ in _nash_sweep(game, tax, memory_bound, objective, cap)
+        for profile, _ in _nash_sweep(
+            _Responses(game, tax), memory_bound, objective, cap
+        )
     ]

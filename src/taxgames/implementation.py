@@ -38,11 +38,12 @@ from .strategy import (
 from .taxation import (
     DynamicTax,
     StaticTax,
+    _cost_ceiling,
+    _levelling_tax,
     compose_tax,
     lift_static,
     static_tax,
     taxed_cost,
-    uniform_levelling_tax,
     zero_tax,
 )
 from .equilibrium import (
@@ -50,9 +51,8 @@ from .equilibrium import (
     _nash_sweep,
     _no_agent_improves,
     _play,
+    _Responses,
     evaluate,
-    find_ne,
-    is_nash,
     prefers,
 )
 
@@ -483,8 +483,10 @@ def check_eliminable(
         for u, v, agent in candidate.edges:
             if prefers(taxed_value(v, agent), taxed_value(u, agent)) <= 0:
                 return None
+        responses = _Responses(game, tax)
         for i in target_ids:
-            if is_nash(game, full.nodes[i], tax):
+            profile = full.nodes[i]
+            if _no_agent_improves(responses, profile, evaluate(game, profile, tax)):
                 return None
         return candidate, tax
 
@@ -539,11 +541,9 @@ class ImplementationVerdict:
 
 
 def _levelling_machine(game: Game) -> DynamicTax:
-    level = max(
-        (max_cost(game, i) for i in range(game.arena.n_agents)),
-        default=Fraction(0),
-    )
-    return lift_static(uniform_levelling_tax(game, level), game.arena.n_letters)
+    """The lifted uniform levelling tax at the lowest valid level."""
+    arena = game.arena
+    return lift_static(_levelling_tax(arena, _cost_ceiling(arena)), arena.n_letters)
 
 
 def verify_witness(
@@ -557,15 +557,18 @@ def verify_witness(
 ) -> tuple[str, ...]:
     """Why a witness fails, or () when it holds: the profile is an exact
     equilibrium under the tax and its run satisfies the objective; for
-    anash, also no bounded equilibrium under the tax violates it."""
+    anash, also no bounded equilibrium under the tax violates it.  The
+    check keeps its own best-response memo, apart from the sweep that found
+    the witness."""
+    responses = _Responses(game, tax)
     outcome = evaluate(game, profile, tax)
     problems = []
-    if not _no_agent_improves(game, profile, outcome, tax):
+    if not _no_agent_improves(responses, profile, outcome):
         problems.append("witness profile is not an equilibrium under the witness tax")
     if not eval_on_lasso(objective, outcome.trace):
         problems.append("witness run does not satisfy the objective")
     if problem == "anash" and not problems:
-        bad = find_ne(game, tax, memory_bound, Not(objective), cap)
+        bad = list(_nash_sweep(responses, memory_bound, Not(objective), cap))
         if bad:
             problems.append(
                 f"{len(bad)} objective-violating equilibria survive the tax "
@@ -588,11 +591,22 @@ def e_nash_implement(
     yes verdict carries that tax and a supporting profile, re-verified from
     scratch.  An empty bounded search is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
+    free = _Responses(zero_cost_game(game), None)
+    return _e_nash(game, free, objective, memory_bound, cap, objective_text)
+
+
+def _e_nash(
+    game: Game,
+    free: _Responses,
+    objective: Formula,
+    memory_bound: int,
+    cap: int,
+    objective_text: str | None,
+) -> ImplementationVerdict:
+    """e_nash_implement, sweeping the cost-free game through free, the
+    best-response memo of that game without a tax."""
     text = objective_text if objective_text is not None else to_text(objective)
-    first = next(
-        _nash_sweep(zero_cost_game(game), None, memory_bound, objective, cap),
-        None,
-    )
+    first = next(_nash_sweep(free, memory_bound, objective, cap), None)
     if first is None:
         return ImplementationVerdict(
             problem="enash",
@@ -641,18 +655,19 @@ def a_nash_implement(
     re-verified within the bounded universe before a yes is returned.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
-    base = e_nash_implement(
-        game, objective, memory_bound, cap=cap, objective_text=objective_text
-    )
+    # the e-nash sweep and the violating sweep share one cost-free memo
+    free = _Responses(zero_cost_game(game), None)
+    base = _e_nash(game, free, objective, memory_bound, cap, objective_text)
     if base.answer != "yes":
         return replace(
             base,
             problem="anash",
             diagnostics=base.diagnostics + ("e-nash precondition failed",),
         )
-    violating = find_ne(
-        zero_cost_game(game), None, memory_bound, Not(objective), cap=cap
-    )
+    violating = [
+        profile
+        for profile, _ in _nash_sweep(free, memory_bound, Not(objective), cap)
+    ]
     # the e-nash witness tax is the lifted levelling tax
     levelling = base.witness_tax
     diagnostics: list[str] = []
@@ -694,7 +709,9 @@ def a_nash_implement(
         combined = levelling
         diagnostics.append("no objective-violating equilibria at this bound")
 
-    first = next(_nash_sweep(game, combined, memory_bound, objective, cap), None)
+    first = next(
+        _nash_sweep(_Responses(game, combined), memory_bound, objective, cap), None
+    )
     if first is None:
         problems: tuple[str, ...] = (
             "no equilibrium satisfying the objective survives the "
@@ -842,6 +859,7 @@ def static_insufficiency_check(
     rows: list[StaticInsufficiencyRow] = []
     for tax in tax_grid:
         taxed = apply_static(game, tax)
+        responses = _Responses(taxed, None)
         hit: StaticInsufficiencyRow | None = None
         seen: set[Profile] = set()
         for family, profile in _candidate_profiles(taxed, memory_bound):
@@ -852,7 +870,7 @@ def static_insufficiency_check(
             outcome = evaluate(taxed, canonical, None)
             if not eval_on_lasso(bad, outcome.trace):
                 continue
-            if _no_agent_improves(taxed, canonical, outcome, None):
+            if _no_agent_improves(responses, canonical, outcome):
                 costs = ", ".join(str(c) for c in outcome.costs)
                 hit = StaticInsufficiencyRow(
                     tax=tax,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .arena import Arena, Game, max_cost, to_fraction
+from .arena import Arena, Game, to_fraction
 from .errors import AlphabetMismatchError
 from .strategy import LassoRun, RunStep, run_at
 
@@ -22,16 +23,22 @@ from .strategy import LassoRun, RunStep, run_at
 @dataclass(frozen=True)
 class StaticTax:
     """entries holds (state, letter, vector) triples sorted by cell, with
-    all-zero vectors dropped; unlisted cells are untaxed."""
+    all-zero vectors dropped; unlisted cells are untaxed.  entries is the
+    serialised form; rate() reads a cell table built from it on first use."""
 
     n_agents: int
     entries: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
 
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        return {(s, a): vector for s, a, vector in self.entries}
+
+    @cached_property
+    def _zero(self) -> tuple[Fraction, ...]:
+        return (Fraction(0),) * self.n_agents
+
     def rate(self, state: int, letter: int) -> tuple[Fraction, ...]:
-        for s, a, vector in self.entries:
-            if s == state and a == letter:
-                return vector
-        return tuple(Fraction(0) for _ in range(self.n_agents))
+        return self._table.get((state, letter), self._zero)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -162,24 +169,42 @@ def uniform_levelling_tax(game: Game, level: object) -> StaticTax:
     surcharges are non-negative; the taxed game then charges exactly level
     to every agent on every step.
     """
-    arena = game.arena
     target = to_fraction(level)
-    ceiling = max(
-        (max_cost(game, i) for i in range(arena.n_agents)),
-        default=Fraction(0),
-    )
+    ceiling = _cost_ceiling(game.arena)
     if target < ceiling:
         raise ValueError(
             f"level {target} is below the maximum per-step cost {ceiling}"
         )
-    rates: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for s in range(arena.n_states):
-        for letter in arena.letters():
-            base = arena.cost[s][letter]
+    return _levelling_tax(game.arena, target)
+
+
+def _cost_ceiling(arena: Arena) -> Fraction:
+    """The largest per-step cost of any agent, and at least 0, in one scan
+    of the cost table."""
+    ceiling = Fraction(0)
+    for row in arena.cost:
+        for vector in row:
+            if vector is not None:
+                for x in vector:
+                    if x > ceiling:
+                        ceiling = x
+    return ceiling
+
+
+def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
+    """uniform_levelling_tax for a level already checked against the
+    ceiling.  Its surcharges are non-negative Fractions by that check and
+    its cells come in sorted order, so the entries are built as static_tax
+    would leave them."""
+    entries = []
+    for s, row in enumerate(arena.cost):
+        for letter, base in enumerate(row):
             if base is None:
                 raise ValueError("game must be total")
-            rates[(s, letter)] = tuple(target - x for x in base)
-    return static_tax(arena.n_agents, rates)
+            vector = tuple(target - x for x in base)
+            if any(vector):
+                entries.append((s, letter, vector))
+    return StaticTax(n_agents=arena.n_agents, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

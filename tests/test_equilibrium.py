@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -116,6 +119,15 @@ class TestBestResponse:
             game, swapped, 0, None
         )
 
+    def test_unsatisfiable_goal_is_never_met(self):
+        game = random_game(Random(1), goals=("false", "G F p"))
+        profile = constant_profile(game.arena, [0, 0])
+        best = tg.best_response(game, profile, 0, None)
+        assert not best.goal_met
+        values = oracle_response_values(game, profile, 0, 2)
+        assert all(tg.prefers(value, best) <= 0 for value in values)
+        assert best in values  # the cheapest cycle is reachable at bound 2
+
     def test_dominates_bounded_oracle_on_random_games(self):
         rng = Random(23)
         for _ in range(15):
@@ -127,6 +139,85 @@ class TestBestResponse:
             best = tg.best_response(game, profile, agent, None)
             for value in oracle_response_values(game, profile, agent, 2):
                 assert tg.prefers(value, best) <= 0
+
+    def test_rational_weights_under_dynamic_taxes(self):
+        # step weights are scaled to integers by a common denominator; mixed
+        # cost denominators and rational rates of multi-state taxes are
+        # where that scaling can go wrong
+        rng = Random(5)
+        for _ in range(20):
+            game = rational_game(rng)
+            tax = rational_tax(rng, game.arena)
+            machines = list(tg.enumerate_machines(2, game.arena.n_letters, 2))
+            profile = tg.Profile((rng.choice(machines), rng.choice(machines)))
+            agent = rng.randint(0, 1)
+            best = tg.best_response(game, profile, agent, tax)
+            for value in oracle_response_values(game, profile, agent, 2, tax):
+                assert tg.prefers(value, best) <= 0
+            # 42 clears every denominator: the integer game needs no
+            # scaling and its value is 42 times the rational one
+            assert tg.best_response(
+                scaled_game(game, 42), profile, agent, scaled_tax(tax, 42)
+            ) == tg.LexValue(goal_met=best.goal_met, cost=best.cost * 42)
+
+
+def rational_game(rng: Random) -> tg.Game:
+    """A random game whose costs have denominators mixed from 1, 2, 3, 7."""
+    game = random_game(rng, n_states=2, max_cost=6)
+    cost = tuple(
+        tuple(
+            tuple(Fraction(x, rng.choice((1, 2, 3, 7))) for x in vector)
+            for vector in row
+        )
+        for row in game.arena.cost
+    )
+    return replace(game, arena=replace(game.arena, cost=cost))
+
+
+def rational_tax(rng: Random, arena: tg.Arena) -> tg.DynamicTax:
+    """A random 2- or 3-state tax machine with rational rates."""
+    n = rng.randint(2, 3)
+    outputs = tuple(
+        tg.static_tax(
+            arena.n_agents,
+            {
+                (s, letter): tuple(
+                    Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 7)))
+                    for _ in range(arena.n_agents)
+                )
+                for s in range(arena.n_states)
+                for letter in arena.letters()
+                if rng.random() < 0.6
+            },
+        )
+        for _ in range(n)
+    )
+    transitions = tuple(
+        tuple(rng.randrange(n) for _ in arena.letters()) for _ in range(n)
+    )
+    return tg.DynamicTax(outputs=outputs, transitions=transitions)
+
+
+def scaled_game(game: tg.Game, factor: int) -> tg.Game:
+    cost = tuple(
+        tuple(tuple(x * factor for x in vector) for vector in row)
+        for row in game.arena.cost
+    )
+    return replace(game, arena=replace(game.arena, cost=cost))
+
+
+def scaled_tax(tax: tg.DynamicTax, factor: int) -> tg.DynamicTax:
+    outputs = tuple(
+        tg.StaticTax(
+            n_agents=out.n_agents,
+            entries=tuple(
+                (s, a, tuple(x * factor for x in vector))
+                for s, a, vector in out.entries
+            ),
+        )
+        for out in tax.outputs
+    )
+    return replace(tax, outputs=outputs)
 
 
 class TestIsNash:
@@ -203,6 +294,49 @@ class TestFindNe:
                 assert verdict.witness_profile == (
                     expected[0] if expected else None
                 )
+
+
+    def test_sweep_computes_each_response_once(self, monkeypatch):
+        game = junction_game()
+        keys = count_response_graphs(monkeypatch)
+        tg.find_ne(game, None, 1)
+        assert keys and len(keys) == len(set(keys))
+        # in the bound-1 universe each (agent, other machine) pair occurs
+        # in two profiles, so without the memo every key would repeat
+        assert len(keys) <= 4
+
+    def test_nash_check_stops_at_first_improving_agent(self, monkeypatch):
+        game = junction_game()
+        keys = count_response_graphs(monkeypatch)
+        # both drivers lose at (d, d); driver 1 improves by swerving
+        assert not tg.is_nash(game, constant_profile(game.arena, [1, 1]), None)
+        assert [agent for agent, _ in keys] == [0]
+
+    def test_caches_die_with_the_call(self):
+        game = junction_game()
+        tax = junction_tax()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        refs = [weakref.ref(game), weakref.ref(tax)]
+        assert tg.find_ne(game, tax, 1)
+        verdict = tg.a_nash_implement(game, objective, 1)
+        assert verdict.answer == "yes"
+        del game, tax
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+
+def count_response_graphs(monkeypatch) -> list:
+    """Record (agent, other machines) of every product graph built."""
+    keys: list = []
+    build = tg.equilibrium.response_graph
+
+    def recording(game, profile, agent, *args):
+        others = profile.machines[:agent] + profile.machines[agent + 1 :]
+        keys.append((agent, others))
+        return build(game, profile, agent, *args)
+
+    monkeypatch.setattr(tg.equilibrium, "response_graph", recording)
+    return keys
 
 
 def profilewise_ne(game, tax, objective) -> list[tg.Profile]:
