@@ -7,6 +7,16 @@ of unbounded memory by a product construction: the deviating agent's choices
 drive a graph over (arena state, other machines' states, tax state, goal
 automaton state), on which goal attainability is Buchi reachability and
 optimal cost is a minimum mean cycle.
+
+Product vertices agree with their arena labels: a non-sink automaton state
+is paired only with arena states whose label it reads, and a step whose
+target label no automaton successor reads goes straight to the sink, as
+does a step to an automaton state that can no longer reach an accepting
+cycle.  This is exact: a mismatching vertex could only step into the sink,
+so it lies on no cycle, and its sink copy has the same out-edges and
+weights; a dead automaton state lies on no accepting cycle either, and the
+sink copy keeps every arena cycle.  So the accepting components and every
+cycle mean, hence every best-response value, stay the same.
 """
 
 from __future__ import annotations
@@ -15,17 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
 from .arena import Game
-from .ltl import (
-    BuchiAutomaton,
-    Formula,
-    LabelTrace,
-    eval_on_lasso,
-    to_buchi,
-)
+from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
 from .strategy import (
     LassoRun,
     Profile,
@@ -209,6 +213,15 @@ class ResponseGraph:
     action of the agent and automaton successor, where weight is the agent's
     taxed step cost times scale, an integer.  initial and accepting hold
     vertex indices; every vertex is reachable from initial.
+
+    Every vertex whose automaton state is not the sink agrees with its arena
+    label: the state's atom is that label restricted to the automaton's
+    constrained variables.  Successors whose atom mismatches the target's
+    label are never built, nor are those that cannot reach an accepting
+    cycle; when no successor is left, the step goes straight to the sink.
+    Values are unchanged, because a mismatching vertex could only step into
+    the sink: it lies on no cycle, and its sink copy has the same out-edges
+    and weights.
     """
 
     vertices: tuple[tuple, ...]
@@ -218,9 +231,61 @@ class ResponseGraph:
     scale: int
 
 
+class _Goal(NamedTuple):
+    """An agent's goal automaton as the product reads it.
+
+    columns numbers the automaton's atoms; a label that is no atom reads
+    column -1.  moves[b][c] lists the successors of state b whose atom has
+    column c and that can still reach an accepting cycle, or just the sink
+    when there are none; starts does the same for the initial states.
+    """
+
+    constrained: frozenset[str]
+    columns: Mapping[frozenset[str], int]
+    starts: tuple[tuple[int, ...], ...]
+    moves: tuple[tuple[tuple[int, ...], ...], ...]
+    accepting: frozenset[int]
+    sink: int
+
+
 @lru_cache(maxsize=256)
-def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> BuchiAutomaton:
-    return to_buchi(formula, vocabulary)
+def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
+    automaton = to_buchi(formula, vocabulary)
+    edges = automaton.edges
+    # live states reach a cycle through an accepting state; components
+    # come successors first, so one pass settles each of them
+    live: set[int] = set()
+    for component in strongly_connected_components(
+        range(len(edges)), edges.__getitem__
+    ):
+        cyclic = len(component) > 1 or component[0] in edges[component[0]]
+        if (cyclic and not automaton.accepting.isdisjoint(component)) or any(
+            t in live for b in component for t in edges[b]
+        ):
+            live.update(component)
+
+    columns = {atom: c for c, atom in enumerate(dict.fromkeys(automaton.atoms))}
+    to_sink = (automaton.sink,)
+    # many states have equal rows; each is stored once, since the goal
+    # cache holds every row for as long as it keeps the goal
+    rows: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+
+    def split(states: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        table: list[tuple[int, ...]] = [()] * (len(columns) + 1)
+        for b in states:
+            if b in live:
+                table[columns[automaton.atoms[b]]] += (b,)
+        row = tuple(cell or to_sink for cell in table)
+        return rows.setdefault(row, row)
+
+    return _Goal(
+        constrained=automaton.constrained,
+        columns=columns,
+        starts=split(automaton.initial),
+        moves=tuple(split(out) for out in edges),
+        accepting=automaton.accepting,
+        sink=automaton.sink,
+    )
 
 
 class _Responses:
@@ -292,7 +357,7 @@ def response_graph(
 def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGraph:
     game, tax = responses.game, responses.tax
     arena = game.arena
-    automaton = _goal_automaton(game.goals[agent], arena.vocabulary)
+    goal = _goal_automaton(game.goals[agent], arena.vocabulary)
     # letter_of is linear in the action indices, so a letter is the sum of
     # each agent's action times the letter of that agent's unit action
     n = arena.n_agents
@@ -306,9 +371,13 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
         action * strides[agent] for action in range(len(arena.actions[agent]))
     ]
     steps = responses.steps
-    # an unsatisfiable goal has no initial automaton state: every run of
-    # the agent then stays in the non-accepting sink
-    starts = automaton.initial or (automaton.sink,)
+    # a non-sink automaton state's atom is the label of its arena state
+    # (see ResponseGraph): each step looks its successors up by the label
+    # of its target
+    columns = [
+        goal.columns.get(label & goal.constrained, -1) for label in arena.labels
+    ]
+    starts = goal.starts[columns[arena.initial]]
 
     vertices: list[tuple] = [
         (arena.initial, (0,) * len(others), 0, b) for b in starts
@@ -322,7 +391,7 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
             outputs[q] * stride for (outputs, _, stride), q in zip(others, memory)
         )
         row = arena.transition[state]
-        b_nexts = automaton.successors(b, arena.labels[state])
+        follow = goal.moves[b]
         for own_letter in own_letters:
             letter = others_letter + own_letter
             target = row[letter]
@@ -335,7 +404,7 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
             if cell is None:
                 cell = responses.step(state, letter, tax_state)
             weight = cell[agent]
-            for b_next in b_nexts:
+            for b_next in follow[columns[target]]:
                 succ = (target, memory_next, tax_next, b_next)
                 j = index.get(succ)
                 if j is None:
@@ -344,7 +413,7 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
                 out.append((j, weight))
         edges.append(tuple(out))
     accepting = frozenset(
-        i for i, vertex in enumerate(vertices) if vertex[3] in automaton.accepting
+        i for i, vertex in enumerate(vertices) if vertex[3] in goal.accepting
     )
     return ResponseGraph(
         vertices=tuple(vertices),

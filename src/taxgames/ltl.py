@@ -474,47 +474,64 @@ def to_buchi(
             f"tableau would enumerate 2^{len(free)} assignments, cap is {state_cap}"
         )
 
+    # The closure as a program over closure indices, read by the loops
+    # below instead of the formula nodes, whose hashes recurse.  Each row
+    # is (kind, first operand, second operand, free slot).
+    slot = {index[node]: k for k, node in enumerate(free)}
+    program: list[tuple[str, int, int, int]] = []
+    for i, node in enumerate(closure):
+        if isinstance(node, TrueConst):
+            program.append(("true", 0, 0, 0))
+        elif isinstance(node, (Var, Next)):
+            program.append(("free", 0, 0, slot[i]))
+        elif isinstance(node, Not):
+            program.append(("not", index[node.operand], 0, 0))
+        elif isinstance(node, Or):
+            program.append(("or", index[node.left], index[node.right], 0))
+        else:  # Until
+            program.append(("until", index[node.left], index[node.right], slot[i]))
+    var_indices = [(node.name, index[node]) for node in var_nodes]
+    next_pairs = [(index[node], index[node.operand]) for node in next_nodes]
+    until_triples = [
+        (index[node], index[node.left], index[node.right]) for node in until_nodes
+    ]
+
     # Enumerate consistent assignments.  Bits whose value the expansion law
     # forces are rejected on mismatch, so each assignment appears once.
     assignments: list[tuple[bool, ...]] = []
     for bits in _iterproduct((False, True), repeat=len(free)):
-        tentative = dict(zip(free, bits))
         values: list[bool] = [False] * len(closure)
         consistent = True
-        for node in closure:
-            if isinstance(node, TrueConst):
+        for i, (kind, first, second, k) in enumerate(program):
+            if kind == "true":
                 value = True
-            elif isinstance(node, (Var, Next)):
-                value = tentative[node]
-            elif isinstance(node, Not):
-                value = not values[index[node.operand]]
-            elif isinstance(node, Or):
-                value = values[index[node.left]] or values[index[node.right]]
-            else:  # Until
-                if values[index[node.right]]:
+            elif kind == "free":
+                value = bits[k]
+            elif kind == "not":
+                value = not values[first]
+            elif kind == "or":
+                value = values[first] or values[second]
+            else:  # until
+                if values[second]:
                     value = True
-                elif not values[index[node.left]]:
+                elif not values[first]:
                     value = False
                 else:
-                    value = tentative[node]
-                if value != tentative[node]:
+                    value = bits[k]
+                if value != bits[k]:
                     consistent = False
                     break
-            values[index[node]] = value
+            values[i] = value
         if consistent:
             assignments.append(tuple(values))
 
-    def holds(assignment: tuple[bool, ...], node: Formula) -> bool:
-        return assignment[index[node]]
-
     def step_allowed(a: tuple[bool, ...], b: tuple[bool, ...]) -> bool:
-        for node in next_nodes:
-            if holds(a, node) != holds(b, node.operand):
+        for node, operand in next_pairs:
+            if a[node] != b[operand]:
                 return False
-        for node in until_nodes:
-            if holds(a, node.left) and not holds(a, node.right):
-                if holds(a, node) != holds(b, node):
-                    return False
+        for node, left, right in until_triples:
+            if a[left] and not a[right] and a[node] != b[node]:
+                return False
         return True
 
     tableau_edges: list[list[int]] = [
@@ -524,15 +541,11 @@ def to_buchi(
 
     # One acceptance set per until node: states where the until is not
     # pending (false, or already discharged by its right operand).
-    rounds = max(1, len(until_nodes))
-    if until_nodes:
+    rounds = max(1, len(until_triples))
+    if until_triples:
         acceptance_sets = [
-            {
-                i
-                for i, a in enumerate(assignments)
-                if not holds(a, node) or holds(a, node.right)
-            }
-            for node in until_nodes
+            {i for i, a in enumerate(assignments) if not a[node] or a[right]}
+            for node, _, right in until_triples
         ]
     else:
         acceptance_sets = [set(range(len(assignments)))]
@@ -545,9 +558,9 @@ def to_buchi(
 
     # Degeneralize with a counter, keeping only states reachable from the
     # initial ones.  Product state (i, k) gets a dense index on first visit.
-    start_pairs = [
-        (i, 0) for i, a in enumerate(assignments) if holds(a, formula)
-    ]
+    # The formula is the last node of the postorder closure.
+    root = len(closure) - 1
+    start_pairs = [(i, 0) for i, a in enumerate(assignments) if a[root]]
     numbering: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
     for pair in start_pairs:
@@ -572,7 +585,7 @@ def to_buchi(
     accepting: set[int] = set()
     for idx, (i, k) in enumerate(order):
         atoms.append(
-            frozenset(v.name for v in var_nodes if holds(assignments[i], v))
+            frozenset(name for name, node in var_indices if assignments[i][node])
         )
         bump = i in acceptance_sets[k]
         next_k = (k + 1) % rounds if bump else k

@@ -4,17 +4,20 @@ The oracles deliberately avoid the library's own algorithms: temporal
 formulas are checked by walking the lasso position by position, mean cycles
 by enumerating simple cycles, machine enumeration by brute force over raw
 tables, and best responses by trying every small machine that reads only
-the other agents' actions.
+the other agents' actions; exact best responses are read off the product
+with the goal automaton built without the library's label guard.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
 import taxgames as tg
+from taxgames._graphs import strongly_connected_components
 
 
 # ======================== Bundled example, built in code ====================
@@ -237,6 +240,46 @@ def random_static_tax(
     return tg.static_tax(arena.n_agents, rates)
 
 
+def rational_game(
+    rng: Random, goals: tuple[str, str] = ("G F p", "G F p")
+) -> tg.Game:
+    """A random game whose costs have denominators mixed from 1, 2, 3, 7."""
+    game = random_game(rng, n_states=2, max_cost=6, goals=goals)
+    cost = tuple(
+        tuple(
+            tuple(Fraction(x, rng.choice((1, 2, 3, 7))) for x in vector)
+            for vector in row
+        )
+        for row in game.arena.cost
+    )
+    return replace(game, arena=replace(game.arena, cost=cost))
+
+
+def rational_tax(rng: Random, arena: tg.Arena) -> tg.DynamicTax:
+    """A random 2- or 3-state tax machine with rational rates."""
+    n = rng.randint(2, 3)
+    outputs = tuple(
+        tg.static_tax(
+            arena.n_agents,
+            {
+                (s, letter): tuple(
+                    Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 7)))
+                    for _ in range(arena.n_agents)
+                )
+                for s in range(arena.n_states)
+                for letter in arena.letters()
+                if rng.random() < 0.6
+            },
+        )
+        for _ in range(n)
+    )
+    transitions = tuple(
+        tuple(rng.randrange(n) for _ in arena.letters()) for _ in range(n)
+    )
+    return tg.DynamicTax(outputs=outputs, transitions=transitions)
+
+
+
 # ======================== Bounded best-response oracle ======================
 
 
@@ -289,3 +332,92 @@ def oracle_response_values(
         outcome = tg.evaluate(game, profile.replace(agent, lifted), tax)
         values.append(outcome.value(agent))
     return values
+
+
+# ======================== Exact best-response oracle ========================
+
+# goals for the exact best-response oracle: unsatisfiable, trivial, state
+# formulas whose atom can contradict the initial label, and temporal ones
+RESPONSE_GOALS = (
+    "false",
+    "true",
+    "p",
+    "!p",
+    "X q",
+    "G F p",
+    "F G q",
+    "G (p -> F q)",
+    "(G F p) | (F G q)",
+)
+
+
+def reference_response_value(
+    game: tg.Game,
+    profile: tg.Profile,
+    agent: int,
+    tax: tg.DynamicTax | None = None,
+) -> tg.LexValue:
+    """The agent's best-response value on the unguarded product.
+
+    Vertices are (arena state, others' machine states, tax state, automaton
+    state), stepped through `BuchiAutomaton.successors`, so a vertex whose
+    automaton atom contradicts its label stays in the graph until it steps
+    into the sink.  Weights are Fractions.  The goal is attainable iff a
+    strongly connected component with a cycle holds an accepting vertex;
+    the cost is the least `tg.min_mean_cycle` inside such components, or
+    inside any component when none is.
+    """
+    arena = game.arena
+    automaton = tg.to_buchi(game.goals[agent], arena.vocabulary)
+    machines = profile.machines
+    others = [i for i in range(arena.n_agents) if i != agent]
+    starts = [
+        (arena.initial, (0,) * len(others), 0, b)
+        for b in automaton.initial or (automaton.sink,)
+    ]
+    graph: dict[tuple, list[tuple[tuple, Fraction]]] = {}
+    frontier = list(starts)
+    while frontier:
+        vertex = frontier.pop()
+        if vertex in graph:
+            continue
+        state, memory, tax_state, b = vertex
+        out = []
+        for action in range(len(arena.actions[agent])):
+            actions = [0] * arena.n_agents
+            for i, q in zip(others, memory):
+                actions[i] = machines[i].outputs[q]
+            actions[agent] = action
+            letter = arena.letter_of(actions)
+            weight = Fraction(arena.cost[state][letter][agent])
+            tax_next = 0
+            if tax is not None:
+                weight += tax.outputs[tax_state].rate(state, letter)[agent]
+                tax_next = tax.transitions[tax_state][letter]
+            memory_next = tuple(
+                machines[i].transitions[q][letter] for i, q in zip(others, memory)
+            )
+            target = arena.transition[state][letter]
+            for b_next in automaton.successors(b, arena.labels[state]):
+                succ = (target, memory_next, tax_next, b_next)
+                out.append((succ, weight))
+                frontier.append(succ)
+        graph[vertex] = out
+
+    best = best_winning = None
+    for component in strongly_connected_components(
+        list(graph), lambda v: [t for t, _ in graph[v]]
+    ):
+        members = set(component)
+        mean = tg.min_mean_cycle(
+            {v: [(t, w) for t, w in graph[v] if t in members] for v in component}
+        )
+        if mean is None:
+            continue
+        best = mean if best is None else min(best, mean)
+        if any(v[3] in automaton.accepting for v in component):
+            best_winning = mean if best_winning is None else min(best_winning, mean)
+    assert best is not None
+    if best_winning is not None:
+        return tg.LexValue(goal_met=True, cost=best_winning)
+    return tg.LexValue(goal_met=False, cost=best)

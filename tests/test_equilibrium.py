@@ -6,6 +6,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import taxgames as tg
 
 from helpers import (
+    RESPONSE_GOALS,
     constant_machine,
     constant_profile,
     junction_game,
@@ -21,6 +23,9 @@ from helpers import (
     oracle_response_values,
     random_game,
     random_static_tax,
+    rational_game,
+    rational_tax,
+    reference_response_value,
     simple_cycle_min_mean,
 )
 
@@ -160,42 +165,58 @@ class TestBestResponse:
                 scaled_game(game, 42), profile, agent, scaled_tax(tax, 42)
             ) == tg.LexValue(goal_met=best.goal_met, cost=best.cost * 42)
 
+    def test_equals_unguarded_product(self):
+        # the bounded oracle only shows best_response is high enough; the
+        # unguarded product shows it is not too high either
+        rng = Random(17)
+        contradicted = 0
+        for goal in RESPONSE_GOALS:
+            for _ in range(6):
+                game = rational_game(rng, goals=(goal, rng.choice(RESPONSE_GOALS)))
+                machines = list(tg.enumerate_machines(2, game.arena.n_letters, 2))
+                profile = tg.Profile((rng.choice(machines), rng.choice(machines)))
+                for tax in (None, rational_tax(rng, game.arena)):
+                    for agent in (0, 1):
+                        assert tg.best_response(
+                            game, profile, agent, tax
+                        ) == reference_response_value(game, profile, agent, tax)
+                contradicted += goal != "false" and initial_label_contradicted(game)
+        assert contradicted >= 3
 
-def rational_game(rng: Random) -> tg.Game:
-    """A random game whose costs have denominators mixed from 1, 2, 3, 7."""
-    game = random_game(rng, n_states=2, max_cost=6)
-    cost = tuple(
-        tuple(
-            tuple(Fraction(x, rng.choice((1, 2, 3, 7))) for x in vector)
-            for vector in row
-        )
-        for row in game.arena.cost
-    )
-    return replace(game, arena=replace(game.arena, cost=cost))
+
+def initial_label_contradicted(game: tg.Game) -> bool:
+    """Whether agent 0's initial automaton states all disagree with the
+    label of the initial arena state."""
+    arena = game.arena
+    automaton = tg.to_buchi(game.goals[0], arena.vocabulary)
+    label = arena.labels[arena.initial] & automaton.constrained
+    return all(automaton.atoms[b] != label for b in automaton.initial)
 
 
-def rational_tax(rng: Random, arena: tg.Arena) -> tg.DynamicTax:
-    """A random 2- or 3-state tax machine with rational rates."""
-    n = rng.randint(2, 3)
-    outputs = tuple(
-        tg.static_tax(
-            arena.n_agents,
-            {
-                (s, letter): tuple(
-                    Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 7)))
-                    for _ in range(arena.n_agents)
+class TestResponseGraph:
+    def test_vertices_agree_with_their_labels(self):
+        game = junction_game()
+        arena = game.arena
+        automaton = tg.to_buchi(game.goals[0], arena.vocabulary)
+        for actions in product(range(2), repeat=2):
+            for agent in (0, 1):
+                graph = tg.response_graph(
+                    game, constant_profile(arena, actions), agent
                 )
-                for s in range(arena.n_states)
-                for letter in arena.letters()
-                if rng.random() < 0.6
-            },
-        )
-        for _ in range(n)
-    )
-    transitions = tuple(
-        tuple(rng.randrange(n) for _ in arena.letters()) for _ in range(n)
-    )
-    return tg.DynamicTax(outputs=outputs, transitions=transitions)
+                for state, _, _, b in graph.vertices:
+                    if b != automaton.sink:
+                        assert automaton.atoms[b] == (
+                            arena.labels[state] & automaton.constrained
+                        )
+                # a vertex whose atom contradicts its label is never built
+                assert len(graph.vertices) == 4
+
+    def test_unsatisfiable_goal_keeps_to_the_sink(self):
+        game = tg.make_game(junction_game().arena, ["false", "G F p"])
+        automaton = tg.to_buchi(tg.FALSE, game.arena.vocabulary)
+        graph = tg.response_graph(game, constant_profile(game.arena, [0, 1]), 0)
+        assert {b for *_, b in graph.vertices} == {automaton.sink}
+        assert not graph.accepting
 
 
 def scaled_game(game: tg.Game, factor: int) -> tg.Game:
