@@ -139,6 +139,13 @@ def make_arena(
     if initial not in state_ids:
         raise ValueError(f"unknown initial state {initial!r}")
     vocab = tuple(vocabulary)
+    if len(set(agents)) != len(agents):
+        raise ValueError("duplicate agent names")
+    stray = set(labels) - state_ids.keys()
+    if stray:
+        raise ValueError(
+            "labels for unknown states " + ", ".join(sorted(map(repr, stray)))
+        )
     action_lists = []
     for agent in agents:
         if agent not in actions or not actions[agent]:

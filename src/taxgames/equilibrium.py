@@ -308,19 +308,23 @@ class _Responses:
         self.values: dict[tuple[int, tuple[StrategyMachine, ...]], LexValue] = {}
 
     def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
-        vector = self.game.arena.cost[state][letter]
-        assert vector is not None
+        cost = self.game.arena.cost[state][letter]
+        assert cost is not None
+        parts = [cost]
         if self.tax is not None:
-            rates = self.tax.outputs[tax_state].rate(state, letter)
-            vector = tuple(c + r for c, r in zip(vector, rates))
-        scale = lcm(self.scale, *(x.denominator for x in vector))
+            parts.append(self.tax.outputs[tax_state].rate(state, letter))
+        scale = lcm(self.scale, *(x.denominator for part in parts for x in part))
         if scale != self.scale:
             factor = scale // self.scale
             # in place: a graph being built holds this table
             for cell, scaled in self.steps.items():
                 self.steps[cell] = tuple(x * factor for x in scaled)
             self.scale = scale
-        scaled = tuple(x.numerator * (scale // x.denominator) for x in vector)
+        # cost and rate scaled apart and added as integers, not as Fractions
+        scaled = tuple(
+            sum(x.numerator * (scale // x.denominator) for x in column)
+            for column in zip(*parts)
+        )
         self.steps[(state, letter, tax_state)] = scaled
         return scaled
 

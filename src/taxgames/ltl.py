@@ -5,10 +5,14 @@ until.  Everything else (and, implies, iff, eventually, always) is rewritten
 into the core at construction time, so downstream algorithms only handle six
 node kinds.
 
-Evaluation is exact on ultimately periodic words (a finite prefix followed by
-a repeated cycle of label sets).  The Buchi translation is the declarative
-tableau construction: states are maximal consistent assignments over the
-closure of the formula, eventualities are tracked with a round-robin counter.
+Every algorithm below reads one compiled form of the formula: its distinct
+subformulas in postorder as rows of integers, built by one iterative walk
+that hashes no formula node (`_compile`).  Evaluation is exact on ultimately
+periodic words (a finite prefix followed by a repeated cycle of label sets):
+each row becomes an int bitset over the word's positions.  The Buchi
+translation is the declarative tableau construction: states are maximal
+consistent assignments over the rows, eventualities are tracked with a
+round-robin counter.
 """
 
 from __future__ import annotations
@@ -100,40 +104,62 @@ def always(operand: Formula) -> Formula:
     return Not(Until(TRUE, Not(operand)))
 
 
-def variables(formula: Formula) -> frozenset[str]:
-    """All variable names occurring in the formula."""
-    found: set[str] = set()
+# Row kinds of a compiled formula.
+_TRUE, _VAR, _NOT, _OR, _NEXT, _UNTIL = range(6)
+_KINDS = {TrueConst: _TRUE, Var: _VAR, Not: _NOT, Or: _OR, Next: _NEXT, Until: _UNTIL}
+
+
+def _compile(formula: Formula) -> tuple[list[tuple], list[Formula]]:
+    """The distinct subformulas in postorder, as rows and as nodes.
+
+    Children come before parents and left before right; the first occurrence
+    of a subformula fixes its place, so the root is the last row.  A row is
+    the kind followed by the children's row indices or the variable name.
+    Equal subformulas share the row that is their key, so no node is hashed;
+    each node object is visited once, keyed by id(), on an explicit stack.
+    """
+    row_of: dict[tuple, int] = {}
+    nodes: list[Formula] = []
+    done: dict[int, int] = {}
     stack = [formula]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            found.add(node.name)
-        elif isinstance(node, (Not, Next)):
-            stack.append(node.operand)
-        elif isinstance(node, (Or, Until)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(found)
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kind = _KINDS.get(type(node))
+        if kind is None:
+            raise TypeError(f"not a formula node: {node!r}")
+        if kind == _NOT or kind == _NEXT:
+            children = (node.operand,)
+        elif kind == _OR or kind == _UNTIL:
+            children = (node.left, node.right)
+        else:
+            children = ()
+        waiting = [child for child in reversed(children) if id(child) not in done]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        if kind == _VAR:
+            key = (kind, node.name)
+        else:
+            key = (kind, *[done[id(child)] for child in children])
+        if key not in row_of:
+            row_of[key] = len(nodes)
+            nodes.append(node)
+        done[id(node)] = row_of[key]
+    return list(row_of), nodes
+
+
+def variables(formula: Formula) -> frozenset[str]:
+    """All variable names occurring in the formula."""
+    return frozenset(row[1] for row in _compile(formula)[0] if row[0] == _VAR)
 
 
 def subformulas(formula: Formula) -> list[Formula]:
     """Distinct subformulas in postorder (children before parents)."""
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(node: Formula) -> None:
-        if node in seen:
-            return
-        if isinstance(node, (Not, Next)):
-            walk(node.operand)
-        elif isinstance(node, (Or, Until)):
-            walk(node.left)
-            walk(node.right)
-        seen.add(node)
-        order.append(node)
-
-    walk(formula)
-    return order
+    return _compile(formula)[1]
 
 
 # Rendering precedence: higher binds tighter.
@@ -362,51 +388,43 @@ class LabelTrace(NamedTuple):
 def eval_on_lasso(formula: Formula, trace: LabelTrace) -> bool:
     """Exact satisfaction at position 0 of the infinite word.
 
-    Works positionally over the len(prefix) + len(cycle) canonical positions,
-    where the successor of the last cycle position wraps to the cycle start.
-    Until is the least fixpoint of its expansion law over those positions.
+    Labels the len(prefix) + len(cycle) canonical positions bottom-up over
+    the compiled formula (Markey & Schnoebelen, CONCUR 2003), each row an
+    int bitset whose bit i says whether the subformula holds at position i.
+    The successor of the last cycle position wraps to the cycle start, so
+    next shifts down and carries the wrap bit to the top; until is the least
+    fixpoint of its expansion law.
     """
     prefix, cycle = trace
     if not cycle:
         raise ValueError("trace cycle must be nonempty")
-    count = len(prefix) + len(cycle)
-    wrap = len(prefix)
-
-    def succ(i: int) -> int:
-        return i + 1 if i + 1 < count else wrap
-
     letters = list(prefix) + list(cycle)
-    table: dict[Formula, list[bool]] = {}
+    mask = (1 << len(letters)) - 1
+    top = 1 << (len(letters) - 1)
+    wrap = 1 << len(prefix)
 
-    for node in subformulas(formula):
-        if isinstance(node, TrueConst):
-            row = [True] * count
-        elif isinstance(node, Var):
-            row = [node.name in letters[i] for i in range(count)]
-        elif isinstance(node, Not):
-            sub = table[node.operand]
-            row = [not value for value in sub]
-        elif isinstance(node, Or):
-            left, right = table[node.left], table[node.right]
-            row = [left[i] or right[i] for i in range(count)]
-        elif isinstance(node, Next):
-            sub = table[node.operand]
-            row = [sub[succ(i)] for i in range(count)]
-        elif isinstance(node, Until):
-            left, right = table[node.left], table[node.right]
-            row = list(right)
-            changed = True
-            while changed:
-                changed = False
-                for i in range(count - 1, -1, -1):
-                    if not row[i] and left[i] and row[succ(i)]:
-                        row[i] = True
-                        changed = True
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        table[node] = row
+    def after(bits: int) -> int:
+        return bits >> 1 | (top if bits & wrap else 0)
 
-    return table[formula][0]
+    values: list[int] = []
+    for row in _compile(formula)[0]:
+        kind = row[0]
+        if kind == _TRUE:
+            value = mask
+        elif kind == _VAR:
+            value = sum(1 << i for i, letter in enumerate(letters) if row[1] in letter)
+        elif kind == _NOT:
+            value = values[row[1]] ^ mask
+        elif kind == _OR:
+            value = values[row[1]] | values[row[2]]
+        elif kind == _NEXT:
+            value = after(values[row[1]])
+        else:  # until
+            left, value, grown = values[row[1]], 0, values[row[2]]
+            while grown != value:
+                value, grown = grown, grown | left & after(grown)
+        values.append(value)
+    return bool(values[-1] & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,73 +474,47 @@ def to_buchi(
     choice.  Eventualities are enforced with a round-robin counter over the
     until nodes.
     """
+    rows = _compile(formula)[0]
+    free = [
+        i for kind in (_VAR, _NEXT, _UNTIL) for i, row in enumerate(rows)
+        if row[0] == kind
+    ]
+    names = [(rows[i][1], i) for i in free if rows[i][0] == _VAR]
     if vocabulary is not None:
-        missing = variables(formula) - frozenset(vocabulary)
+        missing = {name for name, _ in names} - frozenset(vocabulary)
         if missing:
             raise UnknownVariableError(
                 "formula variables outside vocabulary: " + ", ".join(sorted(missing))
             )
-
-    closure = subformulas(formula)
-    index = {node: i for i, node in enumerate(closure)}
-    var_nodes = [n for n in closure if isinstance(n, Var)]
-    next_nodes = [n for n in closure if isinstance(n, Next)]
-    until_nodes = [n for n in closure if isinstance(n, Until)]
-    free = var_nodes + next_nodes + until_nodes
     if 2 ** len(free) > state_cap:
         raise ResourceLimitError(
             f"tableau would enumerate 2^{len(free)} assignments, cap is {state_cap}"
         )
+    slot = {i: k for k, i in enumerate(free)}
+    next_pairs = [(i, rows[i][1]) for i in free if rows[i][0] == _NEXT]
+    until_triples = [(i, *rows[i][1:]) for i in free if rows[i][0] == _UNTIL]
 
-    # The closure as a program over closure indices, read by the loops
-    # below instead of the formula nodes, whose hashes recurse.  Each row
-    # is (kind, first operand, second operand, free slot).
-    slot = {index[node]: k for k, node in enumerate(free)}
-    program: list[tuple[str, int, int, int]] = []
-    for i, node in enumerate(closure):
-        if isinstance(node, TrueConst):
-            program.append(("true", 0, 0, 0))
-        elif isinstance(node, (Var, Next)):
-            program.append(("free", 0, 0, slot[i]))
-        elif isinstance(node, Not):
-            program.append(("not", index[node.operand], 0, 0))
-        elif isinstance(node, Or):
-            program.append(("or", index[node.left], index[node.right], 0))
-        else:  # Until
-            program.append(("until", index[node.left], index[node.right], slot[i]))
-    var_indices = [(node.name, index[node]) for node in var_nodes]
-    next_pairs = [(index[node], index[node.operand]) for node in next_nodes]
-    until_triples = [
-        (index[node], index[node.left], index[node.right]) for node in until_nodes
-    ]
-
-    # Enumerate consistent assignments.  Bits whose value the expansion law
-    # forces are rejected on mismatch, so each assignment appears once.
+    # Enumerate consistent assignments.  An until bit must match the value
+    # its expansion law forces, so each assignment appears once.
     assignments: list[tuple[bool, ...]] = []
     for bits in _iterproduct((False, True), repeat=len(free)):
-        values: list[bool] = [False] * len(closure)
-        consistent = True
-        for i, (kind, first, second, k) in enumerate(program):
-            if kind == "true":
+        values: list[bool] = []
+        for i, row in enumerate(rows):
+            kind = row[0]
+            if kind == _TRUE:
                 value = True
-            elif kind == "free":
-                value = bits[k]
-            elif kind == "not":
-                value = not values[first]
-            elif kind == "or":
-                value = values[first] or values[second]
-            else:  # until
-                if values[second]:
-                    value = True
-                elif not values[first]:
-                    value = False
-                else:
-                    value = bits[k]
-                if value != bits[k]:
-                    consistent = False
+            elif kind == _NOT:
+                value = not values[row[1]]
+            elif kind == _OR:
+                value = values[row[1]] or values[row[2]]
+            else:
+                value = bits[slot[i]]
+                if kind == _UNTIL and value != (
+                    values[row[2]] or values[row[1]] and value
+                ):
                     break
-            values[i] = value
-        if consistent:
+            values.append(value)
+        else:
             assignments.append(tuple(values))
 
     def step_allowed(a: tuple[bool, ...], b: tuple[bool, ...]) -> bool:
@@ -559,7 +551,7 @@ def to_buchi(
     # Degeneralize with a counter, keeping only states reachable from the
     # initial ones.  Product state (i, k) gets a dense index on first visit.
     # The formula is the last node of the postorder closure.
-    root = len(closure) - 1
+    root = len(rows) - 1
     start_pairs = [(i, 0) for i, a in enumerate(assignments) if a[root]]
     numbering: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
@@ -585,7 +577,7 @@ def to_buchi(
     accepting: set[int] = set()
     for idx, (i, k) in enumerate(order):
         atoms.append(
-            frozenset(name for name, node in var_indices if assignments[i][node])
+            frozenset(name for name, node in names if assignments[i][node])
         )
         bump = i in acceptance_sets[k]
         next_k = (k + 1) % rounds if bump else k
@@ -596,7 +588,7 @@ def to_buchi(
     edges.append((sink,))
 
     return BuchiAutomaton(
-        constrained=frozenset(v.name for v in var_nodes),
+        constrained=frozenset(name for name, _ in names),
         atoms=tuple(atoms),
         edges=tuple(edges),
         initial=tuple(numbering[pair] for pair in start_pairs),

@@ -70,6 +70,8 @@ def zero_tax(n_agents: int) -> StaticTax:
 
 
 def add_static(first: StaticTax, second: StaticTax) -> StaticTax:
+    """The cellwise sum.  Both operands hold non-negative, nonzero vectors
+    already, and so does their sum, so it needs no static_tax checks."""
     if first.n_agents != second.n_agents:
         raise AlphabetMismatchError("static taxes tax different agent counts")
     combined: dict[tuple[int, int], tuple[Fraction, ...]] = {
@@ -81,7 +83,8 @@ def add_static(first: StaticTax, second: StaticTax) -> StaticTax:
             combined[(s, a)] = tuple(x + y for x, y in zip(old, vector))
         else:
             combined[(s, a)] = vector
-    return static_tax(first.n_agents, combined)
+    entries = tuple((s, a, vector) for (s, a), vector in sorted(combined.items()))
+    return StaticTax(n_agents=first.n_agents, entries=entries)
 
 
 def apply_static(game: Game, tax: StaticTax) -> Game:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -305,6 +306,26 @@ class TestAcceptance:
                 automaton, trace
             )
         assert time.monotonic() - start < 120.0
+
+    def test_automata_pinned(self):
+        """to_buchi keeps the automata it built before its formulas were
+        compiled to programs: same states, numbering and acceptance."""
+        vocabulary = ("p", "q")
+        digest = hashlib.sha256()
+        for text in FORMULA_TEMPLATES:
+            a = tg.to_buchi(tg.parse_ltl(text, vocabulary), vocabulary)
+            fields = (
+                sorted(a.constrained),
+                [sorted(atom) for atom in a.atoms],
+                a.edges,
+                a.initial,
+                sorted(a.accepting),
+                a.sink,
+            )
+            digest.update(repr(fields).encode())
+        assert digest.hexdigest() == (
+            "3ebbaa1061fae9fd50defbbf8cce6520cfdab7a9093c859ecbb48ef950d33bcf"
+        )
 
     def test_synthesized_taxes_eliminate_planted_targets(self):
         """Synthesis prices out planted targets and spares other runs."""

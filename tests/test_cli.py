@@ -187,7 +187,8 @@ class TestCheck:
         assert main(["check", "enash", "--game", GAME, "--bound", "1"]) == 2
 
     def test_deep_objective_is_input_error(self, capsys):
-        deep = "X " * 600 + "p"
+        # the parser still recurses once per parenthesis
+        deep = "(" * 300 + "p" + ")" * 300
         code = main(
             ["check", "enash", "--game", GAME, "--objective", deep, "--bound", "1"]
         )
@@ -195,6 +196,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: input nested too deeply")
         assert err.count("\n") == 1
+
+    def test_deep_objective_gets_a_verdict(self, capsys):
+        deep = "X " * 600 + "p"
+        code = main(
+            ["check", "enash", "--game", GAME, "--objective", deep, "--bound", "1"]
+        )
+        assert code == 3
+        assert "answer: no-within-bound" in capsys.readouterr().out
 
 
 class TestGridworld:

@@ -78,6 +78,31 @@ class TestGameDocuments:
             tg.parse_game(text)
         assert "s1" in str(err.value)  # s1 has no outgoing transition
 
+    def test_labels_of_unknown_state_rejected(self):
+        text = (FIXTURES / "junction.game").read_text()
+        with pytest.raises(tg.DocumentError) as err:
+            tg.parse_game(text.replace("    s3: [q]", "    s3: [q]\n    s9: [p]"))
+        assert "s9" in str(err.value)
+
+    def test_duplicate_agent_names_rejected(self):
+        text = "\n".join(
+            [
+                "game:",
+                "  states: [s0]",
+                "  initial: s0",
+                "  labels: {s0: [p]}",
+                "  agents:",
+                "    - {name: a, actions: [x, y]}",
+                "    - {name: a, actions: [u, v, w]}",
+                "  transitions:",
+                '    - {from: s0, when: ["*", "*"], to: s0, cost: [0, 0]}',
+                "  goals: [G F p, G F p]",
+            ]
+        )
+        with pytest.raises(tg.DocumentError) as err:
+            tg.parse_game(text)
+        assert "duplicate agent" in str(err.value)
+
 
 class TestProfileDocuments:
     def test_fixture_round_trip(self):

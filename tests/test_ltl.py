@@ -145,6 +145,40 @@ class TestEvalOnLasso:
                 assert tg.eval_on_lasso(f, t) == oracle_eval(f, t), (text, t)
 
 
+    def test_deep_formula(self):
+        # X applied 600 times reads position 600 of the word
+        f = tg.parse_ltl("X " * 600 + "p")
+        for prefix, cycle in (
+            ([], [{"p"}]),
+            ([{"p"}], [{}]),
+            ([{}], [{}, {"p"}]),
+            ([{"p"}, {}], [{}, {}, {"p"}]),
+            ([{}] * 600, [{"p"}, {}]),
+        ):
+            t = trace(prefix, cycle)
+            at = 600 if 600 < len(prefix) else (
+                len(prefix) + (600 - len(prefix)) % len(cycle)
+            )
+            letters = t.prefix + t.cycle
+            assert tg.eval_on_lasso(f, t) == ("p" in letters[at]), (prefix, cycle)
+
+    def test_shared_operands(self):
+        # <-> repeats its operands, so the chain is a DAG whose tree
+        # unfolding doubles with every link
+        f = p
+        for k in range(1, 24):
+            f = tg.iff(f, (p, q)[k % 2])
+        auto = tg.to_buchi(f, vocabulary=("p", "q"))
+        letters = [frozenset(), frozenset({"p"}), frozenset({"q"}),
+                   frozenset({"p", "q"})]
+        for a in letters:
+            for b in letters:
+                for c in letters:
+                    t = tg.LabelTrace(prefix=(a,), cycle=(b, c))
+                    assert tg.eval_on_lasso(f, t) == oracle_eval(f, t)
+                    assert tg.eval_on_lasso(f, t) == tg.buchi_accepts_lasso(auto, t)
+
+
 # ======================== Büchi translation ========================
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -32,6 +33,26 @@ class TestStaticTax:
         total = tg.add_static(a, b)
         assert total.rate(0, 0) == (Fraction(3),)
         assert total.rate(1, 1) == (Fraction(3),)
+
+    def test_add_entries_as_static_tax_leaves_them(self):
+        rng = Random(11)
+        for _ in range(50):
+            a, b = (
+                {
+                    (rng.randrange(4), rng.randrange(4)): (
+                        Fraction(rng.randint(0, 3), rng.randint(1, 3)),
+                        rng.randint(0, 2),
+                    )
+                    for _ in range(rng.randint(0, 6))
+                }
+                for _ in range(2)
+            )
+            summed = dict(a)
+            for cell, vector in b.items():
+                old = summed.get(cell, (0, 0))
+                summed[cell] = tuple(x + y for x, y in zip(old, vector))
+            total = tg.add_static(tg.static_tax(2, a), tg.static_tax(2, b))
+            assert total == tg.static_tax(2, summed)
 
     def test_is_zero(self):
         assert tg.zero_tax(3).is_zero()
