@@ -167,11 +167,15 @@ def make_arena(
     letter_ids = {combo: i for i, combo in enumerate(letter_order)}
     n = len(agents)
 
+    # equal vectors share one object, so per-vector work downstream (the
+    # levelling tax, the cost ceilings) runs once per distinct vector
+    interned: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+
     def normalize_cost(raw: Sequence[object]) -> tuple[Fraction, ...]:
         vector = tuple(to_fraction(x) for x in raw)
         if len(vector) != n:
             raise ValueError(f"cost vector {raw!r} has arity {len(vector)}, want {n}")
-        return vector
+        return interned.setdefault(vector, vector)
 
     default_cost_vec = None if default_cost is None else normalize_cost(default_cost)
     transition_rows = [
@@ -259,14 +263,19 @@ def validate(game: Game) -> list[str]:
     return issues
 
 
+def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
+    """Exact maximum per-step cost of every agent over all defined entries,
+    and at least 0.  Each vector object is read once, told apart by
+    identity, so no Fraction is hashed; make_arena and grid_world_game
+    share equal vectors, so few are read."""
+    vectors = {id(v): v for row in arena.cost for v in row if v is not None}
+    zero = (Fraction(0),) * arena.n_agents
+    return tuple(max(column) for column in zip(zero, *vectors.values()))
+
+
 def max_cost(game: Game, agent: int) -> Fraction:
     """Exact maximum per-step cost of one agent over all defined entries."""
-    best = Fraction(0)
-    for row in game.arena.cost:
-        for vector in row:
-            if vector is not None and vector[agent] > best:
-                best = vector[agent]
-    return best
+    return _cost_ceilings(game.arena)[agent]
 
 
 def zero_cost_game(game: Game) -> Game:
@@ -444,18 +453,17 @@ def grid_world_game(spec: GridSpec) -> Game:
     joint_moves = list(product(_GRID_ACTIONS, repeat=n_robots))
 
     transition_rows = []
-    cost_rows = []
     for config in configs:
         row_t = []
         for moves in joint_moves:
             row_t.append(index_of[step(config, moves)])
         transition_rows.append(tuple(row_t))
-        cost_rows.append(
-            tuple(
-                tuple(Fraction(cost_of.get(move, 0)) for move in moves)
-                for moves in joint_moves
-            )
-        )
+    # a step's cost depends only on the moves, so every configuration
+    # shares one row of per-joint-move vectors
+    cost_row = tuple(
+        tuple(Fraction(cost_of.get(move, 0)) for move in moves)
+        for moves in joint_moves
+    )
 
     start = (tuple(spec.robots), tuple(((False, False),) * len(pairs)), False)
     arena = Arena(
@@ -465,7 +473,7 @@ def grid_world_game(spec: GridSpec) -> Game:
         actions=tuple(_GRID_ACTIONS for _ in agents),
         labels=tuple(labels_of(config) for config in configs),
         transition=tuple(transition_rows),
-        cost=tuple(cost_rows),
+        cost=(cost_row,) * len(configs),
         initial=index_of[start],
     )
     return make_game(arena, ["G !c"] * n_robots)

@@ -34,6 +34,7 @@ from .strategy import (
     LassoRun,
     Profile,
     StrategyMachine,
+    _not_total,
     enumerate_profiles,
     generate_run,
     label_trace,
@@ -159,7 +160,9 @@ def _component_means(
 ) -> Iterator[tuple[list[int], tuple[int, int]]]:
     """(members, minimum cycle mean) of every strongly connected component
     that contains a cycle, in a graph on vertices 0..n-1 whose edges[v]
-    lists (target, integer weight) pairs."""
+    lists (target, integer weight) pairs.  Every cycle of a component whose
+    internal edges all weigh w has mean w, so Karp runs only on components
+    with mixed weights."""
     targets = [[t for t, _ in out] for out in edges]
     for component in strongly_connected_components(
         range(len(edges)), targets.__getitem__
@@ -168,9 +171,11 @@ def _component_means(
         internal = [
             [(local[t], w) for t, w in edges[v] if t in local] for v in component
         ]
-        if len(component) == 1 and not internal[0]:
-            continue
-        yield component, _karp(internal)
+        weights = {w for out in internal for _, w in out}
+        if len(weights) == 1:
+            yield component, (weights.pop(), 1)
+        elif weights:
+            yield component, _karp(internal)
 
 
 def min_mean_cycle(
@@ -308,8 +313,10 @@ class _Responses:
         self.values: dict[tuple[int, tuple[StrategyMachine, ...]], LexValue] = {}
 
     def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
-        cost = self.game.arena.cost[state][letter]
-        assert cost is not None
+        arena = self.game.arena
+        cost = arena.cost[state][letter]
+        if cost is None:
+            raise _not_total(arena, state, letter)
         parts = [cost]
         if self.tax is not None:
             parts.append(self.tax.outputs[tax_state].rate(state, letter))
@@ -399,7 +406,8 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
         for own_letter in own_letters:
             letter = others_letter + own_letter
             target = row[letter]
-            assert target is not None
+            if target is None:
+                raise _not_total(arena, state, letter)
             memory_next = tuple(
                 [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
             )

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game, max_cost, zero_cost_game
+from .arena import Game, _cost_ceilings, zero_cost_game
 from .errors import ResourceLimitError, SearchLimitError
 from .ltl import Formula, Not, eval_on_lasso, to_text
 from .strategy import (
@@ -336,7 +336,7 @@ def synthesize_eliminating_tax(
             "two distinct runs share one action-profile word; "
             "a profile-reading machine cannot tell them apart"
         )
-    ceilings = [max_cost(game, i) for i in range(n_agents)]
+    ceilings = _cost_ceilings(arena)
     surcharges = []
     for cls, run in enumerate(class_runs):
         vector = tuple(

@@ -85,6 +85,14 @@ def check_profile(arena: Arena, profile: Profile) -> None:
             )
 
 
+def _not_total(arena: Arena, state: int, letter: int) -> ValueError:
+    """The error for a hole in the transition or cost table."""
+    return ValueError(
+        f"arena is not total at ({arena.states[state]}, "
+        f"{'/'.join(arena.letter_names(letter))})"
+    )
+
+
 def generate_run(arena: Arena, profile: Profile) -> LassoRun:
     """Simulate the joint configuration until it repeats; split the step
     sequence at the first repeated configuration into prefix and cycle."""
@@ -102,10 +110,7 @@ def generate_run(arena: Arena, profile: Profile) -> LassoRun:
         target = arena.transition[state][letter]
         costs = arena.cost[state][letter]
         if target is None or costs is None:
-            raise ValueError(
-                f"arena is not total at ({arena.states[state]}, "
-                f"{'/'.join(arena.letter_names(letter))})"
-            )
+            raise _not_total(arena, state, letter)
         steps.append(RunStep(state, letter, costs))
         config = (target, tuple(m.transitions[q][letter] for m, q in zip(machines, memory)))
     split = seen[config]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .arena import Arena, Game, to_fraction
+from .arena import Arena, Game, _cost_ceilings, to_fraction
 from .errors import AlphabetMismatchError
 from .strategy import LassoRun, RunStep, run_at
 
@@ -170,7 +170,8 @@ def uniform_levelling_tax(game: Game, level: object) -> StaticTax:
 
     Requires level at least the largest per-step cost of any agent, so all
     surcharges are non-negative; the taxed game then charges exactly level
-    to every agent on every step.
+    to every agent on every step.  The Fraction arithmetic runs once per
+    distinct cost vector object, not once per cell.
     """
     target = to_fraction(level)
     ceiling = _cost_ceiling(game.arena)
@@ -182,30 +183,29 @@ def uniform_levelling_tax(game: Game, level: object) -> StaticTax:
 
 
 def _cost_ceiling(arena: Arena) -> Fraction:
-    """The largest per-step cost of any agent, and at least 0, in one scan
-    of the cost table."""
-    ceiling = Fraction(0)
-    for row in arena.cost:
-        for vector in row:
-            if vector is not None:
-                for x in vector:
-                    if x > ceiling:
-                        ceiling = x
-    return ceiling
+    """The largest per-step cost of any agent, and at least 0."""
+    return max(_cost_ceilings(arena), default=Fraction(0))
 
 
 def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
     """uniform_levelling_tax for a level already checked against the
     ceiling.  Its surcharges are non-negative Fractions by that check and
     its cells come in sorted order, so the entries are built as static_tax
-    would leave them."""
+    would leave them.  Each cost vector object gets its surcharge once,
+    keyed by identity (None when it is all zero); cells that share the
+    vector share the surcharge."""
+    surcharges: dict[int, tuple[Fraction, ...] | None] = {}
     entries = []
     for s, row in enumerate(arena.cost):
         for letter, base in enumerate(row):
-            if base is None:
-                raise ValueError("game must be total")
-            vector = tuple(target - x for x in base)
-            if any(vector):
+            key = id(base)
+            if key not in surcharges:
+                if base is None:
+                    raise ValueError("game must be total")
+                vector = tuple(target - x for x in base)
+                surcharges[key] = vector if any(vector) else None
+            vector = surcharges[key]
+            if vector is not None:
                 entries.append((s, letter, vector))
     return StaticTax(n_agents=arena.n_agents, entries=tuple(entries))
 

@@ -184,6 +184,29 @@ def simple_cycle_min_mean(
     return best
 
 
+# ======================== Levelling tax oracle ==============================
+
+
+def reference_levelling_entries(
+    arena: tg.Arena,
+) -> tuple[tuple[int, int, tuple[Fraction, ...]], ...]:
+    """The levelling tax at the lowest valid level, cell by cell: the
+    largest cost of any agent (at least 0) from a scan of every cell, then
+    one surcharge vector per cell, with all-zero vectors dropped."""
+    level = Fraction(0)
+    for row in arena.cost:
+        for vector in row:
+            for x in vector:
+                level = max(level, x)
+    entries = []
+    for s, row in enumerate(arena.cost):
+        for letter, base in enumerate(row):
+            vector = tuple(level - x for x in base)
+            if any(vector):
+                entries.append((s, letter, vector))
+    return tuple(entries)
+
+
 # ======================== Random instances ==================================
 
 

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import taxgames as tg
 
 from helpers import constant_profile, junction_game
+
+FIXTURES = Path(tg.__file__).parent / "fixtures"
+
+
+def vector_objects(arena: tg.Arena) -> int:
+    return len({id(vector) for row in arena.cost for vector in row})
 
 
 class TestFractions:
@@ -102,6 +110,13 @@ class TestCostHelpers:
         assert tg.max_cost(game, 0) == 2
         assert tg.max_cost(game, 1) == 2
 
+    def test_equal_vectors_are_one_object(self):
+        # junction's 16 cells hold 4 distinct vectors, built or parsed
+        for game in (junction_game(), tg.load_game(FIXTURES / "junction.game")):
+            cells = [vector for row in game.arena.cost for vector in row]
+            assert len(cells) == 16
+            assert vector_objects(game.arena) == len(set(cells)) == 4
+
     def test_zero_cost_game(self):
         game = tg.zero_cost_game(junction_game())
         assert tg.max_cost(game, 0) == 0
@@ -176,6 +191,16 @@ class TestGridGame:
         # positions 4^2, one apple with 4 flag combos per robot pair, crash
         game = tg.grid_world_game(orchard())
         assert game.arena.n_states == 16 * 16 * 2
+
+    def test_orchard_document_pinned(self):
+        # a grid step's cost depends only on the moves: one vector object
+        # per joint move, and the same document as one object per cell
+        game = tg.grid_world_game(orchard())
+        assert vector_objects(game.arena) <= 25
+        digest = hashlib.sha256(tg.game_to_yaml(game).encode()).hexdigest()
+        assert digest == (
+            "48ec288d414a0b4ec85de31031d5d28dfd7cf3f860fc17ca9d4a11c430cedaa5"
+        )
 
     def test_goals_forbid_crashes(self):
         game = tg.grid_world_game(corridor())

@@ -374,3 +374,47 @@ def profilewise_ne(game, tax, objective) -> list[tg.Profile]:
             )
         )
     ]
+
+
+def holed_game(hole: str) -> tg.Game:
+    """Two states; agent A plays a, agent B plays b or c.  The cell
+    (s, a/c) lacks its transition or its cost."""
+    cells = [("s", "b"), ("s", "c"), ("t", "b"), ("t", "c")]
+    transitions = {(s, ("a", x)): "t" for s, x in cells}
+    costs = {(s, ("a", x)): (1, 1) for s, x in cells}
+    del (transitions if hole == "transition" else costs)[("s", ("a", "c"))]
+    arena = tg.make_arena(
+        states=["s", "t"],
+        vocabulary=["p"],
+        agents=["A", "B"],
+        actions={"A": ["a"], "B": ["b", "c"]},
+        labels={"t": ["p"]},
+        transitions=transitions,
+        costs=costs,
+        initial="s",
+    )
+    return tg.make_game(arena, ["G F p", "G F p"])
+
+
+class TestNonTotalArena:
+    """A hole met by a best response raises the ValueError that
+    generate_run gives for a hole on the run, not an AssertionError."""
+
+    MESSAGE = r"arena is not total at \(s, a/c\)"
+
+    @pytest.mark.parametrize("hole", ["transition", "cost"])
+    def test_sweep_and_nash_check(self, hole):
+        game = holed_game(hole)
+        # B keeps to b, so the run avoids the hole and B's deviation meets it
+        profile = constant_profile(game.arena, [0, 0])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            tg.is_nash(game, profile)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            tg.find_ne(game, None, 1)
+
+    @pytest.mark.parametrize("driver", ["e_nash_implement", "a_nash_implement"])
+    def test_drivers(self, driver):
+        game = holed_game("transition")
+        objective = tg.parse_ltl("G F p", game.arena.vocabulary)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            getattr(tg, driver)(game, objective, 1)

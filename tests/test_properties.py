@@ -6,18 +6,22 @@ draws the same examples.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import taxgames as tg  # noqa: E402
+from taxgames.equilibrium import _component_means  # noqa: E402
 
 from helpers import (  # noqa: E402
     RESPONSE_GOALS,
     random_game,
     rational_tax,
     reference_response_value,
+    simple_cycle_min_mean,
 )
 
 DETERMINISTIC = settings(
@@ -45,3 +49,46 @@ def test_best_response_equals_unguarded_product(
         assert tg.best_response(game, profile, agent, tax) == (
             reference_response_value(game, profile, agent, tax)
         )
+
+
+weights = st.integers(-6, 6)
+
+
+@st.composite
+def uniform_and_mixed(draw):
+    """A graph on vertices 0..n-1 with two strongly connected groups, each a
+    ring plus chords: the first group's internal edges all weigh one
+    (possibly negative) w, the second's are drawn apart, and edges lead
+    only from the first group to the second, so the groups stay two
+    components."""
+    n_uniform = draw(st.integers(1, 4))
+    n_mixed = draw(st.integers(1, 4))
+    w = draw(weights)
+    uniform = list(range(n_uniform))
+    mixed = list(range(n_uniform, n_uniform + n_mixed))
+    edges: list[list[tuple[int, int]]] = [[] for _ in uniform + mixed]
+    for group, weight in ((uniform, lambda: w), (mixed, lambda: draw(weights))):
+        for i, v in enumerate(group):
+            targets = {group[(i + 1) % len(group)]} | set(
+                draw(st.lists(st.sampled_from(group), max_size=2))
+            )
+            edges[v] += [(t, weight()) for t in sorted(targets)]
+    for v in draw(st.lists(st.sampled_from(uniform), max_size=2)):
+        edges[v].append((draw(st.sampled_from(mixed)), draw(weights)))
+    return uniform, mixed, w, edges
+
+
+@DETERMINISTIC
+@given(uniform_and_mixed())
+def test_component_means_match_cycle_enumeration(case):
+    uniform, mixed, w, edges = case
+    means = {}
+    for members, (num, den) in _component_means(edges):
+        inside = set(members)
+        means[frozenset(members)] = Fraction(num, den)
+        sub = {v: [(t, x) for t, x in edges[v] if t in inside] for v in members}
+        assert Fraction(num, den) == simple_cycle_min_mean(sub)
+    assert means[frozenset(uniform)] == w
+    assert frozenset(mixed) in means
+    graph = {v: [(t, Fraction(x)) for t, x in out] for v, out in enumerate(edges)}
+    assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import taxgames as tg
+from taxgames.implementation import _levelling_machine
 
-from helpers import constant_profile, junction_game, junction_tax
+from helpers import (
+    constant_profile,
+    junction_game,
+    junction_tax,
+    random_game,
+    rational_game,
+    reference_levelling_entries,
+)
+
+FIXTURES = Path(tg.__file__).parent / "fixtures"
 
 
 class TestStaticTax:
@@ -134,6 +146,55 @@ class TestDynamicTax:
     def test_levelling_below_max_rejected(self):
         with pytest.raises(ValueError):
             tg.uniform_levelling_tax(junction_game(), 1)
+
+
+def copied_costs(game: tg.Game) -> tg.Game:
+    """The game with every cost vector its own object."""
+    cost = tuple(
+        tuple(tuple(list(vector)) for vector in row) for row in game.arena.cost
+    )
+    return replace(game, arena=replace(game.arena, cost=cost))
+
+
+def levelling_games() -> list:
+    orchard = tg.grid_world_game(tg.load_grid(FIXTURES / "orchard.grid"))
+    games = [
+        pytest.param(junction_game(), id="junction"),
+        pytest.param(orchard, id="orchard"),
+        pytest.param(copied_costs(junction_game()), id="junction-copied"),
+        pytest.param(copied_costs(random_game(Random(7))), id="random-copied"),
+    ]
+    for seed in range(40):
+        rng = Random(seed)
+        game = rational_game(rng) if seed % 4 == 0 else random_game(
+            rng, n_states=rng.randint(1, 4), max_cost=rng.choice((0, 1, 10))
+        )
+        games.append(pytest.param(game, id=f"random-{seed}"))
+    return games
+
+
+class TestLevellingOracle:
+    """The levelling tax, worked out once per distinct cost vector, against
+    the cell-by-cell construction."""
+
+    @pytest.mark.parametrize("game", levelling_games())
+    def test_matches_cell_by_cell(self, game):
+        arena = game.arena
+        cells = [vector for row in arena.cost for vector in row]
+        ceilings = [
+            max([Fraction(0)] + [vector[agent] for vector in cells])
+            for agent in range(arena.n_agents)
+        ]
+        expected = reference_levelling_entries(arena)
+        assert tg.uniform_levelling_tax(game, max(ceilings)).entries == expected
+        assert _levelling_machine(game).outputs[0].entries == expected
+        assert [tg.max_cost(game, i) for i in range(arena.n_agents)] == ceilings
+
+    def test_copied_vectors_are_distinct_objects(self):
+        arena = copied_costs(junction_game()).arena
+        vectors = [vector for row in arena.cost for vector in row]
+        assert len({id(v) for v in vectors}) == len(vectors)
+        assert len(set(vectors)) < len(vectors)
 
 
 class TestTaxedCost:
