@@ -37,7 +37,10 @@ def to_fraction(value: object) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; use a string or integer")
     raise TypeError(f"cannot interpret {value!r} as a rational")

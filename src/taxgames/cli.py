@@ -171,8 +171,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.objective is None:
         raise TaxgamesError(f"check {args.problem} needs --objective")
-    if args.bound < 1:
-        raise TaxgamesError("--bound must be at least 1")
+    for flag, value in (
+        ("--bound", args.bound),
+        ("--cap-profiles", args.cap_profiles),
+        ("--cap-states", args.cap_states),
+    ):
+        if value < 1:
+            raise TaxgamesError(f"{flag} must be at least 1")
     objective = parse_ltl(args.objective, game.arena.vocabulary)
     # quote the objective as the user wrote it rather than in core form
     if args.problem == "enash":

@@ -17,6 +17,12 @@ so it lies on no cycle, and its sink copy has the same out-edges and
 weights; a dead automaton state lies on no accepting cycle either, and the
 sink copy keeps every arena cycle.  So the accepting components and every
 cycle mean, hence every best-response value, stay the same.
+
+A product graph is built in one pass.  Many automaton states share one
+configuration (arena state, other machines' states, tax state), whose arena
+steps are expanded once per graph and reused by each of them.  Weights are
+integers over the common denominator of the step costs met so far; a step
+cost that grows it mid-build rescales the edges already emitted in place.
 """
 
 from __future__ import annotations
@@ -302,7 +308,8 @@ class _Responses:
     steps holds the taxed step costs (arena cost plus tax rate) of the
     cells product graphs reach, keyed by (state, letter, tax state), as
     integer vectors over the common denominator scale.  A cell whose
-    denominators do not divide scale multiplies it and rescales the table.
+    denominators do not divide scale multiplies it and rescales the table;
+    a graph being built rescales the weights it has emitted (`_product`).
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:
@@ -356,16 +363,20 @@ def response_graph(
     memo whose step-cost table the graph reads and fills."""
     if responses is None:
         responses = _Responses(game, tax)
-    scale = responses.scale
-    graph = _product(responses, profile, agent)
-    if responses.scale != scale:
-        # a cell met on the way grew the common denominator; every cell
-        # the graph reaches is in the table now, so the rebuild keeps it
-        graph = _product(responses, profile, agent)
-    return graph
+    return _product(responses, profile, agent)
 
 
 def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGraph:
+    """Build the graph from its initial vertices outwards.
+
+    A vertex pairs a configuration (arena state, others' machine states,
+    tax state) with an automaton state.  Each configuration's arena steps
+    are expanded once, on its first vertex, and every automaton state on
+    it reuses them.  Edge weights are read from the step-cost table as the
+    edges are emitted; a cell that grows the table's scale on the way
+    multiplies the weights already emitted by the growth factor, so the
+    finished graph is over the final scale.
+    """
     game, tax = responses.game, responses.tax
     arena = game.arena
     goal = _goal_automaton(game.goals[agent], arena.vocabulary)
@@ -390,49 +401,73 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
     ]
     starts = goal.starts[columns[arena.initial]]
 
-    vertices: list[tuple] = [
-        (arena.initial, (0,) * len(others), 0, b) for b in starts
+    configs: list[tuple[int, tuple[int, ...], int]] = [
+        (arena.initial, (0,) * len(others), 0)
     ]
-    index = {vertex: i for i, vertex in enumerate(vertices)}
+    config_index = {configs[0]: 0}
+    # per configuration: (target configuration, target column, step-table
+    # key) per own action, or None until its first vertex is expanded
+    expansions: list[list[tuple[int, int, tuple[int, int, int]]] | None] = [None]
+    pairs = [(0, b) for b in starts]
+    index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[tuple[int, int], ...]] = []
-    # vertices grows while it is walked, so every reached vertex is expanded
-    for state, memory, tax_state, b in vertices:
-        out = []
-        others_letter = sum(
-            outputs[q] * stride for (outputs, _, stride), q in zip(others, memory)
-        )
-        row = arena.transition[state]
-        follow = goal.moves[b]
-        for own_letter in own_letters:
-            letter = others_letter + own_letter
-            target = row[letter]
-            if target is None:
-                raise _not_total(arena, state, letter)
-            memory_next = tuple(
-                [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
+    scale = responses.scale
+    # pairs grows while it is walked, so every reached vertex is expanded
+    for c, b in pairs:
+        expansion = expansions[c]
+        if expansion is None:
+            state, memory, tax_state = configs[c]
+            others_letter = sum(
+                outputs[q] * stride
+                for (outputs, _, stride), q in zip(others, memory)
             )
-            tax_next = tax.transitions[tax_state][letter] if tax is not None else 0
-            cell = steps.get((state, letter, tax_state))
-            if cell is None:
-                cell = responses.step(state, letter, tax_state)
-            weight = cell[agent]
-            for b_next in follow[columns[target]]:
-                succ = (target, memory_next, tax_next, b_next)
-                j = index.get(succ)
+            row = arena.transition[state]
+            expansion = expansions[c] = []
+            for own_letter in own_letters:
+                letter = others_letter + own_letter
+                target = row[letter]
+                if target is None:
+                    raise _not_total(arena, state, letter)
+                key = (state, letter, tax_state)
+                if key not in steps:
+                    responses.step(state, letter, tax_state)
+                memory_next = tuple(
+                    [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
+                )
+                tax_next = tax.transitions[tax_state][letter] if tax is not None else 0
+                config = (target, memory_next, tax_next)
+                t = config_index.get(config)
+                if t is None:
+                    t = config_index[config] = len(configs)
+                    configs.append(config)
+                    expansions.append(None)
+                expansion.append((t, columns[target], key))
+            if responses.scale != scale:
+                factor = responses.scale // scale
+                for i, out in enumerate(edges):
+                    edges[i] = tuple((j, w * factor) for j, w in out)
+                scale = responses.scale
+        follow = goal.moves[b]
+        out = []
+        for t, column, key in expansion:
+            weight = steps[key][agent]
+            for b_next in follow[column]:
+                pair = (t, b_next)
+                j = index.get(pair)
                 if j is None:
-                    j = index[succ] = len(vertices)
-                    vertices.append(succ)
+                    j = index[pair] = len(pairs)
+                    pairs.append(pair)
                 out.append((j, weight))
         edges.append(tuple(out))
     accepting = frozenset(
-        i for i, vertex in enumerate(vertices) if vertex[3] in goal.accepting
+        i for i, (_, b) in enumerate(pairs) if b in goal.accepting
     )
     return ResponseGraph(
-        vertices=tuple(vertices),
+        vertices=tuple((*configs[c], b) for c, b in pairs),
         edges=tuple(edges),
         initial=tuple(range(len(starts))),
         accepting=accepting,
-        scale=responses.scale,
+        scale=scale,
     )
 
 

@@ -7,12 +7,13 @@ node kinds.
 
 Every algorithm below reads one compiled form of the formula: its distinct
 subformulas in postorder as rows of integers, built by one iterative walk
-that hashes no formula node (`_compile`).  Evaluation is exact on ultimately
-periodic words (a finite prefix followed by a repeated cycle of label sets):
-each row becomes an int bitset over the word's positions.  The Buchi
-translation is the declarative tableau construction: states are maximal
-consistent assignments over the rows, eventualities are tracked with a
-round-robin counter.
+that hashes no formula node (`_compile`).  The walk runs once per formula
+object, whose node keeps the immutable program for every later call.
+Evaluation is exact on ultimately periodic words (a finite prefix followed
+by a repeated cycle of label sets): each row becomes an int bitset over the
+word's positions.  The Buchi translation is the declarative tableau
+construction: states are maximal consistent assignments over the rows,
+eventualities are tracked with a round-robin counter.
 """
 
 from __future__ import annotations
@@ -109,15 +110,32 @@ _TRUE, _VAR, _NOT, _OR, _NEXT, _UNTIL = range(6)
 _KINDS = {TrueConst: _TRUE, Var: _VAR, Not: _NOT, Or: _OR, Next: _NEXT, Until: _UNTIL}
 
 
-def _compile(formula: Formula) -> tuple[list[tuple], list[Formula]]:
-    """The distinct subformulas in postorder, as rows and as nodes.
+class _Program(NamedTuple):
+    """A compiled formula: its distinct subformulas in postorder, as rows
+    and as the first-occurring node objects."""
+
+    rows: tuple[tuple, ...]
+    nodes: tuple[Formula, ...]
+
+
+def _compile(formula: Formula) -> _Program:
+    """The formula's program, built on the first call for a node object and
+    kept on it.
 
     Children come before parents and left before right; the first occurrence
     of a subformula fixes its place, so the root is the last row.  A row is
     the kind followed by the children's row indices or the variable name.
     Equal subformulas share the row that is their key, so no node is hashed;
     each node object is visited once, keyed by id(), on an explicit stack.
+    The program is stored in the frozen node's __dict__, which its fields,
+    equality and hash do not read; it is immutable, so every caller may
+    share it.
     """
+    if type(formula) not in _KINDS:
+        raise TypeError(f"not a formula node: {formula!r}")
+    program = formula.__dict__.get("_program")
+    if program is not None:
+        return program
     row_of: dict[tuple, int] = {}
     nodes: list[Formula] = []
     done: dict[int, int] = {}
@@ -149,17 +167,19 @@ def _compile(formula: Formula) -> tuple[list[tuple], list[Formula]]:
             row_of[key] = len(nodes)
             nodes.append(node)
         done[id(node)] = row_of[key]
-    return list(row_of), nodes
+    program = formula.__dict__["_program"] = _Program(tuple(row_of), tuple(nodes))
+    return program
 
 
 def variables(formula: Formula) -> frozenset[str]:
     """All variable names occurring in the formula."""
-    return frozenset(row[1] for row in _compile(formula)[0] if row[0] == _VAR)
+    return frozenset(row[1] for row in _compile(formula).rows if row[0] == _VAR)
 
 
 def subformulas(formula: Formula) -> list[Formula]:
-    """Distinct subformulas in postorder (children before parents)."""
-    return _compile(formula)[1]
+    """Distinct subformulas in postorder (children before parents), as a
+    fresh list."""
+    return list(_compile(formula).nodes)
 
 
 # Rendering precedence: higher binds tighter.
@@ -407,7 +427,7 @@ def eval_on_lasso(formula: Formula, trace: LabelTrace) -> bool:
         return bits >> 1 | (top if bits & wrap else 0)
 
     values: list[int] = []
-    for row in _compile(formula)[0]:
+    for row in _compile(formula).rows:
         kind = row[0]
         if kind == _TRUE:
             value = mask
@@ -474,7 +494,7 @@ def to_buchi(
     choice.  Eventualities are enforced with a round-robin counter over the
     until nodes.
     """
-    rows = _compile(formula)[0]
+    rows = _compile(formula).rows
     free = [
         i for kind in (_VAR, _NEXT, _UNTIL) for i, row in enumerate(rows)
         if row[0] == kind

@@ -91,6 +91,31 @@ class TestEvaluate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("game", "cost: [2, 0]", 'cost: ["1/0", 0]'),
+            ("tax", "rate: [3, 3]", 'rate: [3, "1/0"]'),
+            ("grid", "grid:\n", 'grid:\n  action_costs: {stay: "1/0"}\n'),
+        ],
+    )
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, kind, old, new):
+        source = {"game": GAME, "tax": TAX, "grid": str(FIXTURES / "corridor.grid")}
+        text = Path(source[kind]).read_text()
+        assert old in text
+        broken = tmp_path / f"broken.{kind}"
+        broken.write_text(text.replace(old, new, 1))
+        argv = {
+            "game": ["evaluate", "--game", str(broken), "--profile", PROFILE_AC],
+            "tax": ["evaluate", "--game", GAME, "--profile", PROFILE_AC,
+                    "--tax", str(broken)],
+            "grid": ["gridworld", "--grid", str(broken)],
+        }[kind]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero denominator" in err
+        assert err.count("\n") == 1
+
     def test_profile_arena_mismatch(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.profile"
         narrow.write_text(
@@ -182,6 +207,24 @@ class TestCheck:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("flag", ["--cap-states", "--cap-profiles"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, capsys, flag, value):
+        code = main(
+            [
+                "check",
+                "anash",
+                "--game",
+                GAME,
+                "--objective",
+                "G (p <-> q)",
+                flag,
+                value,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1\n"
 
     def test_missing_objective(self, capsys):
         assert main(["check", "enash", "--game", GAME, "--bound", "1"]) == 2

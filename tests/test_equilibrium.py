@@ -7,6 +7,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -217,6 +218,59 @@ class TestResponseGraph:
         graph = tg.response_graph(game, constant_profile(game.arena, [0, 1]), 0)
         assert {b for *_, b in graph.vertices} == {automaton.sink}
         assert not graph.accepting
+
+    def test_scale_grown_mid_build_rescales_emitted_edges(self, monkeypatch):
+        # the build meets cost denominators 1, then 2, then 3, so the
+        # weights of edges emitted before each growth must follow it
+        game = growing_denominator_game()
+        cost = game.arena.cost
+        builds = []
+        product_graph = tg.equilibrium._product
+
+        def counting(responses, profile, agent):
+            builds.append(agent)
+            return product_graph(responses, profile, agent)
+
+        monkeypatch.setattr(tg.equilibrium, "_product", counting)
+        keys = count_response_graphs(monkeypatch)
+        assert tg.find_ne(game, None, 1)
+        assert keys and len(builds) == len(keys)
+
+        for profile in tg.enumerate_profiles(game.arena, 1):
+            for agent in (0, 1):
+                responses = tg.equilibrium._Responses(game, None)
+                graph = tg.response_graph(game, profile, agent, None, responses)
+                assert graph.scale == lcm(
+                    *(x.denominator for s, a, _ in responses.steps for x in cost[s][a])
+                )
+                # A can always go round the ring; B only when A does
+                assert graph.scale == 6 or agent == 1
+                assert tg.equilibrium._response_value(
+                    graph
+                ) == reference_response_value(game, profile, agent)
+
+
+def growing_denominator_game() -> tg.Game:
+    """A three-state ring s0 -> s1 -> s2 -> s0 with step costs 1, 1/2 and
+    1/3 for both agents; agent A may instead idle at s0 for 2."""
+    ring = {"s0": ("s1", 1), "s1": ("s2", "1/2"), "s2": ("s0", "1/3")}
+    transitions, costs = {}, {}
+    for state, (target, step) in ring.items():
+        for a in ("go", "idle"):
+            idle = a == "idle" and state == "s0"
+            transitions[(state, (a, "c"))] = state if idle else target
+            costs[(state, (a, "c"))] = (2, 2) if idle else (step, step)
+    arena = tg.make_arena(
+        states=list(ring),
+        vocabulary=["p"],
+        agents=["A", "B"],
+        actions={"A": ["go", "idle"], "B": ["c"]},
+        labels={"s1": ["p"]},
+        transitions=transitions,
+        costs=costs,
+        initial="s0",
+    )
+    return tg.make_game(arena, ["G F p", "G F p"])
 
 
 def scaled_game(game: tg.Game, factor: int) -> tg.Game:

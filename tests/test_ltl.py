@@ -91,6 +91,40 @@ class TestParsing:
         assert subs.count(p) == 1 and f in subs
 
 
+class TestCompile:
+    def test_compiled_once_per_formula(self, monkeypatch):
+        f = tg.parse_ltl("G (p -> F q) | X (p U q)")
+        assert tg.ltl._compile(f) is tg.ltl._compile(f)
+        built = []
+        program = tg.ltl._Program
+
+        def counting(*args):
+            built.append(args)
+            return program(*args)
+
+        monkeypatch.setattr(tg.ltl, "_Program", counting)
+        g = tg.parse_ltl("G (p -> F q)")
+        letters = [set(), {"p"}, {"q"}, {"p", "q"}]
+        traces = [
+            trace([letters[k % 4]], [letters[k // 4 % 4], letters[k % 3]])
+            for k in range(20)
+        ]
+        verdicts = [tg.eval_on_lasso(g, t) for t in traces]
+        assert len(built) == 1
+        assert verdicts == [oracle_eval(g, t) for t in traces]
+        assert True in verdicts and False in verdicts
+
+    def test_subformulas_list_is_a_copy(self):
+        f = tg.parse_ltl("p U X q")
+        t = trace([{"p"}], [{"q"}, {}])
+        before = (tg.eval_on_lasso(f, t), tg.to_buchi(f, ("p", "q")))
+        subs = tg.subformulas(f)
+        subs.reverse()
+        subs[0] = TRUE
+        assert tg.subformulas(f) != subs
+        assert (tg.eval_on_lasso(f, t), tg.to_buchi(f, ("p", "q"))) == before
+
+
 # ======================== Lasso evaluation ========================
 
 
