@@ -171,13 +171,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.objective is None:
         raise TaxgamesError(f"check {args.problem} needs --objective")
-    for flag, value in (
-        ("--bound", args.bound),
-        ("--cap-profiles", args.cap_profiles),
-        ("--cap-states", args.cap_states),
-    ):
-        if value < 1:
-            raise TaxgamesError(f"{flag} must be at least 1")
     objective = parse_ltl(args.objective, game.arena.vocabulary)
     # quote the objective as the user wrote it rather than in core form
     if args.problem == "enash":
@@ -320,18 +313,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("--bound", "--cap-profiles", "--cap-states"):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < 1:
+                raise TaxgamesError(f"{flag} must be at least 1")
         return args.handler(args)
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return RESOURCE_CAP
     except TaxgamesError as err:
         print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except RecursionError:
-        print(
-            "error: input nested too deeply for the recursion limit",
-            file=sys.stderr,
-        )
         return INPUT_ERROR
 
 

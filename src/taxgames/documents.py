@@ -43,6 +43,9 @@ def _load_yaml(text: str) -> Any:
         return yaml.safe_load(text)
     except yaml.YAMLError as err:
         raise DocumentError(f"invalid yaml: {err}") from err
+    except RecursionError as err:
+        # the pure-Python loader recurses once per nesting level
+        raise DocumentError("invalid yaml: nested too deeply to load") from err
 
 
 def _body(text: str, kind: str) -> dict:

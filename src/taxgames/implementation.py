@@ -495,34 +495,48 @@ def check_eliminable(
     # not drop the other's copy.
     per_agent_edges: dict[int, dict[int, dict[int, int]]] = {}
 
-    def search(position: int, selection: list[tuple[int, int, int]]):
+    def spend() -> None:
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise SearchLimitError(
                 f"eliminability search exceeded {search_cap} steps"
             )
-        if position == len(choice_lists):
-            return verify(selection)
-        for edge in choice_lists[position]:
+
+    # Depth first over one edge per target, in choice order: choices[k]
+    # iterates the edges left for target k, and selection[k] is the edge
+    # taken for it while the search is below it.  Every node of the search
+    # tree spends one step of the budget.
+    selection: list[tuple[int, int, int]] = []
+    spend()
+    choices = [iter(choice_lists[0])]
+    while choices:
+        if len(selection) == len(choices):
+            u, v, agent = selection.pop()
+            counts = per_agent_edges[agent][node_class[u]]
+            counts[node_class[v]] -= 1
+            if not counts[node_class[v]]:
+                del counts[node_class[v]]
+        for edge in choices[-1]:
             u, v, agent = edge
             cu, cv = node_class[u], node_class[v]
             adjacency = per_agent_edges.setdefault(agent, {})
-            if has_path(adjacency, cv, cu):
-                continue
-            counts = adjacency.setdefault(cu, {})
-            counts[cv] = counts.get(cv, 0) + 1
-            selection.append(edge)
-            found = search(position + 1, selection)
-            selection.pop()
-            counts[cv] -= 1
-            if not counts[cv]:
-                del counts[cv]
+            if not has_path(adjacency, cv, cu):
+                break
+        else:
+            choices.pop()
+            continue
+        counts = adjacency.setdefault(cu, {})
+        counts[cv] = counts.get(cv, 0) + 1
+        selection.append(edge)
+        spend()
+        if len(selection) < len(choice_lists):
+            choices.append(iter(choice_lists[len(selection)]))
+        else:
+            found = verify(selection)
             if found is not None:
                 return found
-        return None
-
-    return search(0, [])
+    return None
 
 
 # ---------------------------------------------------------------------------

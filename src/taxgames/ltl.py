@@ -43,39 +43,51 @@ class UnknownVariableError(LtlError):
 
 
 class Formula:
-    """Base class for formula nodes.  All nodes are frozen and hashable."""
+    """Base class for formula nodes.  All nodes are frozen and hashable.
+
+    Equality and hash read the compiled program, which is canonical: equal
+    trees give equal rows and the rows fix the tree, so no node is visited
+    recursively.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _compile(self).rows == _compile(other).rows
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(_compile(self).rows)
+
+
+@dataclass(frozen=True, eq=False)
 class TrueConst(Formula):
-    def __repr__(self) -> str:
-        return "TrueConst()"
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     left: Formula
     right: Formula
@@ -182,58 +194,44 @@ def subformulas(formula: Formula) -> list[Formula]:
     return list(_compile(formula).nodes)
 
 
-# Rendering precedence: higher binds tighter.
-_PREC_OR = 2
-_PREC_UNTIL = 4
-_PREC_UNARY = 6
-_PREC_ATOM = 8
+# Rendering per row kind: precedence (higher binds tighter), template, and
+# the precedence each operand needs to go without parentheses.  Until is
+# right associative, so its left operand is bracketed when it is an until.
+_LAYOUT = {
+    _NOT: (6, "!{}", (6,)),
+    _NEXT: (6, "X {}", (6,)),
+    _OR: (2, "{} | {}", (2, 2)),
+    _UNTIL: (4, "{} U {}", (5, 4)),
+}
 
 
 def to_text(formula: Formula) -> str:
-    """Render a core formula in the concrete syntax accepted by parse_ltl."""
+    """Render a core formula in the concrete syntax accepted by parse_ltl,
+    row by row bottom-up, each row as (text, precedence)."""
+    rendered: list[tuple[str, int]] = []
 
-    def render(node: Formula, required: int) -> str:
-        if isinstance(node, TrueConst):
-            return "true"
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Not):
-            text, prec = "!" + render(node.operand, _PREC_UNARY), _PREC_UNARY
-        elif isinstance(node, Next):
-            text, prec = "X " + render(node.operand, _PREC_UNARY), _PREC_UNARY
-        elif isinstance(node, Or):
-            text = render(node.left, _PREC_OR) + " | " + render(node.right, _PREC_OR)
-            prec = _PREC_OR
-        elif isinstance(node, Until):
-            # Until is right associative, so the left child needs parentheses
-            # when it is itself an until.
-            text = (
-                render(node.left, _PREC_UNTIL + 1)
-                + " U "
-                + render(node.right, _PREC_UNTIL)
-            )
-            prec = _PREC_UNTIL
+    def operand(row: int, required: int) -> str:
+        text, prec = rendered[row]
+        return "(" + text + ")" if prec < required else text
+
+    for row in _compile(formula).rows:
+        if row[0] == _TRUE:  # atoms bind tighter than every operator
+            rendered.append(("true", 8))
+        elif row[0] == _VAR:
+            rendered.append((row[1], 8))
         else:
-            raise TypeError(f"not a formula node: {node!r}")
-        if prec < required:
-            return "(" + text + ")"
-        return text
-
-    return render(formula, 0)
+            prec, template, required = _LAYOUT[row[0]]
+            rendered.append((template.format(*map(operand, row[1:], required)), prec))
+    return rendered[-1][0]
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Grammar, loosest to tightest:
-#   iff    :=  impl ('<->' impl)*          left associative
-#   impl   :=  disj ('->' impl)?           right associative
-#   disj   :=  conj ('|' conj)*
-#   conj   :=  until ('&' until)*
-#   until  :=  unary ('U' until)?          right associative
-#   unary  :=  ('!' | 'X' | 'F' | 'G' | '<>' | '[]') unary | atom
-#   atom   :=  'true' | 'false' | name | '(' iff ')'
-# Reserved words: true false X U F G.  <> and [] are synonyms for F and G.
+# Operators, loosest to tightest: <-> (left associative), -> (right), |, &,
+# U (right), then the prefix operators ! X F G <> [], which bind tightest.
+# Atoms are true, false, a name, or a parenthesised formula.  Reserved
+# words: true false X U F G.  <> and [] are synonyms for F and G.
 
 _RESERVED = {"true", "false", "X", "U", "F", "G"}
 
@@ -280,117 +278,92 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], vocabulary: frozenset[str] | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.vocabulary = vocabulary
+_PREFIX = {
+    "!": Not, "X": Next, "F": eventually, "<>": eventually, "G": always, "[]": always,
+}
+# Binary operators: binding power (higher binds tighter), right associative?
+# Prefix operators bind tighter than all of them.
+_BINARY = {
+    "<->": (1, False, iff),
+    "->": (2, True, implies),
+    "|": (3, False, Or),
+    "&": (4, False, and_),
+    "U": (5, True, Until),
+}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, text: str) -> None:
-        token = self.take()
-        if token.text != text:
+def _atom(token: _Token, vocabulary: frozenset[str] | None) -> Formula:
+    if token.kind == "name":
+        if token.text == "true":
+            return TRUE
+        if token.text == "false":
+            return FALSE
+        if token.text in _RESERVED:
             raise LtlSyntaxError(
-                f"expected {text!r} at position {token.pos}, found {token.text!r}"
+                f"operator {token.text!r} at position {token.pos} needs an operand"
             )
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_impl()
-        while self.peek().text == "<->":
-            self.take()
-            left = iff(left, self.parse_impl())
-        return left
-
-    def parse_impl(self) -> Formula:
-        left = self.parse_disj()
-        if self.peek().text == "->":
-            self.take()
-            return implies(left, self.parse_impl())
-        return left
-
-    def parse_disj(self) -> Formula:
-        left = self.parse_conj()
-        while self.peek().text == "|":
-            self.take()
-            left = Or(left, self.parse_conj())
-        return left
-
-    def parse_conj(self) -> Formula:
-        left = self.parse_until()
-        while self.peek().text == "&":
-            self.take()
-            left = and_(left, self.parse_until())
-        return left
-
-    def parse_until(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek().text == "U":
-            self.take()
-            return Until(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> Formula:
-        token = self.peek()
-        if token.text == "!":
-            self.take()
-            return Not(self.parse_unary())
-        if token.text == "X":
-            self.take()
-            return Next(self.parse_unary())
-        if token.text in ("F", "<>"):
-            self.take()
-            return eventually(self.parse_unary())
-        if token.text in ("G", "[]"):
-            self.take()
-            return always(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        token = self.take()
-        if token.text == "(":
-            inner = self.parse_iff()
-            self.expect(")")
-            return inner
-        if token.kind == "name":
-            if token.text == "true":
-                return TRUE
-            if token.text == "false":
-                return FALSE
-            if token.text in _RESERVED:
-                raise LtlSyntaxError(
-                    f"operator {token.text!r} at position {token.pos} needs an operand"
-                )
-            if self.vocabulary is not None and token.text not in self.vocabulary:
-                raise UnknownVariableError(
-                    f"unknown variable {token.text!r} at position {token.pos}"
-                )
-            return Var(token.text)
-        raise LtlSyntaxError(
-            f"expected a formula at position {token.pos}, found {token.text!r}"
-        )
+        if vocabulary is not None and token.text not in vocabulary:
+            raise UnknownVariableError(
+                f"unknown variable {token.text!r} at position {token.pos}"
+            )
+        return Var(token.text)
+    raise LtlSyntaxError(
+        f"expected a formula at position {token.pos}, found {token.text!r}"
+    )
 
 
 def parse_ltl(text: str, vocabulary: Iterable[str] | None = None) -> Formula:
     """Parse formula text into the core syntax.
 
-    When a vocabulary is given, variables outside it are rejected.
+    When a vocabulary is given, variables outside it are rejected.  One
+    operator-precedence loop reads the tokens left to right, holding the
+    finished operands on one stack and the pending operators and open
+    parentheses on another.
     """
     vocab = None if vocabulary is None else frozenset(vocabulary)
-    parser = _Parser(_tokenize(text), vocab)
-    formula = parser.parse_iff()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise LtlSyntaxError(
-            f"unexpected {trailing.text!r} at position {trailing.pos}"
-        )
-    return formula
+    operands: list[Formula] = []
+    pending: list[str] = []
+    depth = 0
+
+    def reduce(power: int) -> None:
+        # apply the pending operators, back to the innermost open
+        # parenthesis, that bind at least this tightly
+        while pending and pending[-1] != "(":
+            if pending[-1] in _PREFIX:
+                operands.append(_PREFIX[pending.pop()](operands.pop()))
+                continue
+            top, right_assoc, build = _BINARY[pending[-1]]
+            if top < power or top == power and right_assoc:
+                return
+            pending.pop()
+            right = operands.pop()
+            operands.append(build(operands.pop(), right))
+
+    want_operand = True
+    for token in _tokenize(text):
+        if want_operand:
+            if token.text == "(" or token.text in _PREFIX:
+                pending.append(token.text)
+                depth += token.text == "("
+            else:
+                operands.append(_atom(token, vocab))
+                want_operand = False
+        elif token.text in _BINARY:
+            reduce(_BINARY[token.text][0])
+            pending.append(token.text)
+            want_operand = True
+        elif depth and token.text == ")":
+            reduce(0)
+            pending.pop()
+            depth -= 1
+        elif depth:
+            raise LtlSyntaxError(
+                f"expected ')' at position {token.pos}, found {token.text!r}"
+            )
+        elif token.kind != "end":
+            raise LtlSyntaxError(f"unexpected {token.text!r} at position {token.pos}")
+    reduce(0)
+    return operands[0]
 
 
 # ---------------------------------------------------------------------------

@@ -199,25 +199,31 @@ def _transition_structures(
     out already in first-reference numbering, each exactly once.
     """
     total = m * n_letters
-    cells = [0] * total
-
-    def fill(f: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    cells = [-1] * total
+    # tops[f]: the highest state referenced by cells[:f]
+    tops = [0] * (total + 1)
+    f = 0
+    while f >= 0:
+        top = tops[f]
         if f == total:
             if top == m - 1:
                 yield tuple(
                     tuple(cells[i * n_letters:(i + 1) * n_letters])
                     for i in range(m)
                 )
-            return
-        if f % n_letters == 0 and top < f // n_letters:
-            return
-        if (m - 1) - top > total - f:
-            return
-        for value in range(min(top + 1, m - 1) + 1):
-            cells[f] = value
-            yield from fill(f + 1, max(top, value))
-
-    yield from fill(0, 0)
+            f -= 1
+        elif (
+            f % n_letters == 0 and top < f // n_letters
+            or (m - 1) - top > total - f
+            or cells[f] == min(top + 1, m - 1)
+        ):
+            # pruned or exhausted: back to the previous cell
+            cells[f] = -1
+            f -= 1
+        else:
+            cells[f] += 1
+            tops[f + 1] = max(top, cells[f])
+            f += 1
 
 
 def enumerate_machines(

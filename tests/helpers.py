@@ -5,7 +5,11 @@ formulas are checked by walking the lasso position by position, mean cycles
 by enumerating simple cycles, machine enumeration by brute force over raw
 tables, and best responses by trying every small machine that reads only
 the other agents' actions; exact best responses are read off the product
-with the goal automaton built without the library's label guard.
+with the goal automaton built without the library's label guard.  The
+recursive-descent parser, the recursive formula comparison and the
+recursive transition-table enumerator are the references for the library's
+iterative versions; they recurse once per nesting level, so feed them small
+inputs only.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Iterable, Iterator, Mapping
+
+from taxgames.ltl import (
+    FALSE,
+    TRUE,
+    LtlSyntaxError,
+    UnknownVariableError,
+    _RESERVED,
+    _Token,
+    _tokenize,
+)
 
 import taxgames as tg
 from taxgames._graphs import strongly_connected_components
@@ -119,6 +133,166 @@ def oracle_eval(formula: tg.Formula, trace: tg.LabelTrace) -> bool:
     return holds(formula, 0)
 
 
+# ======================== Parser and structure oracles ======================
+#
+# Grammar, loosest to tightest:
+#   iff    :=  impl ('<->' impl)*          left associative
+#   impl   :=  disj ('->' impl)?           right associative
+#   disj   :=  conj ('|' conj)*
+#   conj   :=  until ('&' until)*
+#   until  :=  unary ('U' until)?          right associative
+#   unary  :=  ('!' | 'X' | 'F' | 'G' | '<>' | '[]') unary | atom
+#   atom   :=  'true' | 'false' | name | '(' iff ')'
+
+
+class _ReferenceParser:
+    """Recursive descent, one method per grammar level."""
+
+    def __init__(self, tokens: list[_Token], vocabulary: frozenset[str] | None):
+        self.tokens = tokens
+        self.pos = 0
+        self.vocabulary = vocabulary
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, text: str) -> None:
+        token = self.take()
+        if token.text != text:
+            raise LtlSyntaxError(
+                f"expected {text!r} at position {token.pos}, found {token.text!r}"
+            )
+
+    def parse_iff(self) -> tg.Formula:
+        left = self.parse_impl()
+        while self.peek().text == "<->":
+            self.take()
+            left = tg.iff(left, self.parse_impl())
+        return left
+
+    def parse_impl(self) -> tg.Formula:
+        left = self.parse_disj()
+        if self.peek().text == "->":
+            self.take()
+            return tg.implies(left, self.parse_impl())
+        return left
+
+    def parse_disj(self) -> tg.Formula:
+        left = self.parse_conj()
+        while self.peek().text == "|":
+            self.take()
+            left = tg.Or(left, self.parse_conj())
+        return left
+
+    def parse_conj(self) -> tg.Formula:
+        left = self.parse_until()
+        while self.peek().text == "&":
+            self.take()
+            left = tg.and_(left, self.parse_until())
+        return left
+
+    def parse_until(self) -> tg.Formula:
+        left = self.parse_unary()
+        if self.peek().text == "U":
+            self.take()
+            return tg.Until(left, self.parse_until())
+        return left
+
+    def parse_unary(self) -> tg.Formula:
+        token = self.peek()
+        if token.text == "!":
+            self.take()
+            return tg.Not(self.parse_unary())
+        if token.text == "X":
+            self.take()
+            return tg.Next(self.parse_unary())
+        if token.text in ("F", "<>"):
+            self.take()
+            return tg.eventually(self.parse_unary())
+        if token.text in ("G", "[]"):
+            self.take()
+            return tg.always(self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self) -> tg.Formula:
+        token = self.take()
+        if token.text == "(":
+            inner = self.parse_iff()
+            self.expect(")")
+            return inner
+        if token.kind == "name":
+            if token.text == "true":
+                return TRUE
+            if token.text == "false":
+                return FALSE
+            if token.text in _RESERVED:
+                raise LtlSyntaxError(
+                    f"operator {token.text!r} at position {token.pos} needs an operand"
+                )
+            if self.vocabulary is not None and token.text not in self.vocabulary:
+                raise UnknownVariableError(
+                    f"unknown variable {token.text!r} at position {token.pos}"
+                )
+            return tg.Var(token.text)
+        raise LtlSyntaxError(
+            f"expected a formula at position {token.pos}, found {token.text!r}"
+        )
+
+
+def reference_parse(text: str, vocabulary: Iterable[str] | None = None) -> tg.Formula:
+    """parse_ltl by recursive descent over the same tokens."""
+    vocab = None if vocabulary is None else frozenset(vocabulary)
+    parser = _ReferenceParser(_tokenize(text), vocab)
+    formula = parser.parse_iff()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise LtlSyntaxError(
+            f"unexpected {trailing.text!r} at position {trailing.pos}"
+        )
+    return formula
+
+
+def structure(formula: tg.Formula) -> tuple:
+    """The formula tree as nested tuples of node type name and fields."""
+    if isinstance(formula, tg.TrueConst):
+        return ("TrueConst",)
+    if isinstance(formula, tg.Var):
+        return ("Var", formula.name)
+    if isinstance(formula, (tg.Not, tg.Next)):
+        return (type(formula).__name__, structure(formula.operand))
+    return (
+        type(formula).__name__, structure(formula.left), structure(formula.right)
+    )
+
+
+def left_nested_or(formula: tg.Formula) -> tg.Formula:
+    """The formula with every chain of disjunctions nested to the left, the
+    shape parse_ltl gives `a | b | c`."""
+    if isinstance(formula, (tg.TrueConst, tg.Var)):
+        return formula
+    if isinstance(formula, (tg.Not, tg.Next)):
+        return type(formula)(left_nested_or(formula.operand))
+    if isinstance(formula, tg.Until):
+        return tg.Until(left_nested_or(formula.left), left_nested_or(formula.right))
+    disjuncts = []
+    pending = [formula]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tg.Or):
+            pending += [node.right, node.left]
+        else:
+            disjuncts.append(left_nested_or(node))
+    result = disjuncts[0]
+    for disjunct in disjuncts[1:]:
+        result = tg.Or(result, disjunct)
+    return result
+
+
 # ======================== Machine enumeration oracle ========================
 
 
@@ -152,6 +326,36 @@ def reference_canonical(machine: tg.StrategyMachine) -> tg.StrategyMachine:
             tuple(rename[t] for t in machine.transitions[q]) for q in order
         ),
     )
+
+
+def reference_machines(
+    n_actions: int, n_letters: int, memory_bound: int
+) -> Iterator[tg.StrategyMachine]:
+    """enumerate_machines with the transition tables filled by recursion,
+    one call per cell, pruned as the library prunes."""
+    for m in range(1, memory_bound + 1):
+        total = m * n_letters
+        cells = [0] * total
+
+        def fill(f: int, top: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+            if f == total:
+                if top == m - 1:
+                    yield tuple(
+                        tuple(cells[i * n_letters:(i + 1) * n_letters])
+                        for i in range(m)
+                    )
+                return
+            if f % n_letters == 0 and top < f // n_letters:
+                return
+            if (m - 1) - top > total - f:
+                return
+            for value in range(min(top + 1, m - 1) + 1):
+                cells[f] = value
+                yield from fill(f + 1, max(top, value))
+
+        for structure in fill(0, 0):
+            for outputs in product(range(n_actions), repeat=m):
+                yield tg.StrategyMachine(outputs=outputs, transitions=structure)
 
 
 # ======================== Mean cycle oracle =================================

@@ -229,16 +229,13 @@ class TestCheck:
     def test_missing_objective(self, capsys):
         assert main(["check", "enash", "--game", GAME, "--bound", "1"]) == 2
 
-    def test_deep_objective_is_input_error(self, capsys):
-        # the parser still recurses once per parenthesis
+    def test_deep_parenthesised_objective_gets_a_verdict(self, capsys):
         deep = "(" * 300 + "p" + ")" * 300
         code = main(
             ["check", "enash", "--game", GAME, "--objective", deep, "--bound", "1"]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: input nested too deeply")
-        assert err.count("\n") == 1
+        assert code == 3
+        assert "answer: no-within-bound" in capsys.readouterr().out
 
     def test_deep_objective_gets_a_verdict(self, capsys):
         deep = "X " * 600 + "p"
@@ -247,6 +244,42 @@ class TestCheck:
         )
         assert code == 3
         assert "answer: no-within-bound" in capsys.readouterr().out
+
+
+    def test_many_joint_letters_get_a_verdict(self, tmp_path, capsys):
+        # 4 agents with 6 actions each: 1,296 letters per machine row
+        actions = "[" + ", ".join(f"x{i}" for i in range(6)) + "]"
+        path = tmp_path / "wide.game"
+        path.write_text(
+            "\n".join(
+                [
+                    "game:",
+                    "  states: [s0]",
+                    "  initial: s0",
+                    "  vocabulary: [p]",
+                    "  labels: {s0: [p]}",
+                    "  agents:",
+                    *[f"    - {{name: a{i}, actions: {actions}}}" for i in range(4)],
+                    "  transitions:",
+                    '    - {from: "*", when: ["*", "*", "*", "*"], to: s0,'
+                    " cost: [0, 0, 0, 0]}",
+                    "  goals: [G F p, G F p, G F p, G F p]",
+                ]
+            )
+        )
+        code = main(
+            ["check", "enash", "--game", str(path), "--objective", "G p"]
+        )
+        assert code in (0, 3)
+        assert "answer: " in capsys.readouterr().out
+
+    def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.game"
+        path.write_text("game: " + "[" * 3000 + "]" * 3000)
+        code = main(["check", "enash", "--game", str(path), "--objective", "p"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid yaml: ")
 
 
 class TestGridworld:
@@ -344,6 +377,16 @@ class TestVerify:
             "error: verdict.witness_profile.machines[1].transitions[0][2] "
             "is 7, want 0..0"
         ]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, tmp_path, capsys, value):
+        out = self.run_anash(tmp_path)
+        capsys.readouterr()
+        code = main(
+            ["verify", "--game", GAME, "--verdict", str(out), "--cap-profiles", value]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --cap-profiles must be at least 1\n"
 
     def test_witnessless_verdict(self, tmp_path, capsys):
         text = "\n".join(

@@ -7,7 +7,7 @@ import pytest
 import taxgames as tg
 from taxgames.ltl import FALSE, TRUE
 
-from helpers import oracle_eval
+from helpers import junction_game, oracle_eval
 
 p, q = tg.Var("p"), tg.Var("q")
 
@@ -20,6 +20,20 @@ def trace(prefix, cycle):
 
 
 # ======================== Parsing ========================
+
+DEPTH = 10_000
+
+# (text, its to_text rendering, an equivalent shallow formula)
+DEEP = {
+    "parentheses": ("(" * DEPTH + "p" + ")" * DEPTH, "p", "p"),
+    "not": ("!" * DEPTH + "p", "!" * DEPTH + "p", "p"),
+    "next": ("X " * DEPTH + "p", "X " * DEPTH + "p", None),
+    "implies": (
+        " -> ".join(["p"] * (DEPTH + 1)), "!p | " * DEPTH + "p", "true"
+    ),
+    "until": (" U ".join(["p"] * (DEPTH + 1)),) * 2 + ("p",),
+    "or": (" | ".join(["p"] * (DEPTH + 1)),) * 2 + ("p",),
+}
 
 
 class TestParsing:
@@ -89,6 +103,46 @@ class TestParsing:
         f = tg.Or(p, p)
         subs = tg.subformulas(f)
         assert subs.count(p) == 1 and f in subs
+
+
+@pytest.mark.parametrize("shape", list(DEEP))
+class TestDeepFormulas:
+    """10,000 levels: no parse, walk, render, hash or comparison recurses."""
+
+    def test_parse_render_hash_compare(self, shape):
+        text, rendered, _ = DEEP[shape]
+        f, copy = tg.parse_ltl(text), tg.parse_ltl(text)
+        assert f == copy and hash(f) == hash(copy)
+        assert f != tg.parse_ltl(text.replace("p", "q", 1))
+        assert tg.to_text(f) == rendered
+        assert tg.to_text(tg.parse_ltl(rendered)) == rendered
+
+    def test_evaluates(self, shape):
+        text, _, shallow = DEEP[shape]
+        f = tg.parse_ltl(text)
+        for t in (
+            trace([{"p"}], [{}]), trace([], [{}, {"p"}]), trace([{}], [{"p"}])
+        ):
+            # X^10000 p reads position 10000, the first cycle position of
+            # each of these traces
+            expected = (
+                "p" in (t.prefix + t.cycle)[len(t.prefix)]
+                if shallow is None
+                else tg.eval_on_lasso(tg.parse_ltl(shallow), t)
+            )
+            assert tg.eval_on_lasso(f, t) == expected
+
+    def test_find_ne_answers(self, shape):
+        text, _, shallow = DEEP[shape]
+        arena = junction_game().arena
+        deep = tg.make_game(arena, [text, "G F p"])
+        if shape in ("next", "until"):
+            # every X and U node is a free tableau bit
+            with pytest.raises(tg.ResourceLimitError):
+                tg.find_ne(deep, None, 1)
+        else:
+            shallow_game = tg.make_game(arena, [shallow, "G F p"])
+            assert tg.find_ne(deep, None, 1) == tg.find_ne(shallow_game, None, 1)
 
 
 class TestCompile:

@@ -18,10 +18,14 @@ from taxgames.equilibrium import _component_means  # noqa: E402
 
 from helpers import (  # noqa: E402
     RESPONSE_GOALS,
+    left_nested_or,
     random_game,
     rational_tax,
+    reference_machines,
+    reference_parse,
     reference_response_value,
     simple_cycle_min_mean,
+    structure,
 )
 
 DETERMINISTIC = settings(
@@ -92,3 +96,87 @@ def test_component_means_match_cycle_enumeration(case):
     assert frozenset(mixed) in means
     graph = {v: [(t, Fraction(x)) for t, x in out] for v, out in enumerate(edges)}
     assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)
+
+
+TOKENS = (
+    "p", "q", "r", "pq", "true", "false", "X", "U", "F", "G",
+    "!", "|", "&", "->", "<->", "<>", "[]", "(", ")", "#",
+)
+UNARY = ("!", "X", "F", "G", "<>", "[]")
+BINARY = ("<->", "->", "|", "&", "U")
+
+
+def outcome(parse, text, vocabulary):
+    try:
+        return parse(text, vocabulary)
+    except Exception as err:  # the exception type and message are compared
+        return type(err), str(err)
+
+
+# Random token strings, mostly malformed, and formula texts built from the
+# grammar's operators without regard to precedence, mostly well formed.
+texts = st.one_of(
+    st.builds(
+        str.join,
+        st.sampled_from((" ", "", "  ")),
+        st.lists(st.sampled_from(TOKENS), max_size=14),
+    ),
+    st.recursive(
+        st.sampled_from(("p", "q", "r", "true", "false")),
+        lambda inner: st.one_of(
+            st.builds("{} {}".format, st.sampled_from(UNARY), inner),
+            st.builds("{} {} {}".format, inner, st.sampled_from(BINARY), inner),
+            st.builds("({})".format, inner),
+        ),
+        max_leaves=8,
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=3000)
+@given(text=texts, vocabulary=st.sampled_from((None, ("p", "q"))))
+def test_parser_matches_recursive_descent(text, vocabulary):
+    assert outcome(tg.parse_ltl, text, vocabulary) == outcome(
+        reference_parse, text, vocabulary
+    )
+
+
+formulas = st.recursive(
+    st.sampled_from((tg.TRUE, tg.Var("p"), tg.Var("q"))),
+    lambda children: st.one_of(
+        st.builds(tg.Not, children),
+        st.builds(tg.Next, children),
+        st.builds(tg.Or, children, children),
+        st.builds(tg.Until, children, children),
+    ),
+    max_leaves=10,
+)
+
+
+@DETERMINISTIC
+@given(formulas)
+def test_to_text_round_trip(f):
+    # to_text leaves a disjunction's right disjunction unbracketed, so the
+    # text reads back with `|` nested to the left
+    text = tg.to_text(f)
+    assert tg.parse_ltl(text) == left_nested_or(f)
+    assert tg.to_text(tg.parse_ltl(text)) == text
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(formulas, formulas)
+def test_equality_and_hash_are_structural(f, g):
+    assert (f == g) == (structure(f) == structure(g))
+    assert (f != g) == (structure(f) != structure(g))
+    if f == g:
+        assert hash(f) == hash(g)
+    copy = tg.parse_ltl(tg.to_text(left_nested_or(f)))
+    assert copy == left_nested_or(f) and hash(copy) == hash(left_nested_or(f))
+
+
+def test_machine_order_matches_recursive_enumeration():
+    for n_actions in (1, 2, 3):
+        for n_letters in (1, 2, 3):
+            assert list(tg.enumerate_machines(n_actions, n_letters, 3)) == list(
+                reference_machines(n_actions, n_letters, 3)
+            )
