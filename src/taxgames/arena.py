@@ -266,14 +266,18 @@ def validate(game: Game) -> list[str]:
     return issues
 
 
+def _cost_vectors(arena: Arena) -> Iterable[tuple[Fraction, ...]]:
+    """Each cost vector object once, holes skipped, told apart by identity
+    so no Fraction is hashed; a row that many states share is read once."""
+    rows = {id(row): row for row in arena.cost}.values()
+    return {id(v): v for row in rows for v in row if v is not None}.values()
+
+
 def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
     """Exact maximum per-step cost of every agent over all defined entries,
-    and at least 0.  Each vector object is read once, told apart by
-    identity, so no Fraction is hashed; make_arena and grid_world_game
-    share equal vectors, so few are read."""
-    vectors = {id(v): v for row in arena.cost for v in row if v is not None}
+    and at least 0."""
     zero = (Fraction(0),) * arena.n_agents
-    return tuple(max(column) for column in zip(zero, *vectors.values()))
+    return tuple(max(column) for column in zip(zero, *_cost_vectors(arena)))
 
 
 def max_cost(game: Game, agent: int) -> Fraction:
@@ -283,8 +287,8 @@ def max_cost(game: Game, agent: int) -> Fraction:
 
 def zero_cost_game(game: Game) -> Game:
     arena = game.arena
-    zero = tuple(Fraction(0) for _ in range(arena.n_agents))
-    cost = tuple(tuple(zero for _ in row) for row in arena.cost)
+    zero = (Fraction(0),) * arena.n_agents
+    cost = ((zero,) * arena.n_letters,) * arena.n_states
     return replace(game, arena=replace(arena, cost=cost))
 
 

@@ -25,7 +25,7 @@ from .documents import (
     verdict_to_yaml,
 )
 from .equilibrium import evaluate, is_nash
-from .errors import ResourceLimitError, TaxgamesError
+from .errors import DocumentError, ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement, verify_witness
 from .ltl import parse_ltl
 from .strategy import Profile, RunStep, check_profile
@@ -70,7 +70,10 @@ def _load_profile_for(game: Game, path: str) -> Profile:
 
 def _write_out(path: str | None, text: str) -> None:
     if path is not None:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as err:
+            raise DocumentError(f"cannot write {path}: {err}") from err
 
 
 def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:

@@ -21,8 +21,7 @@ cycle mean, hence every best-response value, stay the same.
 A product graph is built in one pass.  Many automaton states share one
 configuration (arena state, other machines' states, tax state), whose arena
 steps are expanded once per graph and reused by each of them.  Weights are
-integers over the common denominator of the step costs met so far; a step
-cost that grows it mid-build rescales the edges already emitted in place.
+integers over one scale per (game, tax), fixed before any graph is built.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game
+from .arena import Game, _cost_vectors
 from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
 from .strategy import (
     LassoRun,
@@ -222,7 +221,8 @@ class ResponseGraph:
     vertices[i] is (arena state, others' machine states, tax state,
     automaton state); edges[i] lists (target index, weight) pairs, one per
     action of the agent and automaton successor, where weight is the agent's
-    taxed step cost times scale, an integer.  initial and accepting hold
+    taxed step cost times scale, an integer, with scale fixed per (game,
+    tax) (see _Responses).  initial and accepting hold
     vertex indices; every vertex is reachable from initial.
 
     Every vertex whose automaton state is not the sink agrees with its arena
@@ -307,15 +307,18 @@ class _Responses:
 
     steps holds the taxed step costs (arena cost plus tax rate) of the
     cells product graphs reach, keyed by (state, letter, tax state), as
-    integer vectors over the common denominator scale.  A cell whose
-    denominators do not divide scale multiplies it and rescales the table;
-    a graph being built rescales the weights it has emitted (`_product`).
+    integer vectors over scale: the lcm of every cost and rate denominator
+    of the game and tax, fixed here before any graph reads the table.
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:
         self.game = game
         self.tax = tax
-        self.scale = 1
+        vectors = list(_cost_vectors(game.arena))
+        if tax is not None:
+            rates = {id(v): v for out in tax.outputs for _, _, v in out.entries}
+            vectors.extend(rates.values())
+        self.scale = lcm(*(x.denominator for v in vectors for x in v))
         self.steps: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.values: dict[tuple[int, tuple[StrategyMachine, ...]], LexValue] = {}
 
@@ -327,13 +330,7 @@ class _Responses:
         parts = [cost]
         if self.tax is not None:
             parts.append(self.tax.outputs[tax_state].rate(state, letter))
-        scale = lcm(self.scale, *(x.denominator for part in parts for x in part))
-        if scale != self.scale:
-            factor = scale // self.scale
-            # in place: a graph being built holds this table
-            for cell, scaled in self.steps.items():
-                self.steps[cell] = tuple(x * factor for x in scaled)
-            self.scale = scale
+        scale = self.scale
         # cost and rate scaled apart and added as integers, not as Fractions
         scaled = tuple(
             sum(x.numerator * (scale // x.denominator) for x in column)
@@ -372,10 +369,8 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
     A vertex pairs a configuration (arena state, others' machine states,
     tax state) with an automaton state.  Each configuration's arena steps
     are expanded once, on its first vertex, and every automaton state on
-    it reuses them.  Edge weights are read from the step-cost table as the
-    edges are emitted; a cell that grows the table's scale on the way
-    multiplies the weights already emitted by the growth factor, so the
-    finished graph is over the final scale.
+    it reuses them, with the agent's weight of each step read once from
+    the step-cost table.
     """
     game, tax = responses.game, responses.tax
     arena = game.arena
@@ -405,13 +400,12 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
         (arena.initial, (0,) * len(others), 0)
     ]
     config_index = {configs[0]: 0}
-    # per configuration: (target configuration, target column, step-table
-    # key) per own action, or None until its first vertex is expanded
-    expansions: list[list[tuple[int, int, tuple[int, int, int]]] | None] = [None]
+    # per configuration: (target configuration, target column, weight) per
+    # own action, or None until its first vertex is expanded
+    expansions: list[list[tuple[int, int, int]] | None] = [None]
     pairs = [(0, b) for b in starts]
     index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[tuple[int, int], ...]] = []
-    scale = responses.scale
     # pairs grows while it is walked, so every reached vertex is expanded
     for c, b in pairs:
         expansion = expansions[c]
@@ -429,8 +423,7 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
                 if target is None:
                     raise _not_total(arena, state, letter)
                 key = (state, letter, tax_state)
-                if key not in steps:
-                    responses.step(state, letter, tax_state)
+                weights = steps.get(key) or responses.step(*key)
                 memory_next = tuple(
                     [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
                 )
@@ -441,16 +434,10 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
                     t = config_index[config] = len(configs)
                     configs.append(config)
                     expansions.append(None)
-                expansion.append((t, columns[target], key))
-            if responses.scale != scale:
-                factor = responses.scale // scale
-                for i, out in enumerate(edges):
-                    edges[i] = tuple((j, w * factor) for j, w in out)
-                scale = responses.scale
+                expansion.append((t, columns[target], weights[agent]))
         follow = goal.moves[b]
         out = []
-        for t, column, key in expansion:
-            weight = steps[key][agent]
+        for t, column, weight in expansion:
             for b_next in follow[column]:
                 pair = (t, b_next)
                 j = index.get(pair)
@@ -467,7 +454,7 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
         edges=tuple(edges),
         initial=tuple(range(len(starts))),
         accepting=accepting,
-        scale=scale,
+        scale=responses.scale,
     )
 
 

@@ -46,8 +46,8 @@ class Formula:
     """Base class for formula nodes.  All nodes are frozen and hashable.
 
     Equality and hash read the compiled program, which is canonical: equal
-    trees give equal rows and the rows fix the tree, so no node is visited
-    recursively.
+    trees give equal rows and the rows fix the tree, and repr renders it as
+    to_text does, so no node is visited recursively.
     """
 
     __slots__ = ()
@@ -60,34 +60,37 @@ class Formula:
     def __hash__(self) -> int:
         return hash(_compile(self).rows)
 
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {to_text(self)}>"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Until(Formula):
     left: Formula
     right: Formula

@@ -401,3 +401,20 @@ class TestVerify:
         path = tmp_path / "no_witness.yaml"
         path.write_text(text)
         assert main(["verify", "--game", GAME, "--verdict", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "enash", "--game", GAME, "--objective", "G F p"],
+        ["evaluate", "--game", GAME, "--profile", PROFILE_AC],
+        ["gridworld", "--grid", str(FIXTURES / "corridor.grid")],
+    ],
+    ids=["check", "evaluate", "gridworld"],
+)
+def test_unwritable_out_is_input_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.yaml"
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert not out.exists()

@@ -219,35 +219,40 @@ class TestResponseGraph:
         assert {b for *_, b in graph.vertices} == {automaton.sink}
         assert not graph.accepting
 
-    def test_scale_grown_mid_build_rescales_emitted_edges(self, monkeypatch):
-        # the build meets cost denominators 1, then 2, then 3, so the
-        # weights of edges emitted before each growth must follow it
+    def test_scale_is_fixed_by_game_and_tax(self):
+        # the ring's costs have denominators 1, 2 and 3, and B's graphs
+        # reach s1 and s2 only when A goes round; every graph is still over
+        # the one scale of (game, tax), whether its memo is fresh or shared
         game = growing_denominator_game()
         cost = game.arena.cost
-        builds = []
-        product_graph = tg.equilibrium._product
+        partial = 0
+        for tax in (None, rational_tax(Random(11), game.arena)):
+            vectors = [vector for row in cost for vector in row]
+            if tax is not None:
+                vectors += [v for out in tax.outputs for *_, v in out.entries]
+            scale = lcm_of_denominators(vectors)
+            shared = tg.equilibrium._Responses(game, tax)
+            for profile in tg.enumerate_profiles(game.arena, 1):
+                for agent in (0, 1):
+                    fresh = tg.equilibrium._Responses(game, tax)
+                    graph = tg.response_graph(game, profile, agent, tax, fresh)
+                    reached = [cost[s][a] for s, a, _ in fresh.steps]
+                    if tax is not None:
+                        reached += [
+                            tax.outputs[q].rate(s, a) for s, a, q in fresh.steps
+                        ]
+                    partial += lcm_of_denominators(reached) != scale
+                    again = tg.response_graph(game, profile, agent, tax, shared)
+                    assert graph.scale == again.scale == shared.scale == scale
+                    assert graph.edges == again.edges
+                    assert tg.equilibrium._response_value(
+                        graph
+                    ) == reference_response_value(game, profile, agent, tax)
+        assert partial
 
-        def counting(responses, profile, agent):
-            builds.append(agent)
-            return product_graph(responses, profile, agent)
 
-        monkeypatch.setattr(tg.equilibrium, "_product", counting)
-        keys = count_response_graphs(monkeypatch)
-        assert tg.find_ne(game, None, 1)
-        assert keys and len(builds) == len(keys)
-
-        for profile in tg.enumerate_profiles(game.arena, 1):
-            for agent in (0, 1):
-                responses = tg.equilibrium._Responses(game, None)
-                graph = tg.response_graph(game, profile, agent, None, responses)
-                assert graph.scale == lcm(
-                    *(x.denominator for s, a, _ in responses.steps for x in cost[s][a])
-                )
-                # A can always go round the ring; B only when A does
-                assert graph.scale == 6 or agent == 1
-                assert tg.equilibrium._response_value(
-                    graph
-                ) == reference_response_value(game, profile, agent)
+def lcm_of_denominators(vectors) -> int:
+    return lcm(*(x.denominator for vector in vectors for x in vector))
 
 
 def growing_denominator_game() -> tg.Game:

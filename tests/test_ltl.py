@@ -116,6 +116,8 @@ class TestDeepFormulas:
         assert f != tg.parse_ltl(text.replace("p", "q", 1))
         assert tg.to_text(f) == rendered
         assert tg.to_text(tg.parse_ltl(rendered)) == rendered
+        assert repr(f) == f"<{type(f).__name__} {rendered}>"
+        assert rendered in repr(tg.make_game(junction_game().arena, [text, "G F p"]))
 
     def test_evaluates(self, shape):
         text, _, shallow = DEEP[shape]
