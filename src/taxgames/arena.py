@@ -27,16 +27,21 @@ _GRID_MOVES = {
 
 
 def to_fraction(value: object) -> Fraction:
-    """Exact conversion accepting int, Fraction, and numeric strings.
+    """Exact conversion accepting int, Fraction, and strings holding an
+    integer, "p/q" or a plain decimal.
 
     Floats are rejected: binary floats would silently smuggle in rounding,
-    and every consumer of this package relies on exact comparisons.
+    and every consumer of this package relies on exact comparisons.  So is
+    exponent notation, which Fraction expands into all its digits:
+    "1e10000000" would take seconds and megabytes.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a number")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in {value!r} is not accepted")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -55,7 +55,7 @@ def _rational(value: Fraction) -> str:
 def _prepare_tax(game: Game, path: str | None) -> DynamicTax | None:
     if path is None:
         return None
-    tax = load_tax(path)
+    tax = load_tax(path, game.arena)
     if isinstance(tax, StaticTax):
         tax = lift_static(tax, game.arena.n_letters)
     check_tax(game.arena, tax)
@@ -231,7 +231,7 @@ def _cmd_gridworld(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    verdict = load_verdict(args.verdict)
+    verdict = load_verdict(args.verdict, game.arena)
     if (
         verdict.answer != "yes"
         or verdict.witness_tax is None

@@ -1,12 +1,15 @@
 """YAML documents for games, profiles, taxes, grids, and verdicts.
 
 Every document is a mapping with a single kind key (game, profile, tax,
-grid, verdict).  Costs and tax rates are exact rationals written as ints or
-as "p/q" strings; floats are rejected.  Transition and rate entries may use
-"*" wildcards, which expand on load; a concrete entry beats a wildcard on
-the cells they share, entries of equal specificity must agree, and dumps
-are always fully explicit, so load(dump(x)) reproduces dump(x) byte for
-byte.  Strategy machines are canonicalized on load.
+grid, verdict).  Costs, tax rates and action costs are exact rationals,
+written as integers or as strings holding an integer, "p/q" or a plain
+decimal ("-2.5"); floats and exponent notation ("1e5") are rejected.
+Transition and rate entries may use "*" wildcards, which expand on load; a
+concrete entry beats a wildcard on the cells they share, entries of equal
+specificity must agree, and dumps are always fully explicit, so
+load(dump(x)) reproduces dump(x) byte for byte.  A tax or verdict loaded
+against an arena must declare its shape as the arena's, checked before any
+wildcard expands.  Strategy machines are canonicalized on load.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Any, Iterable, Sequence
 import yaml
 
 from .arena import (
+    Arena,
     Game,
     GridSpec,
     grid_spec_diagnostics,
@@ -441,11 +445,15 @@ def _parse_rate_entries(
         raise DocumentError(f"{where}: {err}") from err
 
 
-def parse_tax(text: str) -> StaticTax | DynamicTax:
-    return _parse_tax_body(_body(text, "tax"), "tax")
+def parse_tax(text: str, arena: Arena | None = None) -> StaticTax | DynamicTax:
+    """The tax of a document; when an arena is given, a declared
+    'arena_states' or 'letters' must match it before any wildcard expands."""
+    return _parse_tax_body(_body(text, "tax"), "tax", arena)
 
 
-def _parse_tax_body(body: dict, where: str) -> StaticTax | DynamicTax:
+def _parse_tax_body(
+    body: dict, where: str, arena: Arena | None
+) -> StaticTax | DynamicTax:
     _expect_keys(
         body, ("agents", "arena_states", "letters", "rates", "machine"), where
     )
@@ -459,6 +467,13 @@ def _parse_tax_body(body: dict, where: str) -> StaticTax | DynamicTax:
             not isinstance(value, int) or isinstance(value, bool) or value < 1
         ):
             raise DocumentError(f"{where}.{key} must be a positive integer")
+    if arena is not None:
+        for key, value, want in (
+            ("arena_states", arena_states, arena.n_states),
+            ("letters", letters, arena.n_letters),
+        ):
+            if value is not None and value != want:
+                raise DocumentError(f"{where}.{key} is {value}, the game has {want}")
     if ("rates" in body) == ("machine" in body):
         raise DocumentError(f"{where} needs exactly one of 'rates' or 'machine'")
     if "rates" in body:
@@ -609,7 +624,9 @@ def grid_to_yaml(spec: GridSpec) -> str:
 # Verdicts
 
 
-def parse_verdict(text: str) -> ImplementationVerdict:
+def parse_verdict(text: str, arena: Arena | None = None) -> ImplementationVerdict:
+    """The verdict of a document; the arena, when given, is checked against
+    the witness tax as parse_tax does."""
     body = _body(text, "verdict")
     _expect_keys(
         body,
@@ -645,7 +662,7 @@ def parse_verdict(text: str) -> ImplementationVerdict:
         raw = body["witness_tax"]
         if not isinstance(raw, dict):
             raise DocumentError("verdict.witness_tax must be a mapping")
-        parsed = _parse_tax_body(raw, "verdict.witness_tax")
+        parsed = _parse_tax_body(raw, "verdict.witness_tax", arena)
         if isinstance(parsed, StaticTax):
             letters = raw.get("letters")
             if not isinstance(letters, int) or isinstance(letters, bool):
@@ -706,13 +723,15 @@ def load_profile(path: str | Path) -> Profile:
     return parse_profile(_read(path))
 
 
-def load_tax(path: str | Path) -> StaticTax | DynamicTax:
-    return parse_tax(_read(path))
+def load_tax(path: str | Path, arena: Arena | None = None) -> StaticTax | DynamicTax:
+    return parse_tax(_read(path), arena)
 
 
 def load_grid(path: str | Path) -> GridSpec:
     return parse_grid(_read(path))
 
 
-def load_verdict(path: str | Path) -> ImplementationVerdict:
-    return parse_verdict(_read(path))
+def load_verdict(
+    path: str | Path, arena: Arena | None = None
+) -> ImplementationVerdict:
+    return parse_verdict(_read(path), arena)

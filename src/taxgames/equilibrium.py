@@ -5,8 +5,10 @@ cost difference, and among runs with the same goal verdict lower limit-average
 taxed cost is better.  Nash membership is decided exactly against deviations
 of unbounded memory by a product construction: the deviating agent's choices
 drive a graph over (arena state, other machines' states, tax state, goal
-automaton state), on which goal attainability is Buchi reachability and
-optimal cost is a minimum mean cycle.
+automaton state), on which goal attainability is generalized Buchi
+reachability and optimal cost is a minimum mean cycle.  A strongly
+connected component wins when it meets every acceptance set, since it then
+has an accepting cycle, one through all of them.
 
 Product vertices agree with their arena labels: a non-sink automaton state
 is paired only with arena states whose label it reads, and a step whose
@@ -222,8 +224,9 @@ class ResponseGraph:
     automaton state); edges[i] lists (target index, weight) pairs, one per
     action of the agent and automaton successor, where weight is the agent's
     taxed step cost times scale, an integer, with scale fixed per (game,
-    tax) (see _Responses).  initial and accepting hold
-    vertex indices; every vertex is reachable from initial.
+    tax) (see _Responses).  initial holds vertex indices, and acceptance
+    one set of vertex indices per acceptance set of the goal automaton;
+    every vertex is reachable from initial.
 
     Every vertex whose automaton state is not the sink agrees with its arena
     label: the state's atom is that label restricted to the automaton's
@@ -238,7 +241,7 @@ class ResponseGraph:
     vertices: tuple[tuple, ...]
     edges: tuple[tuple[tuple[int, int], ...], ...]
     initial: tuple[int, ...]
-    accepting: frozenset[int]
+    acceptance: tuple[frozenset[int], ...]
     scale: int
 
 
@@ -255,7 +258,7 @@ class _Goal(NamedTuple):
     columns: Mapping[frozenset[str], int]
     starts: tuple[tuple[int, ...], ...]
     moves: tuple[tuple[tuple[int, ...], ...], ...]
-    accepting: frozenset[int]
+    acceptance: tuple[frozenset[int], ...]
     sink: int
 
 
@@ -263,14 +266,14 @@ class _Goal(NamedTuple):
 def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
     automaton = to_buchi(formula, vocabulary)
     edges = automaton.edges
-    # live states reach a cycle through an accepting state; components
-    # come successors first, so one pass settles each of them
+    # live states reach a cyclic component that meets every acceptance set;
+    # components come successors first, so one pass settles each of them
     live: set[int] = set()
     for component in strongly_connected_components(
         range(len(edges)), edges.__getitem__
     ):
         cyclic = len(component) > 1 or component[0] in edges[component[0]]
-        if (cyclic and not automaton.accepting.isdisjoint(component)) or any(
+        if (cyclic and _meets_all(automaton.acceptance, component)) or any(
             t in live for b in component for t in edges[b]
         ):
             live.update(component)
@@ -294,7 +297,7 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
         columns=columns,
         starts=split(automaton.initial),
         moves=tuple(split(out) for out in edges),
-        accepting=automaton.accepting,
+        acceptance=automaton.acceptance,
         sink=automaton.sink,
     )
 
@@ -446,16 +449,21 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
                     pairs.append(pair)
                 out.append((j, weight))
         edges.append(tuple(out))
-    accepting = frozenset(
-        i for i, (_, b) in enumerate(pairs) if b in goal.accepting
-    )
     return ResponseGraph(
         vertices=tuple((*configs[c], b) for c, b in pairs),
         edges=tuple(edges),
         initial=tuple(range(len(starts))),
-        accepting=accepting,
+        acceptance=tuple(
+            frozenset(i for i, (_, b) in enumerate(pairs) if b in marks)
+            for marks in goal.acceptance
+        ),
         scale=responses.scale,
     )
+
+
+def _meets_all(acceptance: tuple[frozenset[int], ...], members: list[int]) -> bool:
+    """Whether the members meet every acceptance set."""
+    return all(not marks.isdisjoint(members) for marks in acceptance)
 
 
 def _response_value(graph: ResponseGraph) -> LexValue:
@@ -465,7 +473,7 @@ def _response_value(graph: ResponseGraph) -> LexValue:
     for members, mean in _component_means(graph.edges):
         if best is None or _below(mean, best):
             best = mean
-        if not graph.accepting.isdisjoint(members) and (
+        if _meets_all(graph.acceptance, members) and (
             best_winning is None or _below(mean, best_winning)
         ):
             best_winning = mean
@@ -485,10 +493,11 @@ def best_response(
     memory size, against the other agents' machines.
 
     The goal component is attainable iff some reachable nontrivial strongly
-    connected component contains an accepting vertex.  If so, the cost
+    connected component meets every acceptance set.  If so, the cost
     supremum (infimum of costs) is the smallest internal minimum mean cycle
-    among such components: accepting visits can be made arbitrarily rare
-    inside one component, diluting their cost into the cheap cycle's mean.
+    among such components: visits to the acceptance sets can be made
+    arbitrarily rare inside one component, diluting their cost into the
+    cheap cycle's mean.
     Otherwise every deviation loses and the cheapest cycle anywhere gives
     the cost.  The supremum need not be attained; strict comparison against
     it still decides whether a strictly better deviation exists, because

@@ -12,8 +12,9 @@ object, whose node keeps the immutable program for every later call.
 Evaluation is exact on ultimately periodic words (a finite prefix followed
 by a repeated cycle of label sets): each row becomes an int bitset over the
 word's positions.  The Buchi translation is the declarative tableau
-construction: states are maximal consistent assignments over the rows,
-eventualities are tracked with a round-robin counter.
+construction: states are maximal consistent assignments over the rows, and
+the acceptance is generalized, one set per until node, so no counter
+multiplies the states.
 """
 
 from __future__ import annotations
@@ -429,20 +430,21 @@ def eval_on_lasso(formula: Formula, trace: LabelTrace) -> bool:
 
 @dataclass(frozen=True)
 class BuchiAutomaton:
-    """State-labelled Buchi automaton.
+    """State-labelled generalized Buchi automaton.
 
     Each state carries the set of constrained variables that must hold in the
     letter read while leaving it; letters are compared after intersecting
     with `constrained`, so the automaton runs over any superset alphabet.
     A mismatching letter falls into the absorbing non-accepting sink, which
-    keeps the successor relation total.
+    keeps the successor relation total.  A run accepts when it visits every
+    set of `acceptance` infinitely often; the sink is in none of them.
     """
 
     constrained: frozenset[str]
     atoms: tuple[frozenset[str], ...]
     edges: tuple[tuple[int, ...], ...]
     initial: tuple[int, ...]
-    accepting: frozenset[int]
+    acceptance: tuple[frozenset[int], ...]
     sink: int
 
     def __len__(self) -> int:
@@ -467,8 +469,11 @@ def to_buchi(
     States are the maximal consistent truth assignments over the closure of
     the formula; the free choices are the variable values, the next-node
     values, and the until-node values where the expansion law leaves a
-    choice.  Eventualities are enforced with a round-robin counter over the
-    until nodes.
+    choice.  Only the assignments reachable from the initial ones become
+    states.  Each until node gives one acceptance set, the states where it
+    is not pending, which enforces its eventuality; a formula without until
+    nodes gets the one set of all non-sink states, since a run that meets
+    no set would otherwise accept the sink's self-loop.
     """
     rows = _compile(formula).rows
     free = [
@@ -527,68 +532,46 @@ def to_buchi(
         for a in assignments
     ]
 
-    # One acceptance set per until node: states where the until is not
-    # pending (false, or already discharged by its right operand).
-    rounds = max(1, len(until_triples))
-    if until_triples:
-        acceptance_sets = [
-            {i for i, a in enumerate(assignments) if not a[node] or a[right]}
-            for node, _, right in until_triples
-        ]
-    else:
-        acceptance_sets = [set(range(len(assignments)))]
-
-    if len(assignments) * rounds + 1 > state_cap:
+    if len(assignments) + 1 > state_cap:
         raise ResourceLimitError(
-            f"automaton would have {len(assignments) * rounds + 1} states, "
+            f"automaton would have {len(assignments) + 1} states, "
             f"cap is {state_cap}"
         )
 
-    # Degeneralize with a counter, keeping only states reachable from the
-    # initial ones.  Product state (i, k) gets a dense index on first visit.
-    # The formula is the last node of the postorder closure.
+    # Number the assignments reachable from the initial ones, which are
+    # those where the formula, the last row of the postorder closure, holds.
     root = len(rows) - 1
-    start_pairs = [(i, 0) for i, a in enumerate(assignments) if a[root]]
-    numbering: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for pair in start_pairs:
-        if pair not in numbering:
-            numbering[pair] = len(order)
-            order.append(pair)
-    cursor = 0
-    while cursor < len(order):
-        i, k = order[cursor]
-        cursor += 1
-        bump = i in acceptance_sets[k]
-        next_k = (k + 1) % rounds if bump else k
+    starts = [i for i, a in enumerate(assignments) if a[root]]
+    order = list(starts)
+    numbering = {i: idx for idx, i in enumerate(order)}
+    for i in order:  # order grows while it is walked
         for j in tableau_edges[i]:
-            pair = (j, next_k)
-            if pair not in numbering:
-                numbering[pair] = len(order)
-                order.append(pair)
+            if j not in numbering:
+                numbering[j] = len(order)
+                order.append(j)
+
+    # One acceptance set per until node: states where the until is not
+    # pending (false, or already discharged by its right operand).
+    acceptance = tuple(
+        frozenset(
+            idx for idx, i in enumerate(order)
+            if not assignments[i][node] or assignments[i][right]
+        )
+        for node, _, right in until_triples
+    ) or (frozenset(range(len(order))),)
 
     sink = len(order)
-    atoms: list[frozenset[str]] = []
-    edges: list[tuple[int, ...]] = []
-    accepting: set[int] = set()
-    for idx, (i, k) in enumerate(order):
-        atoms.append(
-            frozenset(name for name, node in names if assignments[i][node])
-        )
-        bump = i in acceptance_sets[k]
-        next_k = (k + 1) % rounds if bump else k
-        edges.append(tuple(numbering[(j, next_k)] for j in tableau_edges[i]))
-        if k == 0 and i in acceptance_sets[0]:
-            accepting.add(idx)
-    atoms.append(frozenset())
-    edges.append((sink,))
-
+    atoms = [
+        frozenset(name for name, node in names if assignments[i][node])
+        for i in order
+    ]
+    edges = [tuple(numbering[j] for j in tableau_edges[i]) for i in order]
     return BuchiAutomaton(
         constrained=frozenset(name for name, _ in names),
-        atoms=tuple(atoms),
-        edges=tuple(edges),
-        initial=tuple(numbering[pair] for pair in start_pairs),
-        accepting=frozenset(accepting),
+        atoms=(*atoms, frozenset()),
+        edges=(*edges, (sink,)),
+        initial=tuple(range(len(starts))),
+        acceptance=acceptance,
         sink=sink,
     )
 
@@ -598,7 +581,8 @@ def buchi_accepts_lasso(automaton: BuchiAutomaton, trace: LabelTrace) -> bool:
 
     Explores the product of automaton states with the canonical trace
     positions and looks for a reachable nontrivial strongly connected
-    component containing an accepting automaton state.
+    component that meets every acceptance set: it has a cycle through all
+    of them.
     """
     prefix, cycle = trace
     if not cycle:
@@ -634,6 +618,7 @@ def buchi_accepts_lasso(automaton: BuchiAutomaton, trace: LabelTrace) -> bool:
         )
         if not nontrivial:
             continue
-        if any(state in automaton.accepting for state, _ in component):
+        states = {state for state, _ in component}
+        if all(not states.isdisjoint(marks) for marks in automaton.acceptance):
             return True
     return False

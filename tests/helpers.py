@@ -5,8 +5,9 @@ formulas are checked by walking the lasso position by position, mean cycles
 by enumerating simple cycles, machine enumeration by brute force over raw
 tables, and best responses by trying every small machine that reads only
 the other agents' actions; exact best responses are read off the product
-with the goal automaton built without the library's label guard.  The
-recursive-descent parser, the recursive formula comparison and the
+with the degeneralised goal automaton (a round-robin counter over the
+until nodes, one acceptance set) built without the library's label guard.
+The recursive-descent parser, the recursive formula comparison and the
 recursive transition-table enumerator are the references for the library's
 iterative versions; they recurse once per nesting level, so feed them small
 inputs only.
@@ -25,8 +26,15 @@ from taxgames.ltl import (
     TRUE,
     LtlSyntaxError,
     UnknownVariableError,
+    _NEXT,
+    _NOT,
+    _OR,
     _RESERVED,
+    _TRUE,
+    _UNTIL,
+    _VAR,
     _Token,
+    _compile,
     _tokenize,
 )
 
@@ -131,6 +139,110 @@ def oracle_eval(formula: tg.Formula, trace: tg.LabelTrace) -> bool:
         return value
 
     return holds(formula, 0)
+
+
+# ======================== Degeneralised Buchi reference =====================
+
+
+def reference_to_buchi(formula: tg.Formula) -> tg.BuchiAutomaton:
+    """The tableau translation with a round-robin counter over the until
+    nodes, as `to_buchi` built it before its acceptance was generalized.
+
+    States are (assignment, round) pairs reachable from the initial ones,
+    and the one acceptance set holds the round-0 states whose assignment is
+    in the first until node's set.  Same tableau as `to_buchi`, no caps.
+    """
+    rows = _compile(formula).rows
+    free = [
+        i for kind in (_VAR, _NEXT, _UNTIL) for i, row in enumerate(rows)
+        if row[0] == kind
+    ]
+    names = [(rows[i][1], i) for i in free if rows[i][0] == _VAR]
+    slot = {i: k for k, i in enumerate(free)}
+    next_pairs = [(i, rows[i][1]) for i in free if rows[i][0] == _NEXT]
+    until_triples = [(i, *rows[i][1:]) for i in free if rows[i][0] == _UNTIL]
+
+    assignments: list[tuple[bool, ...]] = []
+    for bits in product((False, True), repeat=len(free)):
+        values: list[bool] = []
+        for i, row in enumerate(rows):
+            kind = row[0]
+            if kind == _TRUE:
+                value = True
+            elif kind == _NOT:
+                value = not values[row[1]]
+            elif kind == _OR:
+                value = values[row[1]] or values[row[2]]
+            else:
+                value = bits[slot[i]]
+                if kind == _UNTIL and value != (
+                    values[row[2]] or values[row[1]] and value
+                ):
+                    break
+            values.append(value)
+        else:
+            assignments.append(tuple(values))
+
+    def step_allowed(a: tuple[bool, ...], b: tuple[bool, ...]) -> bool:
+        for node, operand in next_pairs:
+            if a[node] != b[operand]:
+                return False
+        for node, left, right in until_triples:
+            if a[left] and not a[right] and a[node] != b[node]:
+                return False
+        return True
+
+    tableau_edges = [
+        [j for j, b in enumerate(assignments) if step_allowed(a, b)]
+        for a in assignments
+    ]
+    rounds = max(1, len(until_triples))
+    if until_triples:
+        acceptance_sets = [
+            {i for i, a in enumerate(assignments) if not a[node] or a[right]}
+            for node, _, right in until_triples
+        ]
+    else:
+        acceptance_sets = [set(range(len(assignments)))]
+
+    def next_round(i: int, k: int) -> int:
+        return (k + 1) % rounds if i in acceptance_sets[k] else k
+
+    root = len(rows) - 1
+    start_pairs = [(i, 0) for i, a in enumerate(assignments) if a[root]]
+    numbering: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+    for pair in start_pairs:
+        if pair not in numbering:
+            numbering[pair] = len(order)
+            order.append(pair)
+    for i, k in order:  # order grows while it is walked
+        for j in tableau_edges[i]:
+            pair = (j, next_round(i, k))
+            if pair not in numbering:
+                numbering[pair] = len(order)
+                order.append(pair)
+
+    sink = len(order)
+    return tg.BuchiAutomaton(
+        constrained=frozenset(name for name, _ in names),
+        atoms=tuple(
+            frozenset(name for name, node in names if assignments[i][node])
+            for i, _ in order
+        ) + (frozenset(),),
+        edges=tuple(
+            tuple(numbering[(j, next_round(i, k))] for j in tableau_edges[i])
+            for i, k in order
+        ) + ((sink,),),
+        initial=tuple(numbering[pair] for pair in start_pairs),
+        acceptance=(
+            frozenset(
+                idx for idx, (i, k) in enumerate(order)
+                if k == 0 and i in acceptance_sets[0]
+            ),
+        ),
+        sink=sink,
+    )
 
 
 # ======================== Parser and structure oracles ======================
@@ -586,16 +698,16 @@ def reference_response_value(
 ) -> tg.LexValue:
     """The agent's best-response value on the unguarded product.
 
-    Vertices are (arena state, others' machine states, tax state, automaton
-    state), stepped through `BuchiAutomaton.successors`, so a vertex whose
-    automaton atom contradicts its label stays in the graph until it steps
-    into the sink.  Weights are Fractions.  The goal is attainable iff a
+    Vertices are (arena state, others' machine states, tax state, state of
+    the `reference_to_buchi` automaton), stepped through
+    `BuchiAutomaton.successors`, so a vertex whose automaton atom
+    contradicts its label stays in the graph until it steps into the sink.  Weights are Fractions.  The goal is attainable iff a
     strongly connected component with a cycle holds an accepting vertex;
     the cost is the least `tg.min_mean_cycle` inside such components, or
     inside any component when none is.
     """
     arena = game.arena
-    automaton = tg.to_buchi(game.goals[agent], arena.vocabulary)
+    automaton = reference_to_buchi(game.goals[agent])
     machines = profile.machines
     others = [i for i in range(arena.n_agents) if i != agent]
     starts = [
@@ -642,7 +754,7 @@ def reference_response_value(
         if mean is None:
             continue
         best = mean if best is None else min(best, mean)
-        if any(v[3] in automaton.accepting for v in component):
+        if any(v[3] in automaton.acceptance[0] for v in component):
             best_winning = mean if best_winning is None else min(best_winning, mean)
     assert best is not None
     if best_winning is not None:

@@ -18,6 +18,7 @@ from helpers import (
     oracle_response_values,
     random_game,
     random_static_tax,
+    reference_to_buchi,
     simple_cycle_min_mean,
 )
 
@@ -308,24 +309,35 @@ class TestAcceptance:
         assert time.monotonic() - start < 120.0
 
     def test_automata_pinned(self):
-        """to_buchi keeps the automata it built before its formulas were
-        compiled to programs: same states, numbering and acceptance."""
+        """reference_to_buchi keeps the automata to_buchi built with its
+        round-robin counter, and to_buchi keeps its generalized automata:
+        same states, numbering and acceptance."""
         vocabulary = ("p", "q")
-        digest = hashlib.sha256()
-        for text in FORMULA_TEMPLATES:
-            a = tg.to_buchi(tg.parse_ltl(text, vocabulary), vocabulary)
-            fields = (
-                sorted(a.constrained),
-                [sorted(atom) for atom in a.atoms],
-                a.edges,
-                a.initial,
-                sorted(a.accepting),
-                a.sink,
-            )
-            digest.update(repr(fields).encode())
-        assert digest.hexdigest() == (
+
+        def digest(translate, acceptance) -> str:
+            hashed = hashlib.sha256()
+            for text in FORMULA_TEMPLATES:
+                a = translate(tg.parse_ltl(text, vocabulary))
+                fields = (
+                    sorted(a.constrained),
+                    [sorted(atom) for atom in a.atoms],
+                    a.edges,
+                    a.initial,
+                    acceptance(a.acceptance),
+                    a.sink,
+                )
+                hashed.update(repr(fields).encode())
+            return hashed.hexdigest()
+
+        # the counter's one acceptance set hashes as the accepting set of
+        # the automaton it degeneralised
+        assert digest(reference_to_buchi, lambda sets: sorted(*sets)) == (
             "3ebbaa1061fae9fd50defbbf8cce6520cfdab7a9093c859ecbb48ef950d33bcf"
         )
+        assert digest(
+            lambda f: tg.to_buchi(f, vocabulary),
+            lambda sets: [sorted(marks) for marks in sets],
+        ) == "1f2a6103d9dfdfe2413bcaa494c35c1757b46f0545b9215f970a5fb4ae6c0709"
 
     def test_synthesized_taxes_eliminate_planted_targets(self):
         """Synthesis prices out planted targets and spares other runs."""

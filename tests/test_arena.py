@@ -31,6 +31,14 @@ class TestFractions:
         with pytest.raises(TypeError):
             tg.to_fraction(True)
 
+    def test_accepts_decimals_and_rejects_exponent_notation(self):
+        assert tg.to_fraction("-2.25") == Fraction(-9, 4)
+        assert tg.to_fraction(" 7 ") == 7
+        # Fraction would expand the exponent: 15 s and 4 MB for the last
+        for text in ("1e5", "2.5E-3", "1e10000000"):
+            with pytest.raises(ValueError, match="exponent notation"):
+                tg.to_fraction(text)
+
 
 class TestLetters:
     def test_row_major_encoding(self):

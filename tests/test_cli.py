@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,6 +116,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero denominator" in err
         assert err.count("\n") == 1
+
+    def test_exponent_notation_is_input_error(self, tmp_path, capsys):
+        text = Path(GAME).read_text()
+        huge = tmp_path / "huge.game"
+        huge.write_text(text.replace("cost: [2, 0]", 'cost: ["1e999999999", 0]', 1))
+        start = time.monotonic()
+        assert main(["evaluate", "--game", str(huge), "--profile", PROFILE_AC]) == 2
+        assert time.monotonic() - start < 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "exponent notation" in err[0]
 
     def test_profile_arena_mismatch(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.profile"
@@ -418,3 +430,50 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert not out.exists()
+
+
+HUGE_TAX = """\
+tax:
+  agents: 2
+  arena_states: 1000000000000
+  letters: 4
+  rates:
+    - {state: "*", letter: 0, rate: [1, 1]}
+"""
+
+HUGE_VERDICT = """\
+verdict:
+  problem: anash
+  answer: "yes"
+  bound: 1
+  objective: G (p <-> q)
+  witness_tax:
+    agents: 2
+    arena_states: 1000000000000
+    letters: 4
+    rates:
+      - {state: "*", letter: 0, rate: [1, 1]}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        (["check", "ne", "--game", GAME, "--profile", PROFILE_AC, "--tax"], "tax"),
+        (["evaluate", "--game", GAME, "--profile", PROFILE_AC, "--tax"], "tax"),
+        (["verify", "--game", GAME, "--verdict"], "verdict.witness_tax"),
+    ],
+    ids=["check-ne", "evaluate", "verify"],
+)
+def test_tax_declaring_another_arena_is_rejected_before_expanding(
+    tmp_path, capsys, command, where
+):
+    # a state wildcard over 10**12 declared states would never finish
+    path = tmp_path / "huge.yaml"
+    path.write_text(HUGE_TAX if command[0] != "verify" else HUGE_VERDICT)
+    start = time.monotonic()
+    assert main(command + [str(path)]) == 2
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {where}.arena_states is 1000000000000, the game has 4"
+    ]
