@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ltl import Formula, parse_ltl, variables
 
@@ -49,6 +51,22 @@ def to_fraction(value: object) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; use a string or integer")
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+class _IntegerCosts(NamedTuple):
+    """An arena's cost table as integers over one scale, the lcm of every
+    cost denominator.
+
+    rows[s][letter] is the cell's cost vector times scale, or None for a
+    hole; rows that the arena's cost table shares are shared here too.
+    floors[i] is agent i's cheapest step cost times scale, so no run of the
+    untaxed or non-negatively taxed arena costs agent i less; it is None
+    when a transition or cost cell is missing.
+    """
+
+    scale: int
+    rows: tuple[tuple[tuple[int, ...] | None, ...], ...]
+    floors: tuple[int, ...] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +132,31 @@ class Arena:
             return self.states.index(name)
         except ValueError:
             raise KeyError(f"unknown state {name!r}") from None
+
+    @cached_property
+    def _integer_costs(self) -> _IntegerCosts:
+        """The cost table as integers, converted on first use; the arena
+        is frozen, so the conversion is kept with it."""
+        vectors = _cost_vectors(self)
+        scale = lcm(*(x.denominator for v in vectors for x in v))
+        scaled = {
+            id(v): tuple(x.numerator * (scale // x.denominator) for x in v)
+            for v in vectors
+        }
+        shared: dict[int, tuple[tuple[int, ...] | None, ...]] = {}
+        rows = []
+        for row in self.cost:
+            found = shared.get(id(row))
+            if found is None:
+                found = shared[id(row)] = tuple(
+                    None if v is None else scaled[id(v)] for v in row
+                )
+            rows.append(found)
+        total = not any(None in row for row in shared.values()) and not any(
+            None in row for row in {id(r): r for r in self.transition}.values()
+        )
+        floors = tuple(min(column) for column in zip(*scaled.values()))
+        return _IntegerCosts(scale, tuple(rows), floors if total else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,14 @@ A product graph is built in one pass.  Many automaton states share one
 configuration (arena state, other machines' states, tax state), whose arena
 steps are expanded once per graph and reused by each of them.  Weights are
 integers over one scale per (game, tax), fixed before any graph is built.
+
+The Nash test compares integers too.  A run's taxed cost is summed over its
+joint cycle with the tax machine from the same step-cost table the product
+graphs read, and compared with the memoised best responses by
+cross-multiplication; Fractions are built only for values that leave the
+library (evaluate, best_response).  An agent that wins its goal while its
+run costs its cheapest untaxed step needs no product graph: taxes are
+non-negative, so no deviation can cost it less.
 """
 
 from __future__ import annotations
@@ -32,22 +40,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game, _cost_vectors
+from .arena import Game
+from .errors import AlphabetMismatchError
 from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
 from .strategy import (
     LassoRun,
     Profile,
     StrategyMachine,
+    _generate_run,
     _not_total,
+    check_profile,
     enumerate_profiles,
-    generate_run,
     label_trace,
     lasso_canonical,
 )
-from .taxation import DynamicTax, _taxed_costs
+from .taxation import DynamicTax, _joint_walk, _taxed_costs
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,15 @@ def prefers(first: LexValue, second: LexValue) -> int:
     return 0
 
 
+def _beats(first: tuple[bool, int, int], second: tuple[bool, int, int]) -> bool:
+    """prefers(first, second) == 1 on integer values: each is (goal met,
+    num, den), whose cost is num / den over a scale both share, so costs
+    compare by cross-multiplication."""
+    if first[0] != second[0]:
+        return first[0]
+    return first[1] * second[2] < second[1] * first[2]
+
+
 @dataclass(frozen=True)
 class Outcome:
     """A profile's canonical run, its goal winners and taxed costs; trace is
@@ -88,8 +108,9 @@ class Outcome:
 def _play(
     game: Game, profile: Profile
 ) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
-    """Canonical run, label trace and goal winners; no costs."""
-    run = lasso_canonical(generate_run(game.arena, profile))
+    """Canonical run, label trace and goal winners of a profile that fits
+    the game; no costs."""
+    run = lasso_canonical(_generate_run(game.arena, profile))
     trace = label_trace(game.arena, run)
     winners = frozenset(
         i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
@@ -97,17 +118,10 @@ def _play(
     return run, trace, winners
 
 
-def _outcome(
-    run: LassoRun,
-    trace: LabelTrace,
-    winners: frozenset[int],
-    tax: DynamicTax | None,
-) -> Outcome:
-    return Outcome(run=run, winners=winners, costs=_taxed_costs(run, tax), trace=trace)
-
-
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
-    return _outcome(*_play(game, profile), tax)
+    check_profile(game.arena, profile)
+    run, trace, winners = _play(game, profile)
+    return Outcome(run=run, winners=winners, costs=_taxed_costs(run, tax), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +292,15 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
         ):
             live.update(component)
 
+    # a set holding every non-sink state is met by every non-sink product
+    # component and by no sink one, the only two kinds, so it decides
+    # nothing unless every set is full; then one is kept, which sink
+    # components miss
+    partial = tuple(
+        marks for marks in automaton.acceptance if len(marks) < automaton.sink
+    )
+    acceptance = partial or automaton.acceptance[:1]
+
     columns = {atom: c for c, atom in enumerate(dict.fromkeys(automaton.atoms))}
     to_sink = (automaton.sink,)
     # many states have equal rows; each is stored once, since the goal
@@ -297,58 +320,102 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
         columns=columns,
         starts=split(automaton.initial),
         moves=tuple(split(out) for out in edges),
-        acceptance=automaton.acceptance,
+        acceptance=acceptance,
         sink=automaton.sink,
     )
 
 
 class _Responses:
-    """Best responses under one (game, tax), memoised on (agent, the other
-    agents' machines): a response reads nothing else of the profile.  The
+    """Best responses and run costs under one (game, tax), memoised.  The
     sweep or driver call that creates one owns it, so the memo lives no
     longer than that call.
 
     steps holds the taxed step costs (arena cost plus tax rate) of the
-    cells product graphs reach, keyed by (state, letter, tax state), as
-    integer vectors over scale: the lcm of every cost and rate denominator
-    of the game and tax, fixed here before any graph reads the table.
+    cells that product graphs and runs reach, keyed by (state, letter, tax
+    state), as integer vectors over scale: the lcm of the arena's cost
+    scale and of every rate denominator of the tax, fixed here before any
+    graph reads the table.  The arena keeps its costs as integers and each
+    tax output its rate lcm, so a memo converts only the vectors it meets,
+    each once: rate vectors, and cost vectors when the tax widens the
+    scale.  values holds each best response as (goal met, num,
+    den), a cost of num / (den * scale), keyed on (agent, the other agents'
+    machines): a response reads nothing else of the profile.  floors[i] is
+    agent i's cheapest untaxed step cost over scale, or None when the
+    arena has holes, which a product graph must still meet and report.
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:
+        arena = game.arena
+        if tax is not None and tax.n_agents != arena.n_agents:
+            raise AlphabetMismatchError(
+                f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
+            )
+        costs = arena._integer_costs
+        scale = costs.scale
+        if tax is not None:
+            scale = lcm(scale, *(out._scale for out in tax.outputs))
+        factor = scale // costs.scale
         self.game = game
         self.tax = tax
-        vectors = list(_cost_vectors(game.arena))
-        if tax is not None:
-            rates = {id(v): v for out in tax.outputs for _, _, v in out.entries}
-            vectors.extend(rates.values())
-        self.scale = lcm(*(x.denominator for v in vectors for x in v))
+        self.scale = scale
+        self.floors = (
+            None if costs.floors is None else tuple(f * factor for f in costs.floors)
+        )
+        self._rows = costs.rows
+        self._factor = factor
+        # integer vectors over scale, keyed by the identity of the arena's
+        # integer cost vector or the tax's rate vector they convert, which
+        # the arena and the tax keep alive as long as the memo
+        self._scaled: dict[int, tuple[int, ...]] = {}
         self.steps: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self.values: dict[tuple[int, tuple[StrategyMachine, ...]], LexValue] = {}
+        self.values: dict[
+            tuple[int, tuple[StrategyMachine, ...]], tuple[bool, int, int]
+        ] = {}
 
     def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
-        arena = self.game.arena
-        cost = arena.cost[state][letter]
+        cost = self._rows[state][letter]
         if cost is None:
-            raise _not_total(arena, state, letter)
-        parts = [cost]
+            raise _not_total(self.game.arena, state, letter)
+        scaled = self._scaled
+        if self._factor != 1:
+            found = scaled.get(id(cost))
+            if found is None:
+                found = scaled[id(cost)] = tuple([x * self._factor for x in cost])
+            cost = found
         if self.tax is not None:
-            parts.append(self.tax.outputs[tax_state].rate(state, letter))
-        scale = self.scale
-        # cost and rate scaled apart and added as integers, not as Fractions
-        scaled = tuple(
-            sum(x.numerator * (scale // x.denominator) for x in column)
-            for column in zip(*parts)
-        )
-        self.steps[(state, letter, tax_state)] = scaled
-        return scaled
+            rate = self.tax.outputs[tax_state].rate(state, letter)
+            found = scaled.get(id(rate))
+            if found is None:
+                scale = self.scale
+                found = scaled[id(rate)] = tuple(
+                    [x.numerator * (scale // x.denominator) for x in rate]
+                )
+            cost = tuple(map(add, cost, found))
+        self.steps[(state, letter, tax_state)] = cost
+        return cost
 
-    def value(self, profile: Profile, agent: int) -> LexValue:
+    def run_costs(self, run: LassoRun) -> tuple[list[int], int]:
+        """Each agent's taxed cost summed over the joint cycle of the run
+        and the tax machine, as integers over scale, and that cycle's
+        length: agent i's limit-average cost is totals[i] / (length *
+        scale).  The prefix contributes nothing."""
+        tax = self.tax
+        if tax is None or tax.n_states == 1:
+            keys = [(step.state, step.letter, 0) for step in run.cycle]
+        else:
+            walk, split = _joint_walk(run, tax)
+            keys = [(step.state, step.letter, q) for step, q in walk[split:]]
+        steps, step = self.steps, self.step
+        rows = [steps.get(key) or step(*key) for key in keys]
+        return [sum(column) for column in zip(*rows)], len(keys)
+
+    def value(self, profile: Profile, agent: int) -> tuple[bool, int, int]:
         machines = profile.machines
         key = (agent, machines[:agent] + machines[agent + 1 :])
         found = self.values.get(key)
         if found is None:
             graph = response_graph(self.game, profile, agent, self.tax, self)
-            found = self.values[key] = _response_value(graph)
+            found = self.values[key] = _response_mean(graph)
         return found
 
 
@@ -466,8 +533,9 @@ def _meets_all(acceptance: tuple[frozenset[int], ...], members: list[int]) -> bo
     return all(not marks.isdisjoint(members) for marks in acceptance)
 
 
-def _response_value(graph: ResponseGraph) -> LexValue:
-    """best_response read off the agent's product graph."""
+def _response_mean(graph: ResponseGraph) -> tuple[bool, int, int]:
+    """The best response read off the agent's product graph, as (goal met,
+    num, den): its cost is num / (den * graph.scale)."""
     best: tuple[int, int] | None = None
     best_winning: tuple[int, int] | None = None
     for members, mean in _component_means(graph.edges):
@@ -480,6 +548,12 @@ def _response_value(graph: ResponseGraph) -> LexValue:
     assert best is not None, "total arenas always reach a cycle"
     goal_met = best_winning is not None
     num, den = best_winning if goal_met else best
+    return goal_met, num, den
+
+
+def _response_value(graph: ResponseGraph) -> LexValue:
+    """best_response read off the agent's product graph."""
+    goal_met, num, den = _response_mean(graph)
     return LexValue(goal_met=goal_met, cost=Fraction(num, den * graph.scale))
 
 
@@ -503,27 +577,38 @@ def best_response(
     it still decides whether a strictly better deviation exists, because
     any value strictly between supremum and current value is attained.
     """
-    return _Responses(game, tax).value(profile, agent)
+    check_profile(game.arena, profile)
+    return _response_value(response_graph(game, profile, agent, tax))
 
 
 def _no_agent_improves(
-    responses: _Responses, profile: Profile, outcome: Outcome
+    responses: _Responses,
+    profile: Profile,
+    run: LassoRun,
+    winners: frozenset[int],
 ) -> bool:
-    """Whether no agent's best response strictly beats its outcome value;
-    stops at the first agent that improves."""
-    return all(
-        prefers(responses.value(profile, agent), outcome.value(agent)) <= 0
-        for agent in range(len(profile.machines))
-    )
+    """Whether no agent's best response strictly beats its value on the
+    profile's run, whose goal winners are given; stops at the first agent
+    that improves.  An agent that wins its goal at its cost floor is
+    skipped without a product graph, since no deviation can beat that."""
+    totals, length = responses.run_costs(run)
+    floors = responses.floors
+    for agent, total in enumerate(totals):
+        met = agent in winners
+        if met and floors is not None and total == floors[agent] * length:
+            continue
+        if _beats(responses.value(profile, agent), (met, total, length)):
+            return False
+    return True
 
 
 def is_nash(
     game: Game, profile: Profile, tax: DynamicTax | None = None
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
-    return _no_agent_improves(
-        _Responses(game, tax), profile, evaluate(game, profile, tax)
-    )
+    check_profile(game.arena, profile)
+    run, _, winners = _play(game, profile)
+    return _no_agent_improves(_Responses(game, tax), profile, run, winners)
 
 
 def _nash_sweep(
@@ -531,19 +616,18 @@ def _nash_sweep(
     memory_bound: int,
     objective: Formula | None = None,
     cap: int = 10**7,
-) -> Iterator[tuple[Profile, Outcome]]:
+) -> Iterator[Profile]:
     """Lazily, in enumeration order, each bounded canonical profile that is
-    an exact Nash equilibrium of the responses' game under their tax, with
-    its outcome.  The objective, when given, filters runs before any best
-    response is computed."""
-    game, tax = responses.game, responses.tax
+    an exact Nash equilibrium of the responses' game under their tax.  The
+    objective, when given, filters runs before any best response is
+    computed."""
+    game = responses.game
     for profile in enumerate_profiles(game.arena, memory_bound, cap=cap):
         run, trace, winners = _play(game, profile)
         if objective is not None and not eval_on_lasso(objective, trace):
             continue
-        outcome = _outcome(run, trace, winners, tax)
-        if _no_agent_improves(responses, profile, outcome):
-            yield profile, outcome
+        if _no_agent_improves(responses, profile, run, winners):
+            yield profile
 
 
 def find_ne(
@@ -560,9 +644,4 @@ def find_ne(
     equilibria needing more than memory_bound machine states are missed.
     Results keep enumeration order.
     """
-    return [
-        profile
-        for profile, _ in _nash_sweep(
-            _Responses(game, tax), memory_bound, objective, cap
-        )
-    ]
+    return list(_nash_sweep(_Responses(game, tax), memory_bound, objective, cap))

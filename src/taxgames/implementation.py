@@ -33,6 +33,7 @@ from .strategy import (
     Profile,
     StrategyMachine,
     canonicalize_machine,
+    check_profile,
     enumerate_machines,
 )
 from .taxation import (
@@ -40,20 +41,18 @@ from .taxation import (
     StaticTax,
     _cost_ceiling,
     _levelling_tax,
+    _taxed_costs,
     compose_tax,
     lift_static,
     static_tax,
-    taxed_cost,
     zero_tax,
 )
 from .equilibrium import (
-    LexValue,
+    _beats,
     _nash_sweep,
     _no_agent_improves,
     _play,
     _Responses,
-    evaluate,
-    prefers,
 )
 
 
@@ -82,8 +81,11 @@ def initial_deviation(
     """Whether switching one agent to alt is an initial deviation: the run
     changes, and the agent keeps winning if it was winning.  Goal verdicts
     only depend on the label trace, never on costs."""
+    deviated = profile.replace(agent, alt)
+    check_profile(game.arena, profile)
+    check_profile(game.arena, deviated)
     run, _, winners = _play(game, profile)
-    run2, _, winners2 = _play(game, profile.replace(agent, alt))
+    run2, _, winners2 = _play(game, deviated)
     return _edge_ok(agent, run, winners, run2, winners2)
 
 
@@ -130,6 +132,7 @@ def build_deviation_graph(
 
     for seed in seeds:
         if seed not in index:
+            check_profile(arena, seed)
             run, _, winners = _play(game, seed)
             add(seed, run, winners)
     for seed in seeds:
@@ -474,19 +477,20 @@ def check_eliminable(
             )
         except (ValueError, ResourceLimitError):
             return None
-        def taxed_value(node: int, agent: int) -> LexValue:
-            return LexValue(
-                goal_met=agent in candidate.winners[node],
-                cost=taxed_cost(candidate.runs[node], tax, agent),
-            )
+        responses = _Responses(game, tax)
+        costs = [responses.run_costs(run) for run in candidate.runs]
+
+        def taxed_value(node: int, agent: int) -> tuple[bool, int, int]:
+            totals, length = costs[node]
+            return agent in candidate.winners[node], totals[agent], length
 
         for u, v, agent in candidate.edges:
-            if prefers(taxed_value(v, agent), taxed_value(u, agent)) <= 0:
+            if not _beats(taxed_value(v, agent), taxed_value(u, agent)):
                 return None
-        responses = _Responses(game, tax)
         for i in target_ids:
-            profile = full.nodes[i]
-            if _no_agent_improves(responses, profile, evaluate(game, profile, tax)):
+            if _no_agent_improves(
+                responses, full.nodes[i], full.runs[i], full.winners[i]
+            ):
                 return None
         return candidate, tax
 
@@ -572,14 +576,30 @@ def verify_witness(
     """Why a witness fails, or () when it holds: the profile is an exact
     equilibrium under the tax and its run satisfies the objective; for
     anash, also no bounded equilibrium under the tax violates it.  The
-    check keeps its own best-response memo, apart from the sweep that found
-    the witness."""
-    responses = _Responses(game, tax)
-    outcome = evaluate(game, profile, tax)
+    check keeps its own best-response memo, apart from any sweep that found
+    the witness; a_nash_implement checks its own witness on the memo of its
+    final sweep instead, since both read the same composed tax."""
+    check_profile(game.arena, profile)
+    return _verify_witness(
+        _Responses(game, tax), problem, objective, memory_bound, profile, cap
+    )
+
+
+def _verify_witness(
+    responses: _Responses,
+    problem: str,
+    objective: Formula,
+    memory_bound: int,
+    profile: Profile,
+    cap: int,
+) -> tuple[str, ...]:
+    """verify_witness on responses, the memo of the game under the witness
+    tax, for a profile that fits the game."""
+    run, trace, winners = _play(responses.game, profile)
     problems = []
-    if not _no_agent_improves(responses, profile, outcome):
+    if not _no_agent_improves(responses, profile, run, winners):
         problems.append("witness profile is not an equilibrium under the witness tax")
-    if not eval_on_lasso(objective, outcome.trace):
+    if not eval_on_lasso(objective, trace):
         problems.append("witness run does not satisfy the objective")
     if problem == "anash" and not problems:
         bad = list(_nash_sweep(responses, memory_bound, Not(objective), cap))
@@ -620,8 +640,8 @@ def _e_nash(
     """e_nash_implement, sweeping the cost-free game through free, the
     best-response memo of that game without a tax."""
     text = objective_text if objective_text is not None else to_text(objective)
-    first = next(_nash_sweep(free, memory_bound, objective, cap), None)
-    if first is None:
+    witness = next(_nash_sweep(free, memory_bound, objective, cap), None)
+    if witness is None:
         return ImplementationVerdict(
             problem="enash",
             answer="no-within-bound",
@@ -631,10 +651,9 @@ def _e_nash(
                 f"no cost-free equilibrium satisfies {text} at bound {memory_bound}",
             ),
         )
-    witness, _ = first
     tax = _levelling_machine(game)
-    problems = verify_witness(
-        game, "enash", objective, memory_bound, tax, witness, cap
+    problems = _verify_witness(
+        _Responses(game, tax), "enash", objective, memory_bound, witness, cap
     )
     if problems:
         return ImplementationVerdict(
@@ -678,10 +697,7 @@ def a_nash_implement(
             problem="anash",
             diagnostics=base.diagnostics + ("e-nash precondition failed",),
         )
-    violating = [
-        profile
-        for profile, _ in _nash_sweep(free, memory_bound, Not(objective), cap)
-    ]
+    violating = list(_nash_sweep(free, memory_bound, Not(objective), cap))
     # the e-nash witness tax is the lifted levelling tax
     levelling = base.witness_tax
     diagnostics: list[str] = []
@@ -723,18 +739,18 @@ def a_nash_implement(
         combined = levelling
         diagnostics.append("no objective-violating equilibria at this bound")
 
-    first = next(
-        _nash_sweep(_Responses(game, combined), memory_bound, objective, cap), None
-    )
-    if first is None:
+    # the final sweep and the witness check share one memo of the
+    # composed tax
+    final = _Responses(game, combined)
+    witness = next(_nash_sweep(final, memory_bound, objective, cap), None)
+    if witness is None:
         problems: tuple[str, ...] = (
             "no equilibrium satisfying the objective survives the "
             "synthesized tax",
         )
     else:
-        witness, _ = first
-        problems = verify_witness(
-            game, "anash", objective, memory_bound, combined, witness, cap
+        problems = _verify_witness(
+            final, "anash", objective, memory_bound, witness, cap
         )
     if problems:
         return ImplementationVerdict(
@@ -881,11 +897,11 @@ def static_insufficiency_check(
             if canonical in seen:
                 continue
             seen.add(canonical)
-            outcome = evaluate(taxed, canonical, None)
-            if not eval_on_lasso(bad, outcome.trace):
+            run, trace, winners = _play(taxed, canonical)
+            if not eval_on_lasso(bad, trace):
                 continue
-            if _no_agent_improves(responses, canonical, outcome):
-                costs = ", ".join(str(c) for c in outcome.costs)
+            if _no_agent_improves(responses, canonical, run, winners):
+                costs = ", ".join(str(c) for c in _taxed_costs(run, None))
                 hit = StaticInsufficiencyRow(
                     tax=tax,
                     found=True,

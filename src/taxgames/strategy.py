@@ -97,6 +97,12 @@ def generate_run(arena: Arena, profile: Profile) -> LassoRun:
     """Simulate the joint configuration until it repeats; split the step
     sequence at the first repeated configuration into prefix and cycle."""
     check_profile(arena, profile)
+    return _generate_run(arena, profile)
+
+
+def _generate_run(arena: Arena, profile: Profile) -> LassoRun:
+    """generate_run for a profile that fits the arena, such as every
+    profile enumerate_profiles yields."""
     machines = profile.machines
     config = (arena.initial, tuple(0 for _ in machines))
     seen: dict[tuple[int, tuple[int, ...]], int] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .arena import Arena, Game, _cost_ceilings, to_fraction
@@ -36,6 +37,13 @@ class StaticTax:
     @cached_property
     def _zero(self) -> tuple[Fraction, ...]:
         return (Fraction(0),) * self.n_agents
+
+    @cached_property
+    def _scale(self) -> int:
+        """The lcm of every rate denominator; a vector that cells share is
+        read once."""
+        vectors = {id(v): v for _, _, v in self.entries}.values()
+        return lcm(*(x.denominator for v in vectors for x in v))
 
     def rate(self, state: int, letter: int) -> tuple[Fraction, ...]:
         return self._table.get((state, letter), self._zero)
@@ -231,30 +239,42 @@ class TaxedStep(NamedTuple):
     rates: tuple[Fraction, ...]
 
 
-def taxed_steps(
+def _joint_walk(
     run: LassoRun, tax: DynamicTax
-) -> tuple[tuple[TaxedStep, ...], tuple[TaxedStep, ...]]:
-    """The run under the tax, as a (prefix, cycle) lasso of joint steps.
+) -> tuple[list[tuple[RunStep, int]], int]:
+    """The run's steps, each with the tax state it is read in, up to the
+    first repeated (run position, tax state) pair, and the index in that
+    walk where the joint cycle starts.
 
-    Pairs (run position, tax state) are ultimately periodic because both
-    components are, so the walk stops at the first repeated pair; the joint
-    cycle can be longer than the run's.
+    Such pairs are ultimately periodic because both components are; the
+    joint cycle can be longer than the run's.
     """
-    _check_run_tax(run, tax)
     steps = run.prefix + run.cycle
     wrap = len(run.prefix)
     pair = (0, 0)
     seen: dict[tuple[int, int], int] = {}
-    walk: list[TaxedStep] = []
+    walk: list[tuple[RunStep, int]] = []
     while pair not in seen:
         seen[pair] = len(walk)
         pos, q = pair
         step = steps[pos]
-        walk.append(TaxedStep(step, q, tax.outputs[q].rate(step.state, step.letter)))
+        walk.append((step, q))
         nxt = pos + 1 if pos + 1 < len(steps) else wrap
         pair = (nxt, tax.next_state(q, step.letter))
-    split = seen[pair]
-    return tuple(walk[:split]), tuple(walk[split:])
+    return walk, seen[pair]
+
+
+def taxed_steps(
+    run: LassoRun, tax: DynamicTax
+) -> tuple[tuple[TaxedStep, ...], tuple[TaxedStep, ...]]:
+    """The run under the tax, as a (prefix, cycle) lasso of joint steps."""
+    _check_run_tax(run, tax)
+    walk, split = _joint_walk(run, tax)
+    taxed = [
+        TaxedStep(step, q, tax.outputs[q].rate(step.state, step.letter))
+        for step, q in walk
+    ]
+    return tuple(taxed[:split]), tuple(taxed[split:])
 
 
 def _taxed_costs(run: LassoRun, tax: DynamicTax | None) -> tuple[Fraction, ...]:

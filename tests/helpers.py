@@ -19,6 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
 
 from taxgames.ltl import (
@@ -760,3 +761,32 @@ def reference_response_value(
     if best_winning is not None:
         return tg.LexValue(goal_met=True, cost=best_winning)
     return tg.LexValue(goal_met=False, cost=best)
+
+
+def reference_no_agent_improves(
+    responses, profile: tg.Profile, run: tg.LassoRun, winners: frozenset[int]
+) -> bool:
+    """The library's Nash test on Fractions, with its signature: each
+    agent's `taxed_cost` on the run against its `reference_response_value`
+    under the responses' game and tax, with no memo and no shortcut."""
+    game, tax = responses.game, responses.tax
+    return all(
+        tg.prefers(
+            reference_response_value(game, profile, agent, tax),
+            tg.LexValue(
+                goal_met=agent in winners, cost=tg.taxed_cost(run, tax, agent)
+            ),
+        )
+        <= 0
+        for agent in range(len(profile.machines))
+    )
+
+
+def reference_is_nash(
+    game: tg.Game, profile: tg.Profile, tax: tg.DynamicTax | None = None
+) -> bool:
+    """is_nash on Fractions through reference_no_agent_improves."""
+    outcome = tg.evaluate(game, profile, tax)
+    return reference_no_agent_improves(
+        SimpleNamespace(game=game, tax=tax), profile, outcome.run, outcome.winners
+    )

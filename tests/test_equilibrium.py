@@ -26,6 +26,7 @@ from helpers import (
     random_static_tax,
     rational_game,
     rational_tax,
+    reference_is_nash,
     reference_response_value,
     simple_cycle_min_mean,
 )
@@ -251,6 +252,33 @@ class TestResponseGraph:
         assert partial
 
 
+    def test_full_acceptance_sets_dropped(self):
+        # the sets of G F p & G F q that hold every non-sink state decide
+        # nothing; a goal whose sets are all full keeps one
+        vocabulary = ("p", "q")
+        for text, automaton_sets, goal_sets in [
+            ("G F p & G F q", 4, 2),
+            ("G F p", 2, 1),
+            ("G p", 1, 1),
+        ]:
+            formula = tg.parse_ltl(text, vocabulary)
+            assert len(tg.to_buchi(formula, vocabulary).acceptance) == automaton_sets
+            assert (
+                len(tg.equilibrium._goal_automaton(formula, vocabulary).acceptance)
+                == goal_sets
+            )
+        rng = Random(43)
+        for _ in range(8):
+            game = rational_game(rng, goals=("G F p & G F q", "G F p"))
+            machines = list(tg.enumerate_machines(2, game.arena.n_letters, 2))
+            profile = tg.Profile((rng.choice(machines), rng.choice(machines)))
+            tax = rational_tax(rng, game.arena)
+            assert len(tg.response_graph(game, profile, 0, tax).acceptance) == 2
+            assert tg.best_response(
+                game, profile, 0, tax
+            ) == reference_response_value(game, profile, 0, tax)
+
+
 def lcm_of_denominators(vectors) -> int:
     return lcm(*(x.denominator for vector in vectors for x in vector))
 
@@ -317,6 +345,117 @@ class TestIsNash:
         assert tg.is_nash(game, constant_profile(arena, [0, 1]), tax)
         assert tg.is_nash(game, constant_profile(arena, [1, 0]), tax)
         assert not tg.is_nash(game, constant_profile(arena, [1, 1]), tax)
+
+
+class TestIntegerNashTest:
+    """is_nash and find_ne compare integer run costs with integer best
+    responses and skip agents at their cost floor; the reference is
+    taxed_cost against reference_response_value, on Fractions."""
+
+    @staticmethod
+    def instances(rng: Random, count: int):
+        """Rational games under multi-state rational taxes, and their
+        cost-free copies untaxed, where every winner is at its floor."""
+        for _ in range(count):
+            game = rational_game(
+                rng, goals=(rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+            )
+            yield game, rational_tax(rng, game.arena)
+            yield tg.zero_cost_game(game), None
+
+    def test_is_nash_matches_fraction_reference(self):
+        rng = Random(29)
+        verdicts = []
+        for game, tax in self.instances(rng, 12):
+            machines = list(tg.enumerate_machines(2, game.arena.n_letters, 2))
+            for _ in range(4):
+                profile = tg.Profile((rng.choice(machines), rng.choice(machines)))
+                expected = reference_is_nash(game, profile, tax)
+                assert tg.is_nash(game, profile, tax) == expected
+                verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_find_ne_matches_fraction_reference(self):
+        rng = Random(31)
+        found = 0
+        for game, tax in self.instances(rng, 10):
+            arena = game.arena
+            for text in (None, "G F p", "F G !q"):
+                objective = None if text is None else tg.parse_ltl(text)
+                expected = [
+                    p
+                    for p in tg.enumerate_profiles(arena, 1)
+                    if reference_is_nash(game, p, tax)
+                    and (
+                        objective is None
+                        or oracle_eval(
+                            objective,
+                            tg.label_trace(arena, tg.evaluate(game, p).run),
+                        )
+                    )
+                ]
+                assert tg.find_ne(game, tax, 1, objective) == expected
+                found += len(expected)
+        assert found
+
+    def test_floor_winner_builds_no_graph(self, monkeypatch):
+        game = junction_game()
+        keys = count_response_graphs(monkeypatch)
+        # at (a, c) both drivers pass p every other step at cost 0, the
+        # cheapest step of each
+        profile = constant_profile(game.arena, [0, 0])
+        assert tg.is_nash(game, profile, None)
+        assert keys == []
+        # a surcharge on every cell lifts the run above the floor
+        everywhere = {(s, a): (1, 1) for s in range(4) for a in range(4)}
+        tax = tg.lift_static(tg.static_tax(2, everywhere), 4)
+        assert tg.is_nash(game, profile, tax)
+        assert [agent for agent, _ in keys] == [0, 1]
+
+    def test_a_nash_final_tax_has_one_memo(self, monkeypatch):
+        # the final sweep and the witness check read one composed tax, and
+        # share one memo, so no product graph under it is built twice
+        game = junction_game()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        built = record_response_graphs(monkeypatch)
+        verdict = tg.a_nash_implement(game, objective, 1)
+        assert verdict.answer == "yes"
+        final = [(memo, key) for memo, key in built if memo.tax is verdict.witness_tax]
+        keys = [key for _, key in final]
+        assert keys and len(keys) == len(set(keys))
+        assert len({id(memo) for memo, _ in final}) == 1
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        pytest.param(lambda n: (constant_machine(0, n),), id="one-machine"),
+        pytest.param(
+            lambda n: (constant_machine(5, n), constant_machine(0, n)),
+            id="action-out-of-range",
+        ),
+        pytest.param(
+            lambda n: (constant_machine(0, n - 1), constant_machine(0, n)),
+            id="letter-count",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "entry", ["generate_run", "evaluate", "is_nash", "best_response"]
+)
+def test_malformed_profile_rejected_at_entry(entry, malformed):
+    # sweeps play enumerated profiles unchecked; every public entry point
+    # that takes a profile still checks it
+    game = junction_game()
+    profile = tg.Profile(malformed(game.arena.n_letters))
+    calls = {
+        "generate_run": lambda: tg.generate_run(game.arena, profile),
+        "evaluate": lambda: tg.evaluate(game, profile),
+        "is_nash": lambda: tg.is_nash(game, profile),
+        "best_response": lambda: tg.best_response(game, profile, 0),
+    }
+    with pytest.raises(tg.AlphabetMismatchError):
+        calls[entry]()
 
 
 class TestFindNe:
@@ -417,6 +556,21 @@ def count_response_graphs(monkeypatch) -> list:
 
     monkeypatch.setattr(tg.equilibrium, "response_graph", recording)
     return keys
+
+
+def record_response_graphs(monkeypatch) -> list:
+    """Record (memo, (agent, other machines)) of every product graph built
+    for a memo."""
+    built: list = []
+    build = tg.equilibrium.response_graph
+
+    def recording(game, profile, agent, tax=None, responses=None):
+        others = profile.machines[:agent] + profile.machines[agent + 1 :]
+        built.append((responses, (agent, others)))
+        return build(game, profile, agent, tax, responses)
+
+    monkeypatch.setattr(tg.equilibrium, "response_graph", recording)
+    return built
 
 
 def profilewise_ne(game, tax, objective) -> list[tg.Profile]:

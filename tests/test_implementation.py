@@ -4,12 +4,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 import taxgames as tg
 
-from helpers import constant_machine, constant_profile, junction_game
+from helpers import (
+    RESPONSE_GOALS,
+    constant_machine,
+    constant_profile,
+    junction_game,
+    rational_game,
+    reference_no_agent_improves,
+)
 
 
 def alpha(game, first: int, second: int) -> tg.Profile:
@@ -277,6 +285,34 @@ class TestImplementationVerdicts:
         assert verdict.problem == "anash"
         assert verdict.answer == "no-within-bound"
         assert any("precondition" in d for d in verdict.diagnostics)
+
+
+def test_driver_verdicts_match_fraction_reference(monkeypatch):
+    # the drivers' sweeps, witness checks and eliminability checks all run
+    # the integer Nash test; swapping in the Fraction reference, which has
+    # no cost-floor shortcut and no memo, must leave every verdict as it is
+    rng = Random(37)
+    cases = [(junction_game(), "G (p <-> q)")]
+    for _ in range(12):
+        game = rational_game(
+            rng, goals=(rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+        )
+        cases.append((game, rng.choice(("G F p", "F G q", "G (p -> F q)", "true"))))
+
+    def verdicts() -> list:
+        return [
+            (v.answer, v.witness_tax, v.witness_profile, v.diagnostics)
+            for game, text in cases
+            for driver in (tg.e_nash_implement, tg.a_nash_implement)
+            for v in [driver(game, tg.parse_ltl(text, game.arena.vocabulary), 1)]
+        ]
+
+    integer = verdicts()
+    for module in (tg.equilibrium, tg.implementation):
+        monkeypatch.setattr(module, "_no_agent_improves", reference_no_agent_improves)
+    assert verdicts() == integer
+    answers = [answer for answer, *_ in integer[1::2]]
+    assert "yes" in answers and "no-within-bound" in answers
 
 
 class TestVerifyWitness:
