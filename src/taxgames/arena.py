@@ -334,9 +334,16 @@ def max_cost(game: Game, agent: int) -> Fraction:
 
 
 def zero_cost_game(game: Game) -> Game:
+    return _uniform_cost_game(game, Fraction(0))
+
+
+def _uniform_cost_game(game: Game, level: Fraction) -> Game:
+    """A copy of the game whose every cost cell, holes included, is one
+    shared vector charging level to every agent.  Its single row is shared
+    by every state, so the integer cost table reads one row."""
     arena = game.arena
-    zero = (Fraction(0),) * arena.n_agents
-    cost = ((zero,) * arena.n_letters,) * arena.n_states
+    vector = (level,) * arena.n_agents
+    cost = ((vector,) * arena.n_letters,) * arena.n_states
     return replace(game, arena=replace(arena, cost=cost))
 
 

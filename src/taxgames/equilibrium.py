@@ -342,6 +342,12 @@ class _Responses:
     machines): a response reads nothing else of the profile.  floors[i] is
     agent i's cheapest untaxed step cost over scale, or None when the
     arena has holes, which a product graph must still meet and report.
+
+    The drivers check their witnesses on a memo of the levelled game, every
+    cost cell at the cost ceiling λ, taxed by the eliminator alone or not
+    at all: its step costs are those of the game under the per-cell
+    witness tax, and its floors are λ, so every winner on a cycle that the
+    eliminator does not surcharge is skipped.
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:

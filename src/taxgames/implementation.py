@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game, _cost_ceilings, zero_cost_game
+from .arena import Game, _cost_ceilings, _uniform_cost_game, zero_cost_game
 from .errors import ResourceLimitError, SearchLimitError
 from .ltl import Formula, Not, eval_on_lasso, to_text
 from .strategy import (
@@ -389,13 +389,15 @@ def synthesize_eliminating_tax(
             row.append(numbering[survivors])
         transitions.append(tuple(row))
 
+    # states share output objects, so each output is tabled and scaled once
+    untaxed = zero_tax(n_agents)
     outputs = []
     for hypotheses in order:
         classes = {cls for cls, _ in hypotheses}
         if len(classes) == 1:
             outputs.append(surcharges[classes.pop()])
         else:
-            outputs.append(zero_tax(n_agents))
+            outputs.append(untaxed)
     return DynamicTax(outputs=tuple(outputs), transitions=tuple(transitions))
 
 
@@ -564,6 +566,18 @@ def _levelling_machine(game: Game) -> DynamicTax:
     return lift_static(_levelling_tax(arena, _cost_ceiling(arena)), arena.n_letters)
 
 
+def _levelled_responses(game: Game) -> _Responses:
+    """The untaxed memo of the levelled game: every cost cell charges every
+    agent the cost ceiling λ, the level of _levelling_machine.  Under an
+    eliminator X composed with the levelling tax, the game charges cost +
+    (λ - cost) + X = λ + X on every cell, as Fractions: the levelled game
+    taxed by X.  So a check there decides what a check under the per-cell
+    composed tax decides, with no levelling table read.  Every step of the
+    levelled game costs the floor λ, so an agent that wins its goal on a
+    cycle that X does not surcharge needs no product graph."""
+    return _Responses(_uniform_cost_game(game, _cost_ceiling(game.arena)), None)
+
+
 def verify_witness(
     game: Game,
     problem: str,
@@ -576,9 +590,11 @@ def verify_witness(
     """Why a witness fails, or () when it holds: the profile is an exact
     equilibrium under the tax and its run satisfies the objective; for
     anash, also no bounded equilibrium under the tax violates it.  The
-    check keeps its own best-response memo, apart from any sweep that found
-    the witness; a_nash_implement checks its own witness on the memo of its
-    final sweep instead, since both read the same composed tax."""
+    check keeps its own best-response memo of the game under the given
+    per-cell tax, apart from any sweep that found the witness.  The drivers
+    check their own witnesses on the levelled game instead (see
+    _levelled_responses), whose step costs equal those of the game under
+    their witness tax, so this check agrees with theirs."""
     check_profile(game.arena, profile)
     return _verify_witness(
         _Responses(game, tax), problem, objective, memory_bound, profile, cap
@@ -623,10 +639,13 @@ def e_nash_implement(
     Equilibria of the cost-free game are exactly the equilibria achievable
     under some tax, and the uniform levelling tax realizes any of them; a
     yes verdict carries that tax and a supporting profile, re-verified from
-    scratch.  An empty bounded search is reported as no-within-bound.
+    scratch.  The re-verification runs on the levelled game, every cell at
+    the levelling tax's level, which charges each step what the game
+    charges under that tax, so it is exact without reading the per-cell
+    table.  An empty bounded search is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
     free = _Responses(zero_cost_game(game), None)
-    return _e_nash(game, free, objective, memory_bound, cap, objective_text)
+    return _e_nash(game, free, objective, memory_bound, cap, objective_text)[0]
 
 
 def _e_nash(
@@ -636,9 +655,10 @@ def _e_nash(
     memory_bound: int,
     cap: int,
     objective_text: str | None,
-) -> ImplementationVerdict:
+) -> tuple[ImplementationVerdict, _Responses | None]:
     """e_nash_implement, sweeping the cost-free game through free, the
-    best-response memo of that game without a tax."""
+    best-response memo of that game without a tax; also the memo of the
+    levelled game that checked the witness, or None when none was found."""
     text = objective_text if objective_text is not None else to_text(objective)
     witness = next(_nash_sweep(free, memory_bound, objective, cap), None)
     if witness is None:
@@ -650,11 +670,11 @@ def _e_nash(
             diagnostics=(
                 f"no cost-free equilibrium satisfies {text} at bound {memory_bound}",
             ),
-        )
+        ), None
+    # built first, so a cost hole, which the levelled game fills, raises
     tax = _levelling_machine(game)
-    problems = _verify_witness(
-        _Responses(game, tax), "enash", objective, memory_bound, witness, cap
-    )
+    levelled = _levelled_responses(game)
+    problems = _verify_witness(levelled, "enash", objective, memory_bound, witness, cap)
     if problems:
         return ImplementationVerdict(
             problem="enash",
@@ -662,7 +682,7 @@ def _e_nash(
             bound=memory_bound,
             objective_text=text,
             diagnostics=problems,
-        )
+        ), levelled
     return ImplementationVerdict(
         problem="enash",
         answer="yes",
@@ -670,7 +690,7 @@ def _e_nash(
         objective_text=text,
         witness_tax=tax,
         witness_profile=witness,
-    )
+    ), levelled
 
 
 def a_nash_implement(
@@ -684,13 +704,17 @@ def a_nash_implement(
 ) -> ImplementationVerdict:
     """Does some tax make every equilibrium satisfy the objective (and one
     exist)?  Requires the e-nash condition plus eliminability of the
-    objective-violating cost-free equilibria; the composed witness tax is
-    re-verified within the bounded universe before a yes is returned.
+    objective-violating cost-free equilibria; the witness tax, the
+    eliminator composed with the levelling tax, is re-verified within the
+    bounded universe before a yes is returned.  The final sweep and the
+    witness check run on the levelled game taxed by the eliminator alone,
+    which charges every step what the game charges under the composed tax
+    (see _levelled_responses), so the composed tax is built only for a yes.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
     # the e-nash sweep and the violating sweep share one cost-free memo
     free = _Responses(zero_cost_game(game), None)
-    base = _e_nash(game, free, objective, memory_bound, cap, objective_text)
+    base, levelled = _e_nash(game, free, objective, memory_bound, cap, objective_text)
     if base.answer != "yes":
         return replace(
             base,
@@ -698,8 +722,7 @@ def a_nash_implement(
             diagnostics=base.diagnostics + ("e-nash precondition failed",),
         )
     violating = list(_nash_sweep(free, memory_bound, Not(objective), cap))
-    # the e-nash witness tax is the lifted levelling tax
-    levelling = base.witness_tax
+    eliminator: DynamicTax | None = None
     diagnostics: list[str] = []
     if violating:
         try:
@@ -731,17 +754,17 @@ def a_nash_implement(
                 ),
             )
         _, eliminator = eliminable
-        combined = compose_tax(eliminator, levelling.outputs[0])
         diagnostics.append(
             f"eliminated {len(violating)} objective-violating equilibria"
         )
     else:
-        combined = levelling
         diagnostics.append("no objective-violating equilibria at this bound")
 
-    # the final sweep and the witness check share one memo of the
-    # composed tax
-    final = _Responses(game, combined)
+    # the final sweep and the witness check share one memo of the levelled
+    # game, the e-nash check's own when nothing is eliminated
+    final = (
+        levelled if eliminator is None else _Responses(levelled.game, eliminator)
+    )
     witness = next(_nash_sweep(final, memory_bound, objective, cap), None)
     if witness is None:
         problems: tuple[str, ...] = (
@@ -761,12 +784,16 @@ def a_nash_implement(
             diagnostics=tuple(diagnostics)
             + tuple(f"verification failed: {line}" for line in problems),
         )
+    # the e-nash witness tax is the lifted levelling tax
+    tax = base.witness_tax
+    if eliminator is not None:
+        tax = compose_tax(eliminator, tax.outputs[0])
     return ImplementationVerdict(
         problem="anash",
         answer="yes",
         bound=memory_bound,
         objective_text=text,
-        witness_tax=combined,
+        witness_tax=tax,
         witness_profile=witness,
         diagnostics=tuple(diagnostics),
     )

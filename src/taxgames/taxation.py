@@ -79,9 +79,15 @@ def zero_tax(n_agents: int) -> StaticTax:
 
 def add_static(first: StaticTax, second: StaticTax) -> StaticTax:
     """The cellwise sum.  Both operands hold non-negative, nonzero vectors
-    already, and so does their sum, so it needs no static_tax checks."""
+    already, and so does their sum, so it needs no static_tax checks.  When
+    one operand has no entries the sum is the other operand itself, so its
+    cached cell table and scale are shared."""
     if first.n_agents != second.n_agents:
         raise AlphabetMismatchError("static taxes tax different agent counts")
+    if not first.entries:
+        return second
+    if not second.entries:
+        return first
     combined: dict[tuple[int, int], tuple[Fraction, ...]] = {
         (s, a): vector for s, a, vector in first.entries
     }
@@ -164,11 +170,17 @@ def check_tax(arena: Arena, tax: DynamicTax) -> None:
 
 
 def compose_tax(dynamic: DynamicTax, extra: StaticTax) -> DynamicTax:
-    """Add a static tax on top of every output of a dynamic scheme."""
+    """Add a static tax on top of every output of a dynamic scheme.  Each
+    distinct output object is summed once, and the states that share it
+    share the sum."""
     if dynamic.n_agents != extra.n_agents:
         raise AlphabetMismatchError("composed taxes cover different agent counts")
+    sums: dict[int, StaticTax] = {}
+    for out in dynamic.outputs:
+        if id(out) not in sums:
+            sums[id(out)] = add_static(out, extra)
     return DynamicTax(
-        outputs=tuple(add_static(out, extra) for out in dynamic.outputs),
+        outputs=tuple(sums[id(out)] for out in dynamic.outputs),
         transitions=dynamic.transitions,
     )
 
@@ -200,21 +212,27 @@ def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
     ceiling.  Its surcharges are non-negative Fractions by that check and
     its cells come in sorted order, so the entries are built as static_tax
     would leave them.  Each cost vector object gets its surcharge once,
-    keyed by identity (None when it is all zero); cells that share the
-    vector share the surcharge."""
+    keyed by identity (None when it is all zero), and each cost row object
+    its (letter, surcharge) template once; states that share the row emit
+    their entries from the shared template."""
     surcharges: dict[int, tuple[Fraction, ...] | None] = {}
+    templates: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
     entries = []
     for s, row in enumerate(arena.cost):
-        for letter, base in enumerate(row):
-            key = id(base)
-            if key not in surcharges:
-                if base is None:
-                    raise ValueError("game must be total")
-                vector = tuple(target - x for x in base)
-                surcharges[key] = vector if any(vector) else None
-            vector = surcharges[key]
-            if vector is not None:
-                entries.append((s, letter, vector))
+        template = templates.get(id(row))
+        if template is None:
+            template = templates[id(row)] = []
+            for letter, base in enumerate(row):
+                key = id(base)
+                if key not in surcharges:
+                    if base is None:
+                        raise ValueError("game must be total")
+                    vector = tuple(target - x for x in base)
+                    surcharges[key] = vector if any(vector) else None
+                vector = surcharges[key]
+                if vector is not None:
+                    template.append((letter, vector))
+        entries.extend([(s, letter, vector) for letter, vector in template])
     return StaticTax(n_agents=arena.n_agents, entries=tuple(entries))
 
 

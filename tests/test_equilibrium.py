@@ -413,17 +413,49 @@ class TestIntegerNashTest:
         assert [agent for agent, _ in keys] == [0, 1]
 
     def test_a_nash_final_tax_has_one_memo(self, monkeypatch):
-        # the final sweep and the witness check read one composed tax, and
-        # share one memo, so no product graph under it is built twice
+        # the final sweep and the witness check read the levelled game
+        # under the eliminator, and share one memo, so no product graph
+        # under it is built twice; the cost-free sweeps and the e-nash
+        # check run untaxed, and the eliminability check taxes the game
         game = junction_game()
         objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
         built = record_response_graphs(monkeypatch)
         verdict = tg.a_nash_implement(game, objective, 1)
         assert verdict.answer == "yes"
-        final = [(memo, key) for memo, key in built if memo.tax is verdict.witness_tax]
+        final = [
+            (memo, key)
+            for memo, key in built
+            if memo.tax is not None and memo.game is not game
+        ]
         keys = [key for _, key in final]
         assert keys and len(keys) == len(set(keys))
         assert len({id(memo) for memo, _ in final}) == 1
+
+    def test_drivers_check_witnesses_on_the_levelled_game(self, monkeypatch):
+        # no product graph reads the per-cell witness tax; the levelled
+        # game charges its floor on every step, so no winner of the e-nash
+        # witness run needs a graph either
+        game = junction_game()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        free: list = []
+        zero_cost_game = tg.implementation.zero_cost_game
+
+        def recording(g):
+            free.append(zero_cost_game(g))
+            return free[-1]
+
+        monkeypatch.setattr(tg.implementation, "zero_cost_game", recording)
+        built = record_response_graphs(monkeypatch)
+        verdict = tg.a_nash_implement(game, objective, 1)
+        assert verdict.answer == "yes"
+        assert built and all(memo.tax != verdict.witness_tax for memo, _ in built)
+
+        built.clear()
+        verdict = tg.e_nash_implement(game, objective, 1)
+        assert verdict.answer == "yes"
+        winners = tg.evaluate(game, verdict.witness_profile).winners
+        checked = {agent for memo, (agent, _) in built if memo.game is not free[-1]}
+        assert winners and not winners & checked
 
 
 @pytest.mark.parametrize(
@@ -630,4 +662,14 @@ class TestNonTotalArena:
         game = holed_game("transition")
         objective = tg.parse_ltl("G F p", game.arena.vocabulary)
         with pytest.raises(ValueError, match=self.MESSAGE):
+            getattr(tg, driver)(game, objective, 1)
+
+    @pytest.mark.parametrize("driver", ["e_nash_implement", "a_nash_implement"])
+    def test_drivers_on_cost_hole(self, driver):
+        # the cost-free and levelled games fill every cost cell; the
+        # levelling tax is built before the levelled game is read, and
+        # raises on the hole
+        game = holed_game("cost")
+        objective = tg.parse_ltl("G F p", game.arena.vocabulary)
+        with pytest.raises(ValueError, match="^game must be total$"):
             getattr(tg, driver)(game, objective, 1)

@@ -315,6 +315,40 @@ def test_driver_verdicts_match_fraction_reference(monkeypatch):
     assert "yes" in answers and "no-within-bound" in answers
 
 
+def test_driver_yes_verdicts_pass_verify_witness():
+    # the drivers check witnesses on the levelled game; the public check
+    # reads the per-cell witness tax and must agree with every yes
+    rng = Random(41)
+    cases = [(junction_game(), "G (p <-> q)")]
+    for _ in range(12):
+        game = rational_game(
+            rng, goals=(rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+        )
+        cases.append((game, rng.choice(("G F p", "F G q", "G (p -> F q)", "true"))))
+    answers = []
+    for game, text in cases:
+        objective = tg.parse_ltl(text, game.arena.vocabulary)
+        for problem, driver in (
+            ("enash", tg.e_nash_implement),
+            ("anash", tg.a_nash_implement),
+        ):
+            verdict = driver(game, objective, 1)
+            answers.append((verdict.answer, verdict.diagnostics))
+            if verdict.answer == "yes":
+                assert tg.verify_witness(
+                    game,
+                    problem,
+                    objective,
+                    1,
+                    verdict.witness_tax,
+                    verdict.witness_profile,
+                ) == ()
+    yes = [diagnostics for answer, diagnostics in answers if answer == "yes"]
+    assert len(yes) >= 10
+    assert any("eliminated" in line for lines in yes for line in lines)
+    assert any(answer != "yes" for answer, _ in answers)
+
+
 class TestVerifyWitness:
     def objective(self, game) -> tg.Formula:
         return tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)

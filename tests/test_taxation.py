@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import taxgames as tg
-from taxgames.implementation import _levelling_machine
+from taxgames.implementation import _levelled_responses, _levelling_machine
 
 from helpers import (
     constant_profile,
@@ -18,6 +18,7 @@ from helpers import (
     junction_tax,
     random_game,
     rational_game,
+    rational_tax,
     reference_levelling_entries,
 )
 
@@ -69,6 +70,13 @@ class TestStaticTax:
     def test_is_zero(self):
         assert tg.zero_tax(3).is_zero()
         assert not tg.static_tax(1, {(0, 0): (1,)}).is_zero()
+
+    def test_add_empty_returns_other_operand(self):
+        tax = tg.static_tax(2, {(0, 1): (1, 0)})
+        assert tg.add_static(tg.zero_tax(2), tax) is tax
+        assert tg.add_static(tax, tg.zero_tax(2)) is tax
+        with pytest.raises(tg.AlphabetMismatchError):
+            tg.add_static(tg.zero_tax(3), tax)
 
 
 class TestApplyStatic:
@@ -134,6 +142,20 @@ class TestDynamicTax:
         assert combined.outputs[0].rate(1, 0) == (Fraction(1), Fraction(0))
         assert combined.outputs[2].rate(1, 0) == (Fraction(4), Fraction(3))
 
+    def test_compose_sums_each_output_object_once(self):
+        empty = tg.zero_tax(2)
+        shared = tg.static_tax(2, {(0, 0): (1, 2)})
+        extra = tg.static_tax(2, {(0, 0): (1, 0), (1, 1): (0, 3)})
+        base = tg.DynamicTax(
+            outputs=(empty, shared, empty, shared),
+            transitions=tuple((q,) * 4 for q in range(4)),
+        )
+        combined = tg.compose_tax(base, extra)
+        first, second, third, fourth = combined.outputs
+        assert first is third is extra
+        assert second is fourth
+        assert second == tg.static_tax(2, {(0, 0): (2, 2), (1, 1): (0, 3)})
+
     def test_levelling_rates(self):
         game = junction_game()
         tax = tg.uniform_levelling_tax(game, 2)
@@ -195,6 +217,44 @@ class TestLevellingOracle:
         vectors = [vector for row in arena.cost for vector in row]
         assert len({id(v) for v in vectors}) == len(vectors)
         assert len(set(vectors)) < len(vectors)
+
+
+def levelled_cases() -> list:
+    """Junction with its a-nash eliminator, and 20 rational games under
+    rational multi-state taxes standing in for eliminators."""
+    game = junction_game()
+    objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+    violating = tg.find_ne(tg.zero_cost_game(game), None, 1, tg.Not(objective))
+    _, eliminator = tg.check_eliminable(game, violating, 1)
+    cases = [pytest.param(game, eliminator, id="junction")]
+    rng = Random(23)
+    for k in range(20):
+        game = rational_game(rng)
+        cases.append(
+            pytest.param(game, rational_tax(rng, game.arena), id=f"rational-{k}")
+        )
+    return cases
+
+
+class TestLevelledGame:
+    """The drivers check witnesses on the levelled game taxed by the
+    eliminator alone: every cell and tax state must charge what the game
+    charges under the eliminator composed with the levelling tax."""
+
+    @pytest.mark.parametrize("game, eliminator", levelled_cases())
+    def test_composed_tax_charges_level_plus_eliminator(self, game, eliminator):
+        arena = game.arena
+        level = max(tg.max_cost(game, i) for i in range(arena.n_agents))
+        composed = tg.compose_tax(eliminator, tg.uniform_levelling_tax(game, level))
+        levelled = _levelled_responses(game).game.arena
+        assert levelled.transition == arena.transition
+        for out, extra in zip(composed.outputs, eliminator.outputs):
+            for s in range(arena.n_states):
+                for letter in arena.letters():
+                    taxed = map(sum, zip(arena.cost[s][letter], out.rate(s, letter)))
+                    rate = extra.rate(s, letter)
+                    assert levelled.cost[s][letter] == (level,) * arena.n_agents
+                    assert tuple(taxed) == tuple(level + r for r in rate)
 
 
 class TestTaxedCost:
