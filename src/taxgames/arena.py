@@ -57,26 +57,25 @@ class _IntegerCosts(NamedTuple):
     """An arena's cost table as integers over one scale, the lcm of every
     cost denominator.
 
-    rows[s][letter] is the cell's cost vector times scale, or None for a
-    hole; rows that the arena's cost table shares are shared here too.
-    floors[i] is agent i's cheapest step cost times scale, so no run of the
-    untaxed or non-negatively taxed arena costs agent i less; it is None
-    when a transition or cost cell is missing.
+    rows[s][letter] is the cell's cost vector times scale; rows that the
+    arena's cost table shares are shared here too.  floors[i] is agent i's
+    cheapest step cost times scale, so no run of the untaxed or
+    non-negatively taxed arena costs agent i less.
     """
 
     scale: int
-    rows: tuple[tuple[tuple[int, ...] | None, ...], ...]
-    floors: tuple[int, ...] | None
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    floors: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Immutable concurrent game arena.
 
-    transition[s][letter] is the successor state index or None for a hole;
-    cost[s][letter] is a per-agent Fraction vector or None.  Holes are
-    permitted at construction so validate() can report every totality
-    violation at once; all downstream algorithms require a hole-free arena.
+    transition[s][letter] is the successor state index and cost[s][letter]
+    the per-agent Fraction vector of every state and letter.  The arena is
+    total by construction: a None cell in either table raises one
+    ValueError naming every missing cell, so no algorithm meets a hole.
     """
 
     states: tuple[str, ...]
@@ -84,9 +83,26 @@ class Arena:
     agents: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
     labels: tuple[frozenset[str], ...]
-    transition: tuple[tuple[int | None, ...], ...]
-    cost: tuple[tuple[tuple[Fraction, ...] | None, ...], ...]
+    transition: tuple[tuple[int, ...], ...]
+    cost: tuple[tuple[tuple[Fraction, ...], ...], ...]
     initial: int
+
+    def __post_init__(self) -> None:
+        # a row object that many states share is read once
+        if not any(
+            None in row
+            for table in (self.transition, self.cost)
+            for row in {id(row): row for row in table}.values()
+        ):
+            return
+        missing = [
+            f"missing-{kind}: ({name}, {'/'.join(self.letter_names(letter))})"
+            for s, name in enumerate(self.states)
+            for letter in self.letters()
+            for kind, table in (("transition", self.transition), ("cost", self.cost))
+            if table[s][letter] is None
+        ]
+        raise ValueError("arena is not total: " + "; ".join(missing))
 
     @property
     def n_states(self) -> int:
@@ -143,20 +159,15 @@ class Arena:
             id(v): tuple(x.numerator * (scale // x.denominator) for x in v)
             for v in vectors
         }
-        shared: dict[int, tuple[tuple[int, ...] | None, ...]] = {}
+        shared: dict[int, tuple[tuple[int, ...], ...]] = {}
         rows = []
         for row in self.cost:
             found = shared.get(id(row))
             if found is None:
-                found = shared[id(row)] = tuple(
-                    None if v is None else scaled[id(v)] for v in row
-                )
+                found = shared[id(row)] = tuple(scaled[id(v)] for v in row)
             rows.append(found)
-        total = not any(None in row for row in shared.values()) and not any(
-            None in row for row in {id(r): r for r in self.transition}.values()
-        )
         floors = tuple(min(column) for column in zip(*scaled.values()))
-        return _IntegerCosts(scale, tuple(rows), floors if total else None)
+        return _IntegerCosts(scale, tuple(rows), floors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +192,9 @@ def make_arena(
 ) -> Arena:
     """Build an arena from name-keyed tables.
 
-    Unspecified transition or cost cells take the defaults when given and
-    stay as holes otherwise (validate() will flag them).
+    Unspecified transition or cost cells take the defaults when given; a
+    cell left uncovered makes the arena raise ValueError, which names every
+    such cell.
     """
     state_ids = {name: i for i, name in enumerate(states)}
     if len(state_ids) != len(states):
@@ -273,7 +285,9 @@ def make_game(arena: Arena, goal_texts: Sequence[str]) -> Game:
 
 
 def validate(game: Game) -> list[str]:
-    """All invariant violations, one diagnostic string each; [] means valid."""
+    """All invariant violations, one diagnostic string each; [] means valid.
+    Totality is not among them: an arena with a missing cell cannot be
+    built (see Arena)."""
     arena = game.arena
     issues: list[str] = []
     vocab = frozenset(arena.vocabulary)
@@ -289,21 +303,16 @@ def validate(game: Game) -> list[str]:
         for letter in arena.letters():
             cell = f"({arena.states[s]}, {'/'.join(arena.letter_names(letter))})"
             target = arena.transition[s][letter]
-            if target is None:
-                issues.append(f"missing-transition: {cell}")
-            elif not (0 <= target < arena.n_states):
+            if not (0 <= target < arena.n_states):
                 issues.append(f"bad-transition-target: {cell} -> {target}")
             vector = arena.cost[s][letter]
-            if vector is None:
-                issues.append(f"missing-cost: {cell}")
-            else:
-                if len(vector) != arena.n_agents:
-                    issues.append(f"bad-cost-arity: {cell} has {len(vector)} entries")
-                for i, value in enumerate(vector):
-                    if value < 0:
-                        issues.append(
-                            f"negative-cost: {cell} agent {arena.agents[i]} = {value}"
-                        )
+            if len(vector) != arena.n_agents:
+                issues.append(f"bad-cost-arity: {cell} has {len(vector)} entries")
+            for i, value in enumerate(vector):
+                if value < 0:
+                    issues.append(
+                        f"negative-cost: {cell} agent {arena.agents[i]} = {value}"
+                    )
     for i, goal in enumerate(game.goals):
         extra = variables(goal) - vocab
         if extra:
@@ -315,21 +324,21 @@ def validate(game: Game) -> list[str]:
 
 
 def _cost_vectors(arena: Arena) -> Iterable[tuple[Fraction, ...]]:
-    """Each cost vector object once, holes skipped, told apart by identity
-    so no Fraction is hashed; a row that many states share is read once."""
+    """Each cost vector object once, told apart by identity so no Fraction
+    is hashed; a row that many states share is read once."""
     rows = {id(row): row for row in arena.cost}.values()
-    return {id(v): v for row in rows for v in row if v is not None}.values()
+    return {id(v): v for row in rows for v in row}.values()
 
 
 def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
-    """Exact maximum per-step cost of every agent over all defined entries,
-    and at least 0."""
+    """Exact maximum per-step cost of every agent over all cells, and at
+    least 0."""
     zero = (Fraction(0),) * arena.n_agents
     return tuple(max(column) for column in zip(zero, *_cost_vectors(arena)))
 
 
 def max_cost(game: Game, agent: int) -> Fraction:
-    """Exact maximum per-step cost of one agent over all defined entries."""
+    """Exact maximum per-step cost of one agent over all cells."""
     return _cost_ceilings(game.arena)[agent]
 
 
@@ -338,8 +347,7 @@ def zero_cost_game(game: Game) -> Game:
 
 
 def _uniform_cost_game(game: Game, level: Fraction) -> Game:
-    """A copy of the game whose every cost cell, holes included, is one
-    shared vector charging level to every agent.  Its single row is shared
+    """A copy of the game whose every cost cell is one shared vector charging level to every agent.  Its single row is shared
     by every state, so the integer cost table reads one row."""
     arena = game.arena
     vector = (level,) * arena.n_agents

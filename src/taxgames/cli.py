@@ -28,12 +28,11 @@ from .equilibrium import evaluate, is_nash
 from .errors import DocumentError, ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement, verify_witness
 from .ltl import parse_ltl
-from .strategy import Profile, RunStep, check_profile
+from .strategy import Profile, RunStep
 from .taxation import (
     DynamicTax,
     StaticTax,
     TaxedStep,
-    check_tax,
     lift_static,
     taxed_cost,
     taxed_steps,
@@ -58,14 +57,7 @@ def _prepare_tax(game: Game, path: str | None) -> DynamicTax | None:
     tax = load_tax(path, game.arena)
     if isinstance(tax, StaticTax):
         tax = lift_static(tax, game.arena.n_letters)
-    check_tax(game.arena, tax)
     return tax
-
-
-def _load_profile_for(game: Game, path: str) -> Profile:
-    profile = load_profile(path)
-    check_profile(game.arena, profile)
-    return profile
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -151,7 +143,7 @@ def _print_report(report: dict) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    profile = _load_profile_for(game, args.profile)
+    profile = load_profile(args.profile)
     tax = _prepare_tax(game, args.tax)
     report = _report_data(game, profile, tax)
     _print_report(report)
@@ -165,7 +157,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.problem == "ne":
         if args.profile is None:
             raise TaxgamesError("check ne needs --profile")
-        profile = _load_profile_for(game, args.profile)
+        profile = load_profile(args.profile)
         if is_nash(game, profile, tax):
             print("equilibrium: yes")
             return OK
@@ -239,8 +231,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ):
         raise TaxgamesError("verdict carries no witness to verify")
     objective = parse_ltl(verdict.objective_text, game.arena.vocabulary)
-    check_profile(game.arena, verdict.witness_profile)
-    check_tax(game.arena, verdict.witness_tax)
     failures = verify_witness(
         game,
         verdict.problem,

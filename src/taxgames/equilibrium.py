@@ -45,20 +45,18 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
 from .arena import Game
-from .errors import AlphabetMismatchError
 from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
 from .strategy import (
     LassoRun,
     Profile,
     StrategyMachine,
     _generate_run,
-    _not_total,
     check_profile,
     enumerate_profiles,
     label_trace,
     lasso_canonical,
 )
-from .taxation import DynamicTax, _joint_walk, _taxed_costs
+from .taxation import DynamicTax, _joint_walk, _taxed_costs, check_tax
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,8 @@ def _play(
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
     check_profile(game.arena, profile)
+    if tax is not None:
+        check_tax(game.arena, tax)
     run, trace, winners = _play(game, profile)
     return Outcome(run=run, winners=winners, costs=_taxed_costs(run, tax), trace=trace)
 
@@ -340,8 +340,9 @@ class _Responses:
     scale.  values holds each best response as (goal met, num,
     den), a cost of num / (den * scale), keyed on (agent, the other agents'
     machines): a response reads nothing else of the profile.  floors[i] is
-    agent i's cheapest untaxed step cost over scale, or None when the
-    arena has holes, which a product graph must still meet and report.
+    agent i's cheapest untaxed step cost over scale.  The arena is total
+    (see Arena) and the tax is checked against it here, so every cell a
+    graph or run reaches has a successor, a cost and a tax state.
 
     The drivers check their witnesses on a memo of the levelled game, every
     cost cell at the cost ceiling λ, taxed by the eliminator alone or not
@@ -351,22 +352,16 @@ class _Responses:
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:
-        arena = game.arena
-        if tax is not None and tax.n_agents != arena.n_agents:
-            raise AlphabetMismatchError(
-                f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
-            )
-        costs = arena._integer_costs
+        costs = game.arena._integer_costs
         scale = costs.scale
         if tax is not None:
+            check_tax(game.arena, tax)
             scale = lcm(scale, *(out._scale for out in tax.outputs))
         factor = scale // costs.scale
         self.game = game
         self.tax = tax
         self.scale = scale
-        self.floors = (
-            None if costs.floors is None else tuple(f * factor for f in costs.floors)
-        )
+        self.floors = tuple(f * factor for f in costs.floors)
         self._rows = costs.rows
         self._factor = factor
         # integer vectors over scale, keyed by the identity of the arena's
@@ -380,8 +375,6 @@ class _Responses:
 
     def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
         cost = self._rows[state][letter]
-        if cost is None:
-            raise _not_total(self.game.arena, state, letter)
         scaled = self._scaled
         if self._factor != 1:
             found = scaled.get(id(cost))
@@ -433,7 +426,12 @@ def response_graph(
     responses: _Responses | None = None,
 ) -> ResponseGraph:
     """The agent's product graph; responses, when given, is the (game, tax)
-    memo whose step-cost table the graph reads and fills."""
+    memo whose step-cost table the graph reads and fills.  An agent index
+    outside the game raises ValueError."""
+    if not 0 <= agent < game.arena.n_agents:
+        raise ValueError(
+            f"agent index {agent} is outside 0..{game.arena.n_agents - 1}"
+        )
     if responses is None:
         responses = _Responses(game, tax)
     return _product(responses, profile, agent)
@@ -496,8 +494,6 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
             for own_letter in own_letters:
                 letter = others_letter + own_letter
                 target = row[letter]
-                if target is None:
-                    raise _not_total(arena, state, letter)
                 key = (state, letter, tax_state)
                 weights = steps.get(key) or responses.step(*key)
                 memory_next = tuple(
@@ -601,7 +597,7 @@ def _no_agent_improves(
     floors = responses.floors
     for agent, total in enumerate(totals):
         met = agent in winners
-        if met and floors is not None and total == floors[agent] * length:
+        if met and total == floors[agent] * length:
             continue
         if _beats(responses.value(profile, agent), (met, total, length)):
             return False

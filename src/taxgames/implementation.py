@@ -642,7 +642,8 @@ def e_nash_implement(
     scratch.  The re-verification runs on the levelled game, every cell at
     the levelling tax's level, which charges each step what the game
     charges under that tax, so it is exact without reading the per-cell
-    table.  An empty bounded search is reported as no-within-bound.
+    table, and the table is built only for a yes.  An empty bounded search
+    is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
     free = _Responses(zero_cost_game(game), None)
     return _e_nash(game, free, objective, memory_bound, cap, objective_text)[0]
@@ -671,8 +672,6 @@ def _e_nash(
                 f"no cost-free equilibrium satisfies {text} at bound {memory_bound}",
             ),
         ), None
-    # built first, so a cost hole, which the levelled game fills, raises
-    tax = _levelling_machine(game)
     levelled = _levelled_responses(game)
     problems = _verify_witness(levelled, "enash", objective, memory_bound, witness, cap)
     if problems:
@@ -688,7 +687,7 @@ def _e_nash(
         answer="yes",
         bound=memory_bound,
         objective_text=text,
-        witness_tax=tax,
+        witness_tax=_levelling_machine(game),
         witness_profile=witness,
     ), levelled
 

@@ -85,14 +85,6 @@ def check_profile(arena: Arena, profile: Profile) -> None:
             )
 
 
-def _not_total(arena: Arena, state: int, letter: int) -> ValueError:
-    """The error for a hole in the transition or cost table."""
-    return ValueError(
-        f"arena is not total at ({arena.states[state]}, "
-        f"{'/'.join(arena.letter_names(letter))})"
-    )
-
-
 def generate_run(arena: Arena, profile: Profile) -> LassoRun:
     """Simulate the joint configuration until it repeats; split the step
     sequence at the first repeated configuration into prefix and cycle."""
@@ -113,11 +105,8 @@ def _generate_run(arena: Arena, profile: Profile) -> LassoRun:
         letter = arena.letter_of(
             tuple(m.outputs[q] for m, q in zip(machines, memory))
         )
+        steps.append(RunStep(state, letter, arena.cost[state][letter]))
         target = arena.transition[state][letter]
-        costs = arena.cost[state][letter]
-        if target is None or costs is None:
-            raise _not_total(arena, state, letter)
-        steps.append(RunStep(state, letter, costs))
         config = (target, tuple(m.transitions[q][letter] for m, q in zip(machines, memory)))
     split = seen[config]
     return LassoRun(prefix=tuple(steps[:split]), cycle=tuple(steps[split:]))

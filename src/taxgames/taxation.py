@@ -107,9 +107,7 @@ def apply_static(game: Game, tax: StaticTax) -> Game:
     check_tax(arena, lift_static(tax, arena.n_letters))
     cost = [list(row) for row in arena.cost]
     for s, a, vector in tax.entries:
-        base = cost[s][a]
-        if base is not None:
-            cost[s][a] = tuple(x + y for x, y in zip(base, vector))
+        cost[s][a] = tuple(x + y for x, y in zip(cost[s][a], vector))
     taxed = replace(arena, cost=tuple(tuple(row) for row in cost))
     return replace(game, arena=taxed)
 
@@ -153,16 +151,21 @@ def check_tax(arena: Arena, tax: DynamicTax) -> None:
         raise AlphabetMismatchError(
             f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
         )
-    n_letters = arena.n_letters
+    n_states, n_letters = arena.n_states, arena.n_letters
     for q, row in enumerate(tax.transitions):
         if len(row) != n_letters:
             raise AlphabetMismatchError(
                 f"tax machine state {q} reads {len(row)} letters, "
                 f"game has {n_letters}"
             )
+    # an output object that many tax states share is read once
+    seen: set[int] = set()
     for q, output in enumerate(tax.outputs):
+        if id(output) in seen:
+            continue
+        seen.add(id(output))
         for state, letter, _ in output.entries:
-            if not (0 <= state < arena.n_states and 0 <= letter < n_letters):
+            if not (0 <= state < n_states and 0 <= letter < n_letters):
                 raise AlphabetMismatchError(
                     f"tax machine state {q} rates unknown cell "
                     f"({state}, {letter})"
@@ -225,8 +228,6 @@ def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
             for letter, base in enumerate(row):
                 key = id(base)
                 if key not in surcharges:
-                    if base is None:
-                        raise ValueError("game must be total")
                     vector = tuple(target - x for x in base)
                     surcharges[key] = vector if any(vector) else None
                 vector = surcharges[key]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,22 +64,6 @@ class TestValidation:
     def test_junction_is_clean(self):
         assert tg.validate(junction_game()) == []
 
-    def test_missing_transition_reported(self):
-        arena = tg.make_arena(
-            states=["s0"],
-            vocabulary=["p"],
-            agents=["a1"],
-            actions={"a1": ["go"]},
-            labels={},
-            transitions={},
-            costs={},
-            initial="s0",
-        )
-        game = tg.make_game(arena, ["F p"])
-        problems = tg.validate(game)
-        assert any("missing-transition" in x for x in problems)
-        assert any("missing-cost" in x for x in problems)
-
     def test_negative_cost_reported(self):
         arena = tg.make_arena(
             states=["s0"],
@@ -110,6 +95,90 @@ class TestValidation:
         arena = junction_game().arena
         with pytest.raises(ValueError):
             tg.make_game(arena, ["G F p"])
+
+
+def holed_arena(holes: str) -> tg.Arena:
+    """Two states; agent A plays a, agent B plays b or c.  The cell
+    (s, a/c) lacks its transition, its cost or both."""
+    cells = [("s", "b"), ("s", "c"), ("t", "b"), ("t", "c")]
+    transitions = {(s, ("a", x)): "t" for s, x in cells}
+    costs = {(s, ("a", x)): (1, 1) for s, x in cells}
+    if holes in ("transition", "both"):
+        del transitions[("s", ("a", "c"))]
+    if holes in ("cost", "both"):
+        del costs[("s", ("a", "c"))]
+    return tg.make_arena(
+        states=["s", "t"],
+        vocabulary=["p"],
+        agents=["A", "B"],
+        actions={"A": ["a"], "B": ["b", "c"]},
+        labels={"t": ["p"]},
+        transitions=transitions,
+        costs=costs,
+        initial="s",
+    )
+
+
+class TestTotality:
+    """An arena with a missing transition or cost cell cannot be built,
+    however it is built; the one error names every missing cell."""
+
+    @pytest.mark.parametrize(
+        "holes, named",
+        [
+            ("transition", "missing-transition: (s, a/c)"),
+            ("cost", "missing-cost: (s, a/c)"),
+            ("both", "missing-transition: (s, a/c); missing-cost: (s, a/c)"),
+        ],
+        ids=["transition", "cost", "both"],
+    )
+    def test_make_arena_names_every_missing_cell(self, holes, named):
+        with pytest.raises(ValueError) as err:
+            holed_arena(holes)
+        assert str(err.value) == f"arena is not total: {named}"
+
+    def test_uncovered_state_names_each_cell(self):
+        with pytest.raises(ValueError) as err:
+            tg.make_arena(
+                states=["s0", "s1"],
+                vocabulary=["p"],
+                agents=["a1"],
+                actions={"a1": ["go", "wait"]},
+                labels={},
+                transitions={("s0", ("go",)): "s0", ("s0", ("wait",)): "s1"},
+                costs={},
+                initial="s0",
+                default_cost=[0],
+            )
+        assert str(err.value) == (
+            "arena is not total: missing-transition: (s1, go); "
+            "missing-transition: (s1, wait)"
+        )
+
+    def test_direct_construction_names_each_state_of_a_shared_row(self):
+        arena = junction_game().arena
+        row = arena.transition[0][:-1] + (None,)
+        with pytest.raises(ValueError) as err:
+            tg.Arena(
+                states=arena.states,
+                vocabulary=arena.vocabulary,
+                agents=arena.agents,
+                actions=arena.actions,
+                labels=arena.labels,
+                transition=(row,) * arena.n_states,
+                cost=arena.cost,
+                initial=arena.initial,
+            )
+        assert str(err.value) == "arena is not total: " + "; ".join(
+            f"missing-transition: ({name}, b/d)" for name in arena.states
+        )
+
+    def test_replaced_cost_table_is_checked(self):
+        arena = junction_game().arena
+        cost = (arena.cost[0],) + ((None,) + arena.cost[1][1:],) + arena.cost[2:]
+        with pytest.raises(ValueError) as err:
+            replace(arena, cost=cost)
+        assert str(err.value) == "arena is not total: missing-cost: (s1, a/c)"
 
 
 class TestCostHelpers:

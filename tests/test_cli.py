@@ -164,6 +164,28 @@ class TestCheck:
         )
         assert code == 3
 
+    def test_ne_on_uncovered_cell_is_one_input_error(self, tmp_path, capsys):
+        # s1 has no outgoing transition: one error line names both its cells
+        path = tmp_path / "holed.game"
+        path.write_text(
+            "game:\n"
+            "  states: [s0, s1]\n"
+            "  initial: s0\n"
+            "  labels: {s0: [p]}\n"
+            "  agents:\n"
+            "    - {name: a, actions: [x]}\n"
+            "  transitions:\n"
+            "    - {from: s0, when: [x], to: s1, cost: [0]}\n"
+            "  goals: [G F p]\n"
+        )
+        code = main(["check", "ne", "--game", str(path), "--profile", PROFILE_AC])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: game: arena is not total: "
+            "missing-transition: (s1, x); missing-cost: (s1, x)"
+        ]
+
     def test_anash_yes_writes_verdict(self, tmp_path, capsys):
         out = tmp_path / "verdict.yaml"
         code = main(

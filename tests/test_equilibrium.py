@@ -490,6 +490,38 @@ def test_malformed_profile_rejected_at_entry(entry, malformed):
         calls[entry]()
 
 
+@pytest.mark.parametrize(
+    "entry", ["find_ne", "is_nash", "evaluate", "best_response", "verify_witness"]
+)
+def test_tax_of_another_alphabet_rejected_at_entry(entry):
+    # a tax machine whose rows read 1 letter, on an arena with 4; every
+    # public entry point that takes a tax checks its shape against the arena
+    game = junction_game()
+    tax = tg.DynamicTax(outputs=(tg.zero_tax(2),) * 2, transitions=((1,), (0,)))
+    profile = constant_profile(game.arena, [0, 0])
+    objective = tg.parse_ltl("G F p", game.arena.vocabulary)
+    calls = {
+        "find_ne": lambda: tg.find_ne(game, tax, 1),
+        "is_nash": lambda: tg.is_nash(game, profile, tax),
+        "evaluate": lambda: tg.evaluate(game, profile, tax),
+        "best_response": lambda: tg.best_response(game, profile, 0, tax),
+        "verify_witness": lambda: tg.verify_witness(
+            game, "enash", objective, 1, tax, profile
+        ),
+    }
+    with pytest.raises(tg.AlphabetMismatchError, match="reads 1 letters, game has 4"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+@pytest.mark.parametrize("entry", ["best_response", "response_graph"])
+def test_agent_outside_the_game_rejected(entry, agent):
+    game = junction_game()
+    profile = constant_profile(game.arena, [0, 0])
+    with pytest.raises(ValueError, match=rf"agent index {agent} is outside 0\.\.1"):
+        getattr(tg, entry)(game, profile, agent)
+
+
 class TestFindNe:
     def test_bound_one_equilibria(self):
         game = junction_game()
@@ -619,57 +651,3 @@ def profilewise_ne(game, tax, objective) -> list[tg.Profile]:
             )
         )
     ]
-
-
-def holed_game(hole: str) -> tg.Game:
-    """Two states; agent A plays a, agent B plays b or c.  The cell
-    (s, a/c) lacks its transition or its cost."""
-    cells = [("s", "b"), ("s", "c"), ("t", "b"), ("t", "c")]
-    transitions = {(s, ("a", x)): "t" for s, x in cells}
-    costs = {(s, ("a", x)): (1, 1) for s, x in cells}
-    del (transitions if hole == "transition" else costs)[("s", ("a", "c"))]
-    arena = tg.make_arena(
-        states=["s", "t"],
-        vocabulary=["p"],
-        agents=["A", "B"],
-        actions={"A": ["a"], "B": ["b", "c"]},
-        labels={"t": ["p"]},
-        transitions=transitions,
-        costs=costs,
-        initial="s",
-    )
-    return tg.make_game(arena, ["G F p", "G F p"])
-
-
-class TestNonTotalArena:
-    """A hole met by a best response raises the ValueError that
-    generate_run gives for a hole on the run, not an AssertionError."""
-
-    MESSAGE = r"arena is not total at \(s, a/c\)"
-
-    @pytest.mark.parametrize("hole", ["transition", "cost"])
-    def test_sweep_and_nash_check(self, hole):
-        game = holed_game(hole)
-        # B keeps to b, so the run avoids the hole and B's deviation meets it
-        profile = constant_profile(game.arena, [0, 0])
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            tg.is_nash(game, profile)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            tg.find_ne(game, None, 1)
-
-    @pytest.mark.parametrize("driver", ["e_nash_implement", "a_nash_implement"])
-    def test_drivers(self, driver):
-        game = holed_game("transition")
-        objective = tg.parse_ltl("G F p", game.arena.vocabulary)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            getattr(tg, driver)(game, objective, 1)
-
-    @pytest.mark.parametrize("driver", ["e_nash_implement", "a_nash_implement"])
-    def test_drivers_on_cost_hole(self, driver):
-        # the cost-free and levelled games fill every cost cell; the
-        # levelling tax is built before the levelled game is read, and
-        # raises on the hole
-        game = holed_game("cost")
-        objective = tg.parse_ltl("G F p", game.arena.vocabulary)
-        with pytest.raises(ValueError, match="^game must be total$"):
-            getattr(tg, driver)(game, objective, 1)
