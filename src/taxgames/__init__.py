@@ -48,6 +48,8 @@ from .equilibrium import (
     min_mean_cycle,
     prefers,
     response_graph,
+    taxed_cost,
+    truncated_mean,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -125,9 +127,6 @@ from .taxation import (
     compose_tax,
     lift_static,
     static_tax,
-    taxed_cost,
-    taxed_steps,
-    truncated_mean,
     uniform_levelling_tax,
     zero_tax,
 )

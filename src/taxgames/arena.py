@@ -299,11 +299,24 @@ def validate(game: Game) -> list[str]:
             issues.append(
                 f"unknown-label: state {name} uses " + ", ".join(sorted(extra))
             )
-    for s in range(arena.n_states):
+    # each cost vector object is checked once, however many cells share
+    # it, and a cell is named only in a state that has an issue
+    n_states = arena.n_states
+    bad_vectors = {
+        id(v)
+        for v in _cost_vectors(arena)
+        if len(v) != arena.n_agents or any(x < 0 for x in v)
+    }
+    for s in range(n_states):
+        targets, costs = arena.transition[s], arena.cost[s]
+        bad_target = targets and (min(targets) < 0 or max(targets) >= n_states)
+        bad_cost = bad_vectors and any(id(v) in bad_vectors for v in costs)
+        if not (bad_target or bad_cost):
+            continue
         for letter in arena.letters():
             cell = f"({arena.states[s]}, {'/'.join(arena.letter_names(letter))})"
             target = arena.transition[s][letter]
-            if not (0 <= target < arena.n_states):
+            if not (0 <= target < n_states):
                 issues.append(f"bad-transition-target: {cell} -> {target}")
             vector = arena.cost[s][letter]
             if len(vector) != arena.n_agents:

@@ -24,19 +24,12 @@ from .documents import (
     load_verdict,
     verdict_to_yaml,
 )
-from .equilibrium import evaluate, is_nash
+from .equilibrium import evaluate, is_nash, taxed_cost
 from .errors import DocumentError, ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement, verify_witness
 from .ltl import parse_ltl
 from .strategy import Profile, RunStep
-from .taxation import (
-    DynamicTax,
-    StaticTax,
-    TaxedStep,
-    lift_static,
-    taxed_cost,
-    taxed_steps,
-)
+from .taxation import DynamicTax, StaticTax, _joint_walk, lift_static
 
 OK = 0
 INPUT_ERROR = 2
@@ -73,19 +66,23 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
     outcome = evaluate(game, profile, tax)
     run = outcome.run
 
-    def step_data(item: RunStep | TaxedStep) -> dict:
-        step = item if tax is None else item.step
+    def step_data(step: RunStep, tax_state: int) -> dict:
         data: dict[str, Any] = {
             "state": arena.states[step.state],
             "actions": list(arena.letter_names(step.letter)),
-            "costs": [str(c) for c in step.costs],
+            "costs": [str(c) for c in arena.cost[step.state][step.letter]],
         }
         if tax is not None:
-            data["tax_state"] = item.tax_state
-            data["rates"] = [str(r) for r in item.rates]
+            rates = tax.outputs[tax_state].rate(step.state, step.letter)
+            data["tax_state"] = tax_state
+            data["rates"] = [str(r) for r in rates]
         return data
 
-    head, loop = (run.prefix, run.cycle) if tax is None else taxed_steps(run, tax)
+    if tax is None:
+        walk = [(step, 0) for step in run.prefix + run.cycle]
+        split = len(run.prefix)
+    else:
+        walk, split = _joint_walk(run, tax)
     report: dict[str, Any] = {
         "goals": [
             {
@@ -98,13 +95,13 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
         "costs": [
             {
                 "agent": arena.agents[i],
-                "untaxed": str(taxed_cost(run, None, i)),
+                "untaxed": str(taxed_cost(game, run, None, i)),
             }
             for i in range(arena.n_agents)
         ],
         "run": {
-            "prefix": [step_data(item) for item in head],
-            "cycle": [step_data(item) for item in loop],
+            "prefix": [step_data(*item) for item in walk[:split]],
+            "cycle": [step_data(*item) for item in walk[split:]],
         },
     }
     if tax is not None:

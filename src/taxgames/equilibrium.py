@@ -25,11 +25,12 @@ configuration (arena state, other machines' states, tax state), whose arena
 steps are expanded once per graph and reused by each of them.  Weights are
 integers over one scale per (game, tax), fixed before any graph is built.
 
-The Nash test compares integers too.  A run's taxed cost is summed over its
-joint cycle with the tax machine from the same step-cost table the product
-graphs read, and compared with the memoised best responses by
-cross-multiplication; Fractions are built only for values that leave the
-library (evaluate, best_response).  An agent that wins its goal while its
+The Nash test compares integers too.  Every run cost, in the Nash test or
+out of it, is summed over the run's joint cycle with the tax machine from
+the same step-cost table the product graphs read; the Nash test compares
+it with the memoised best responses by cross-multiplication.  Fractions
+are built only for values that leave the library (evaluate, taxed_cost,
+truncated_mean, best_response).  An agent that wins its goal while its
 run costs its cheapest untaxed step needs no product graph: taxes are
 non-negative, so no deviation can cost it less.
 """
@@ -55,8 +56,9 @@ from .strategy import (
     enumerate_profiles,
     label_trace,
     lasso_canonical,
+    run_at,
 )
-from .taxation import DynamicTax, _joint_walk, _taxed_costs, check_tax
+from .taxation import DynamicTax, _joint_walk, check_tax
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,41 @@ def _play(
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
     check_profile(game.arena, profile)
-    if tax is not None:
-        check_tax(game.arena, tax)
+    responses = _Responses(game, tax)
     run, trace, winners = _play(game, profile)
-    return Outcome(run=run, winners=winners, costs=_taxed_costs(run, tax), trace=trace)
+    return Outcome(
+        run=run, winners=winners, costs=responses.mean_costs(run), trace=trace
+    )
+
+
+def taxed_cost(
+    game: Game, run: LassoRun, tax: DynamicTax | None, agent: int
+) -> Fraction:
+    """Exact limit-average taxed cost of one agent along a run of the game.
+
+    The per-step taxed cost sequence is ultimately periodic, so the liminf
+    of running averages is the plain mean over the joint cycle of the run
+    and the tax machine; the prefix contributes nothing.
+    """
+    return _Responses(game, tax).mean_costs(run)[agent]
+
+
+def truncated_mean(
+    game: Game, run: LassoRun, tax: DynamicTax | None, agent: int, t: int
+) -> Fraction:
+    """Average taxed cost of one agent over steps 0..t inclusive of a run
+    of the game."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    responses = _Responses(game, tax)
+    total = 0
+    q = 0
+    for k in range(t + 1):
+        step = run_at(run, k)
+        total += responses.step(step.state, step.letter, q)[agent]
+        if tax is not None:
+            q = tax.next_state(q, step.letter)
+    return Fraction(total, (t + 1) * responses.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +372,13 @@ class _Responses:
     each once: rate vectors, and cost vectors when the tax widens the
     scale.  values holds each best response as (goal met, num,
     den), a cost of num / (den * scale), keyed on (agent, the other agents'
-    machines): a response reads nothing else of the profile.  floors[i] is
-    agent i's cheapest untaxed step cost over scale.  The arena is total
-    (see Arena) and the tax is checked against it here, so every cell a
-    graph or run reaches has a successor, a cost and a tax state.
+    machines): a response reads nothing else of the profile.  run_costs
+    sums a run's steps from the same table, and mean_costs turns those
+    sums into the Fraction costs that evaluate and taxed_cost return.
+    floors[i] is agent i's cheapest untaxed step cost over scale.  The
+    arena is total (see Arena) and the tax is checked against it here, so
+    every cell a graph or run reaches has a successor, a cost and a tax
+    state.
 
     The drivers check their witnesses on a memo of the levelled game, every
     cost cell at the cost ceiling λ, taxed by the eliminator alone or not
@@ -407,6 +443,12 @@ class _Responses:
         steps, step = self.steps, self.step
         rows = [steps.get(key) or step(*key) for key in keys]
         return [sum(column) for column in zip(*rows)], len(keys)
+
+    def mean_costs(self, run: LassoRun) -> tuple[Fraction, ...]:
+        """Each agent's exact limit-average taxed cost along the run: the
+        Fraction of run_costs' integer sums."""
+        totals, length = self.run_costs(run)
+        return tuple(Fraction(total, length * self.scale) for total in totals)
 
     def value(self, profile: Profile, agent: int) -> tuple[bool, int, int]:
         machines = profile.machines

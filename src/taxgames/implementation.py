@@ -41,7 +41,6 @@ from .taxation import (
     StaticTax,
     _cost_ceiling,
     _levelling_tax,
-    _taxed_costs,
     compose_tax,
     lift_static,
     static_tax,
@@ -927,7 +926,7 @@ def static_insufficiency_check(
             if not eval_on_lasso(bad, trace):
                 continue
             if _no_agent_improves(responses, canonical, run, winners):
-                costs = ", ".join(str(c) for c in _taxed_costs(run, None))
+                costs = ", ".join(str(c) for c in responses.mean_costs(run))
                 hit = StaticInsufficiencyRow(
                     tax=tax,
                     found=True,

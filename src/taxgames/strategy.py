@@ -5,13 +5,14 @@ the arena's joint action profiles (indexed as in Arena) and whose outputs
 are the owning agent's action indices.  The machine's initial state is
 always 0.  A profile of machines enacted in an arena yields exactly one
 ultimately periodic run, represented as a lasso and compared via a canonical
-normal form.
+normal form.  A run step is just the arena state and the letter played
+there: what it costs is read from the game and the tax (see equilibrium),
+so a game and a copy of it with other costs give equal runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -49,7 +50,6 @@ class Profile:
 class RunStep(NamedTuple):
     state: int
     letter: int
-    costs: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _generate_run(arena: Arena, profile: Profile) -> LassoRun:
         letter = arena.letter_of(
             tuple(m.outputs[q] for m, q in zip(machines, memory))
         )
-        steps.append(RunStep(state, letter, arena.cost[state][letter]))
+        steps.append(RunStep(state, letter))
         target = arena.transition[state][letter]
         config = (target, tuple(m.transitions[q][letter] for m, q in zip(machines, memory)))
     split = seen[config]

@@ -1,11 +1,12 @@
-"""Static and dynamic taxation schemes and taxed limit-average costs.
+"""Static and dynamic taxation schemes.
 
 A static tax is a non-negative per-agent surcharge on (state, action-profile)
 cells, applied identically at every occurrence.  A dynamic tax is a Moore
 machine reading action profiles and emitting a static tax each step, which
-makes the surcharge history-dependent.  Costs of lasso runs are exact cycle
-means; for ultimately periodic step sequences the liminf of running averages
-equals that mean, so nothing is approximated.
+makes the surcharge history-dependent.  A run read by a tax machine is
+ultimately periodic in (run position, tax state) pairs (see _joint_walk);
+what it costs is summed over that joint cycle by equilibrium._Responses,
+from the one step-cost table of a (game, tax).
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .arena import Arena, Game, _cost_ceilings, to_fraction
 from .errors import AlphabetMismatchError
-from .strategy import LassoRun, RunStep, run_at
+from .strategy import LassoRun, RunStep
 
 
 @dataclass(frozen=True)
@@ -241,23 +242,6 @@ def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
 # Taxes along runs
 
 
-def _check_run_tax(run: LassoRun, tax: DynamicTax) -> None:
-    arity = len(run.cycle[0].costs) if run.cycle else 0
-    if tax.n_agents != arity:
-        raise AlphabetMismatchError(
-            f"tax covers {tax.n_agents} agents, run has {arity}"
-        )
-
-
-class TaxedStep(NamedTuple):
-    """One step of a run read by a tax machine: the run step, the machine
-    state it is read in, and the tax vector that state charges for it."""
-
-    step: RunStep
-    tax_state: int
-    rates: tuple[Fraction, ...]
-
-
 def _joint_walk(
     run: LassoRun, tax: DynamicTax
 ) -> tuple[list[tuple[RunStep, int]], int]:
@@ -281,57 +265,3 @@ def _joint_walk(
         nxt = pos + 1 if pos + 1 < len(steps) else wrap
         pair = (nxt, tax.next_state(q, step.letter))
     return walk, seen[pair]
-
-
-def taxed_steps(
-    run: LassoRun, tax: DynamicTax
-) -> tuple[tuple[TaxedStep, ...], tuple[TaxedStep, ...]]:
-    """The run under the tax, as a (prefix, cycle) lasso of joint steps."""
-    _check_run_tax(run, tax)
-    walk, split = _joint_walk(run, tax)
-    taxed = [
-        TaxedStep(step, q, tax.outputs[q].rate(step.state, step.letter))
-        for step, q in walk
-    ]
-    return tuple(taxed[:split]), tuple(taxed[split:])
-
-
-def _taxed_costs(run: LassoRun, tax: DynamicTax | None) -> tuple[Fraction, ...]:
-    """Exact limit-average taxed cost of every agent along the run.
-
-    The per-step taxed cost sequence is ultimately periodic, so the liminf
-    of running averages is the plain mean over the joint cycle; the prefix
-    contributes nothing.
-    """
-    if tax is None:
-        loop = [step.costs for step in run.cycle]
-    else:
-        loop = [
-            tuple(c + r for c, r in zip(item.step.costs, item.rates))
-            for item in taxed_steps(run, tax)[1]
-        ]
-    return tuple(Fraction(sum(column), len(loop)) for column in zip(*loop))
-
-
-def taxed_cost(run: LassoRun, tax: DynamicTax | None, agent: int) -> Fraction:
-    """Exact limit-average taxed cost of one agent along the run."""
-    return _taxed_costs(run, tax)[agent]
-
-
-def truncated_mean(
-    run: LassoRun, tax: DynamicTax | None, agent: int, t: int
-) -> Fraction:
-    """Average taxed cost over steps 0..t inclusive."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if tax is None:
-        total = sum(run_at(run, k).costs[agent] for k in range(t + 1))
-        return Fraction(total, t + 1)
-    _check_run_tax(run, tax)
-    total = Fraction(0)
-    q = 0
-    for k in range(t + 1):
-        step = run_at(run, k)
-        total += step.costs[agent] + tax.outputs[q].rate(step.state, step.letter)[agent]
-        q = tax.next_state(q, step.letter)
-    return Fraction(total, t + 1)

@@ -1,8 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's own algorithms: temporal
-formulas are checked by walking the lasso position by position, mean cycles
-by enumerating simple cycles, machine enumeration by brute force over raw
+formulas are checked by walking the lasso position by position, run costs
+by a Fraction walk over (run position, tax state) pairs, mean cycles by
+enumerating simple cycles, machine enumeration by brute force over raw
 tables, and best responses by trying every small machine that reads only
 the other agents' actions; exact best responses are read off the product
 with the degeneralised goal automaton (a round-robin counter over the
@@ -670,8 +671,57 @@ def oracle_response_values(
     for small in raw_machines(len(arena.actions[agent]), n_obs, bound):
         lifted = lift_reduced(small, arena, agent)
         outcome = tg.evaluate(game, profile.replace(agent, lifted), tax)
-        values.append(outcome.value(agent))
+        cost = reference_taxed_costs(arena, outcome.run, tax)[agent]
+        values.append(tg.LexValue(goal_met=agent in outcome.winners, cost=cost))
     return values
+
+
+# ======================== Run cost oracle ===================================
+
+
+def reference_taxed_costs(
+    arena: tg.Arena, run: tg.LassoRun, tax: tg.DynamicTax | None = None
+) -> tuple[Fraction, ...]:
+    """Each agent's limit-average taxed cost along the run, on Fractions
+    read straight from `arena.cost` and `StaticTax.rate`: walk (run
+    position, tax state) pairs until one repeats and average the steps
+    from its first visit on."""
+    steps = run.prefix + run.cycle
+    seen: dict[tuple[int, int], int] = {}
+    walk = []
+    pos = q = 0
+    while (pos, q) not in seen:
+        seen[(pos, q)] = len(walk)
+        state, letter = steps[pos]
+        cost = arena.cost[state][letter]
+        if tax is not None:
+            rate = tax.outputs[q].rate(state, letter)
+            cost = tuple(c + r for c, r in zip(cost, rate))
+            q = tax.transitions[q][letter]
+        walk.append(cost)
+        pos = pos + 1 if pos + 1 < len(steps) else len(run.prefix)
+    loop = walk[seen[(pos, q)]:]
+    return tuple(Fraction(sum(column), len(loop)) for column in zip(*loop))
+
+
+def reference_running_means(
+    arena: tg.Arena, run: tg.LassoRun, tax: tg.DynamicTax | None, horizon: int
+) -> list[tuple[Fraction, ...]]:
+    """Each agent's average taxed cost over steps 0..t, for t in
+    0..horizon-1, as a Fraction running sum along the unrolled run."""
+    totals = (Fraction(0),) * arena.n_agents
+    means = []
+    q = 0
+    for t in range(horizon):
+        state, letter = tg.run_at(run, t)
+        cost = arena.cost[state][letter]
+        if tax is not None:
+            rate = tax.outputs[q].rate(state, letter)
+            cost = tuple(c + r for c, r in zip(cost, rate))
+            q = tax.transitions[q][letter]
+        totals = tuple(x + c for x, c in zip(totals, cost))
+        means.append(tuple(total / (t + 1) for total in totals))
+    return means
 
 
 # ======================== Exact best-response oracle ========================
@@ -767,15 +817,15 @@ def reference_no_agent_improves(
     responses, profile: tg.Profile, run: tg.LassoRun, winners: frozenset[int]
 ) -> bool:
     """The library's Nash test on Fractions, with its signature: each
-    agent's `taxed_cost` on the run against its `reference_response_value`
-    under the responses' game and tax, with no memo and no shortcut."""
+    agent's `reference_taxed_costs` on the run against its
+    `reference_response_value` under the responses' game and tax, with no
+    memo and no shortcut."""
     game, tax = responses.game, responses.tax
+    costs = reference_taxed_costs(game.arena, run, tax)
     return all(
         tg.prefers(
             reference_response_value(game, profile, agent, tax),
-            tg.LexValue(
-                goal_met=agent in winners, cost=tg.taxed_cost(run, tax, agent)
-            ),
+            tg.LexValue(goal_met=agent in winners, cost=costs[agent]),
         )
         <= 0
         for agent in range(len(profile.machines))

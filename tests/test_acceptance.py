@@ -155,10 +155,12 @@ def plant_witness(rng: Random):
         # every one-edge-per-target selection closed a cycle; resample
 
 
-def lex_of(graph: tg.DeviationGraph, node: int, agent: int, tax) -> tg.LexValue:
+def lex_of(
+    game: tg.Game, graph: tg.DeviationGraph, node: int, agent: int, tax
+) -> tg.LexValue:
     return tg.LexValue(
         goal_met=agent in graph.winners[node],
-        cost=tg.taxed_cost(graph.runs[node], tax, agent),
+        cost=tg.taxed_cost(game, graph.runs[node], tax, agent),
     )
 
 
@@ -226,20 +228,20 @@ class TestAcceptance:
         run_ac = tg.lasso_canonical(
             tg.generate_run(arena, constant_profile(arena, [0, 0]))
         )
-        assert tg.taxed_cost(run_ad, None, 0) == Fraction(1)
-        assert tg.taxed_cost(run_ac, tax, 0) == Fraction(3)
-        assert tg.taxed_cost(run_ac, tax, 1) == Fraction(3)
+        assert tg.taxed_cost(game, run_ad, None, 0) == Fraction(1)
+        assert tg.taxed_cost(game, run_ac, tax, 0) == Fraction(3)
+        assert tg.taxed_cost(game, run_ac, tax, 1) == Fraction(3)
         free = tg.zero_cost_game(game)
         run_free = tg.lasso_canonical(
             tg.generate_run(free.arena, constant_profile(free.arena, [0, 0]))
         )
-        assert tg.taxed_cost(run_free, None, 0) == 0
+        assert tg.taxed_cost(free, run_free, None, 0) == 0
         ceiling = Fraction(5)  # worst step cost plus worst tax rate
         for run, applied in ((run_ad, None), (run_ac, tax)):
             horizon = len(run.prefix) + 100 * len(run.cycle)
             for agent in (0, 1):
-                gap = tg.truncated_mean(run, applied, agent, horizon)
-                gap -= tg.taxed_cost(run, applied, agent)
+                gap = tg.truncated_mean(game, run, applied, agent, horizon)
+                gap -= tg.taxed_cost(game, run, applied, agent)
                 assert abs(gap) <= ceiling / 100
         assert time.monotonic() - start < 1.0
 
@@ -348,7 +350,8 @@ class TestAcceptance:
             tax = tg.synthesize_eliminating_tax(game, graph, targets=targets)
             for u, v, agent in graph.edges:
                 gain = tg.prefers(
-                    lex_of(graph, v, agent, tax), lex_of(graph, u, agent, tax)
+                    lex_of(game, graph, v, agent, tax),
+                    lex_of(game, graph, u, agent, tax),
                 )
                 assert gain > 0
             for target in targets:
@@ -360,8 +363,8 @@ class TestAcceptance:
                 if run in planted_runs:
                     continue
                 for agent in (0, 1):
-                    assert tg.taxed_cost(run, tax, agent) == tg.taxed_cost(
-                        run, None, agent
+                    assert tg.taxed_cost(game, run, tax, agent) == tg.taxed_cost(
+                        game, run, None, agent
                     )
         assert time.monotonic() - start < 300.0
 

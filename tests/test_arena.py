@@ -78,6 +78,25 @@ class TestValidation:
         game = tg.make_game(arena, ["F p"])
         assert any("negative-cost" in x for x in tg.validate(game))
 
+    def test_direct_construction_names_only_bad_cells(self):
+        game = junction_game()
+        arena = game.arena
+        zero = (Fraction(0),) * 2
+        # s2 and s3 share one cost row, with a negative and a short vector
+        row = (zero, (Fraction(-1), Fraction(0)), (Fraction(0),), zero)
+        bad = replace(
+            arena,
+            transition=(arena.transition[0], (0, 4, 0, 0)) + arena.transition[2:],
+            cost=arena.cost[:2] + (row, row),
+        )
+        assert tg.validate(replace(game, arena=bad)) == [
+            "bad-transition-target: (s1, a/d) -> 4",
+            "negative-cost: (s2, a/d) agent driver1 = -1",
+            "bad-cost-arity: (s2, b/c) has 1 entries",
+            "negative-cost: (s3, a/d) agent driver1 = -1",
+            "bad-cost-arity: (s3, b/c) has 1 entries",
+        ]
+
     def test_unknown_label_rejected_at_build(self):
         with pytest.raises(ValueError):
             tg.make_arena(

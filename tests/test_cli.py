@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -84,6 +85,21 @@ class TestEvaluate:
             ["0", "0"], ["2", "0"], ["0", "0"],
         ]
         assert report["costs"][0]["taxed"] == "1"
+
+    def test_fixture_reports_pinned(self, tmp_path, capsys):
+        # stdout and --out YAML of every fixture profile, untaxed and taxed
+        digest = hashlib.sha256()
+        out = tmp_path / "report.yaml"
+        for name in ("ac", "ad", "bc", "bd"):
+            for tax in ([], ["--tax", TAX]):
+                profile = str(FIXTURES / f"profile_{name}.profile")
+                argv = ["evaluate", "--game", GAME, "--profile", profile]
+                assert main(argv + ["--out", str(out)] + tax) == 0
+                digest.update(capsys.readouterr().out.encode())
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == (
+            "032cd830d8bec82ca6823a2563785dc37421ae6a66eff2e2e9aceafc1c97d155"
+        )
 
     def test_bad_document_is_input_error(self, tmp_path, capsys):
         broken = tmp_path / "broken.game"

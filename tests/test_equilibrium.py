@@ -350,7 +350,7 @@ class TestIsNash:
 class TestIntegerNashTest:
     """is_nash and find_ne compare integer run costs with integer best
     responses and skip agents at their cost floor; the reference is
-    taxed_cost against reference_response_value, on Fractions."""
+    reference_taxed_costs against reference_response_value, on Fractions."""
 
     @staticmethod
     def instances(rng: Random, count: int):

@@ -121,7 +121,7 @@ class TestObservedQuotient:
         graph = tg.DeviationGraph(
             nodes=(tg.Profile((machine,)),) * n,
             runs=tuple(
-                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0, ()),))
+                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0),))
                 for i in range(n)
             ),
             winners=(frozenset(),) * n,
@@ -160,7 +160,7 @@ class TestObservedQuotient:
         graph = tg.DeviationGraph(
             nodes=(tg.Profile((machine,)),) * n,
             runs=tuple(
-                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0, ()),))
+                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0),))
                 for i in range(n)
             ),
             winners=(frozenset(),) * n,
@@ -179,10 +179,10 @@ class TestSynthesize:
         tax = tg.synthesize_eliminating_tax(game, graph)
         seed_run = graph.runs[0]
         # ceiling is 2 for both agents, so the seed class pays 3 extra
-        assert tg.taxed_cost(seed_run, tax, 0) == Fraction(3)
+        assert tg.taxed_cost(game, seed_run, tax, 0) == Fraction(3)
         for u, v, agent in graph.edges:
-            before = tg.taxed_cost(graph.runs[u], tax, agent)
-            after = tg.taxed_cost(graph.runs[v], tax, agent)
+            before = tg.taxed_cost(game, graph.runs[u], tax, agent)
+            after = tg.taxed_cost(game, graph.runs[v], tax, agent)
             assert after < before
         assert not tg.is_nash(game, graph.nodes[0], tax)
 
@@ -193,8 +193,8 @@ class TestSynthesize:
             tg.generate_run(game.arena, alpha(game, 1, 1))
         )
         for agent in (0, 1):
-            assert tg.taxed_cost(outside, tax, agent) == tg.taxed_cost(
-                outside, None, agent
+            assert tg.taxed_cost(game, outside, tax, agent) == tg.taxed_cost(
+                game, outside, None, agent
             )
 
     def test_targets_must_have_out_edges(self):

@@ -23,7 +23,7 @@ def simulate(arena: tg.Arena, profile: tg.Profile, steps: int):
     for _ in range(steps):
         actions = [m.outputs[q] for m, q in zip(profile.machines, memories)]
         letter = arena.letter_of(actions)
-        out.append((state, letter, arena.cost[state][letter]))
+        out.append((state, letter))
         nxt = arena.transition[state][letter]
         memories = [
             m.transitions[q][letter] for m, q in zip(profile.machines, memories)
@@ -45,8 +45,10 @@ class TestRuns:
         wrap = len(run.prefix)
         for k, expected in enumerate(simulate(arena, profile, 24)):
             pos = k if k < total else wrap + (k - wrap) % (total - wrap)
-            step = tg.run_at(run, pos)
-            assert (step.state, step.letter, step.costs) == expected
+            assert tg.run_at(run, pos) == expected
+        # a run reads no cost, so re-costing the game leaves it alone
+        free = tg.zero_cost_game(junction_game()).arena
+        assert tg.generate_run(free, profile) == run
 
     def test_constant_profile_two_step_loop(self):
         arena = junction_game().arena

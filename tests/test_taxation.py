@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import taxgames as tg
+from taxgames.cli import _report_data
 from taxgames.implementation import _levelled_responses, _levelling_machine
 
 from helpers import (
@@ -20,6 +21,8 @@ from helpers import (
     rational_game,
     rational_tax,
     reference_levelling_entries,
+    reference_running_means,
+    reference_taxed_costs,
 )
 
 FIXTURES = Path(tg.__file__).parent / "fixtures"
@@ -257,14 +260,29 @@ class TestLevelledGame:
                     assert tuple(taxed) == tuple(level + r for r in rate)
 
 
+def one_cell_game() -> tg.Game:
+    """One state, one letter, one agent, costing nothing."""
+    arena = tg.make_arena(
+        states=["s0"],
+        vocabulary=["p"],
+        agents=["a1"],
+        actions={"a1": ["go"]},
+        labels={},
+        transitions={("s0", ("go",)): "s0"},
+        costs={("s0", ("go",)): [0]},
+        initial="s0",
+    )
+    return tg.make_game(arena, ["true"])
+
+
 class TestTaxedCost:
     def test_untaxed_cycle_mean(self):
         game = junction_game()
         run = tg.lasso_canonical(
             tg.generate_run(game.arena, constant_profile(game.arena, [0, 1]))
         )
-        assert tg.taxed_cost(run, None, 0) == 1
-        assert tg.taxed_cost(run, None, 1) == 0
+        assert tg.taxed_cost(game, run, None, 0) == 1
+        assert tg.taxed_cost(game, run, None, 1) == 0
 
     def test_absorbing_punishment(self):
         game = junction_game()
@@ -272,8 +290,8 @@ class TestTaxedCost:
             tg.generate_run(game.arena, constant_profile(game.arena, [0, 0]))
         )
         tax = junction_tax()
-        assert tg.taxed_cost(run, tax, 0) == 3
-        assert tg.taxed_cost(run, tax, 1) == 3
+        assert tg.taxed_cost(game, run, tax, 0) == 3
+        assert tg.taxed_cost(game, run, tax, 1) == 3
 
     def test_forgiving_branch_untaxed(self):
         game = junction_game()
@@ -281,15 +299,14 @@ class TestTaxedCost:
             tg.generate_run(game.arena, constant_profile(game.arena, [0, 1]))
         )
         tax = junction_tax()
-        assert tg.taxed_cost(run, tax, 0) == 1
-        assert tg.taxed_cost(run, tax, 1) == 0
+        assert tg.taxed_cost(game, run, tax, 0) == 1
+        assert tg.taxed_cost(game, run, tax, 1) == 0
 
     def test_joint_cycle_longer_than_run_cycle(self):
         # run cycle length 1, tax machine alternates: joint cycle length 2
-        run = tg.LassoRun(
-            prefix=(),
-            cycle=(tg.RunStep(state=0, letter=0, costs=(Fraction(0),)),),
-        )
+        game = one_cell_game()
+        run = tg.generate_run(game.arena, constant_profile(game.arena, [0]))
+        assert run == tg.LassoRun(prefix=(), cycle=(tg.RunStep(0, 0),))
         tax = tg.DynamicTax(
             outputs=(
                 tg.static_tax(1, {(0, 0): (4,)}),
@@ -297,35 +314,99 @@ class TestTaxedCost:
             ),
             transitions=((1,), (0,)),
         )
-        assert tg.taxed_cost(run, tax, 0) == 2
-        head, loop = tg.taxed_steps(run, tax)
-        assert head == ()
-        assert tuple(item.tax_state for item in loop) == (0, 1)
-        assert all(item.step == run.cycle[0] for item in loop)
+        assert tg.taxed_cost(game, run, tax, 0) == 2
+        report = _report_data(game, constant_profile(game.arena, [0]), tax)
+        assert report["run"]["prefix"] == []
+        loop = report["run"]["cycle"]
+        assert [step["tax_state"] for step in loop] == [0, 1]
+        assert [step["rates"] for step in loop] == [["4"], ["0"]]
+        assert all(step["state"] == "s0" for step in loop)
 
     def test_tax_sequence_vectors(self):
         game = junction_game()
-        run = tg.lasso_canonical(
-            tg.generate_run(game.arena, constant_profile(game.arena, [0, 0]))
+        report = _report_data(
+            game, constant_profile(game.arena, [0, 0]), junction_tax()
         )
-        head, loop = tg.taxed_steps(run, junction_tax())
-        assert tuple(item.rates for item in head) == ((Fraction(0), Fraction(0)),)
-        assert all(item.rates == (Fraction(3), Fraction(3)) for item in loop)
+        head, loop = report["run"]["prefix"], report["run"]["cycle"]
+        assert [step["rates"] for step in head] == [["0", "0"]]
+        assert loop and all(step["rates"] == ["3", "3"] for step in loop)
 
     def test_truncated_mean_converges(self):
         game = junction_game()
         run = tg.lasso_canonical(
             tg.generate_run(game.arena, constant_profile(game.arena, [0, 1]))
         )
-        exact = tg.taxed_cost(run, None, 0)
+        exact = tg.taxed_cost(game, run, None, 0)
         t = 100 * len(run.cycle)
-        approx = tg.truncated_mean(run, None, 0, t)
+        approx = tg.truncated_mean(game, run, None, 0, t)
         assert abs(approx - exact) <= Fraction(2, 100)
 
     def test_agent_arity_checked(self):
-        run = tg.LassoRun(
-            prefix=(),
-            cycle=(tg.RunStep(state=0, letter=0, costs=(Fraction(0),)),),
+        game = one_cell_game()
+        run = tg.generate_run(game.arena, constant_profile(game.arena, [0]))
+        with pytest.raises(tg.AlphabetMismatchError):
+            tg.taxed_cost(game, run, junction_tax(), 0)
+
+
+class TestOneCostPath:
+    """evaluate, taxed_cost and truncated_mean all read the integer step
+    table of one (game, tax); the Fraction oracles walk arena.cost and
+    StaticTax.rate themselves."""
+
+    @staticmethod
+    def instances():
+        game = junction_game()
+        yield game, None
+        yield game, junction_tax()
+        rng = Random(1717)
+        for _ in range(12):
+            game = rational_game(rng)
+            yield game, rational_tax(rng, game.arena)
+
+    def test_every_cost_matches_the_fraction_oracles(self):
+        rng = Random(17)
+        checked = 0
+        for game, tax in self.instances():
+            arena = game.arena
+            machines = list(tg.enumerate_machines(2, arena.n_letters, 2))
+            profiles = list(tg.enumerate_profiles(arena, 1)) + [
+                tg.Profile((rng.choice(machines), rng.choice(machines)))
+                for _ in range(6)
+            ]
+            n_tax_states = 1 if tax is None else tax.n_states
+            for profile in profiles:
+                outcome = tg.evaluate(game, profile, tax)
+                expected = reference_taxed_costs(arena, outcome.run, tax)
+                assert outcome.costs == expected
+                for run in (outcome.run, tg.generate_run(arena, profile)):
+                    # several laps of the joint cycle, which is at most
+                    # n_tax_states run cycles long
+                    horizon = len(run) + 4 * len(run.cycle) * n_tax_states
+                    means = reference_running_means(arena, run, tax, horizon)
+                    wrap = len(run.prefix)
+                    ends = {0, max(wrap - 1, 0), wrap, horizon - 1}
+                    for agent in range(arena.n_agents):
+                        assert tg.taxed_cost(game, run, tax, agent) == expected[agent]
+                        for t in ends:
+                            assert (
+                                tg.truncated_mean(game, run, tax, agent, t)
+                                == means[t][agent]
+                            )
+                checked += 1
+        assert checked == 14 * 10
+
+    @pytest.mark.parametrize("name", ["ac", "ad", "bc", "bd"])
+    def test_tax_reading_too_few_letters_is_rejected(self, name):
+        game = tg.load_game(FIXTURES / "junction.game")
+        profile = tg.load_profile(FIXTURES / f"profile_{name}.profile")
+        run = tg.generate_run(game.arena, profile)
+        # reads 1 letter where the game has 4
+        tax = tg.DynamicTax(
+            outputs=(tg.zero_tax(2),) * 2, transitions=((1,), (0,))
         )
         with pytest.raises(tg.AlphabetMismatchError):
-            tg.taxed_cost(run, junction_tax(), 0)
+            tg.taxed_cost(game, run, tax, 0)
+        with pytest.raises(tg.AlphabetMismatchError):
+            tg.truncated_mean(game, run, tax, 0, 3)
+        with pytest.raises(tg.AlphabetMismatchError):
+            tg.evaluate(game, profile, tax)
