@@ -110,6 +110,7 @@ from .strategy import (
     StrategyMachine,
     canonicalize_machine,
     check_profile,
+    check_run,
     distinguishable,
     enumerate_machines,
     enumerate_profiles,

@@ -60,12 +60,14 @@ class _IntegerCosts(NamedTuple):
     rows[s][letter] is the cell's cost vector times scale; rows that the
     arena's cost table shares are shared here too.  floors[i] is agent i's
     cheapest step cost times scale, so no run of the untaxed or
-    non-negatively taxed arena costs agent i less.
+    non-negatively taxed arena costs agent i less; ceilings[i] is agent
+    i's dearest step cost times scale, and at least 0.
     """
 
     scale: int
     rows: tuple[tuple[tuple[int, ...], ...], ...]
     floors: tuple[int, ...]
+    ceilings: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +168,13 @@ class Arena:
             if found is None:
                 found = shared[id(row)] = tuple(scaled[id(v)] for v in row)
             rows.append(found)
-        floors = tuple(min(column) for column in zip(*scaled.values()))
-        return _IntegerCosts(scale, tuple(rows), floors)
+        columns = list(zip(*scaled.values()))
+        return _IntegerCosts(
+            scale,
+            tuple(rows),
+            floors=tuple(min(column) for column in columns),
+            ceilings=tuple(max(0, *column) for column in columns),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +352,9 @@ def _cost_vectors(arena: Arena) -> Iterable[tuple[Fraction, ...]]:
 
 def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
     """Exact maximum per-step cost of every agent over all cells, and at
-    least 0."""
-    zero = (Fraction(0),) * arena.n_agents
-    return tuple(max(column) for column in zip(zero, *_cost_vectors(arena)))
+    least 0, read off the integer cost table."""
+    costs = arena._integer_costs
+    return tuple(Fraction(c, costs.scale) for c in costs.ceilings)
 
 
 def max_cost(game: Game, agent: int) -> Fraction:

@@ -20,10 +20,17 @@ weights; a dead automaton state lies on no accepting cycle either, and the
 sink copy keeps every arena cycle.  So the accepting components and every
 cycle mean, hence every best-response value, stay the same.
 
-A product graph is built in one pass.  Many automaton states share one
-configuration (arena state, other machines' states, tax state), whose arena
-steps are expanded once per graph and reused by each of them.  Weights are
-integers over one scale per (game, tax), fixed before any graph is built.
+A product graph is built in one pass, on integer vertex ids.  Many
+automaton states share one configuration (arena state, other machines'
+states, tax state), whose arena steps are expanded once per graph and
+reused by each of them.  A vertex is found by the integer key
+configuration * automaton states + automaton state, and it keeps a
+successor list, the agent's integer weights, over one scale per (game,
+tax) fixed before any graph is built, and an acceptance bitmask from its
+automaton state.  Its value comes from one pass over the components of
+the shared strongly-connected-component routine (_graphs): a component
+wins when the OR of its masks has every bit, and Karp runs only on
+components whose internal weights differ.
 
 The Nash test compares integers too.  Every run cost, in the Nash test or
 out of it, is summed over the run's joint cycle with the tax machine from
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -52,9 +59,10 @@ from .strategy import (
     Profile,
     StrategyMachine,
     _generate_run,
+    _label_trace,
     check_profile,
+    check_run,
     enumerate_profiles,
-    label_trace,
     lasso_canonical,
     run_at,
 )
@@ -111,7 +119,7 @@ def _play(
     """Canonical run, label trace and goal winners of a profile that fits
     the game; no costs."""
     run = lasso_canonical(_generate_run(game.arena, profile))
-    trace = label_trace(game.arena, run)
+    trace = _label_trace(game.arena, run)
     winners = frozenset(
         i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
     )
@@ -134,8 +142,10 @@ def taxed_cost(
 
     The per-step taxed cost sequence is ultimately periodic, so the liminf
     of running averages is the plain mean over the joint cycle of the run
-    and the tax machine; the prefix contributes nothing.
+    and the tax machine; the prefix contributes nothing.  The run must fit
+    the game (see check_run).
     """
+    check_run(game.arena, run)
     return _Responses(game, tax).mean_costs(run)[agent]
 
 
@@ -143,9 +153,10 @@ def truncated_mean(
     game: Game, run: LassoRun, tax: DynamicTax | None, agent: int, t: int
 ) -> Fraction:
     """Average taxed cost of one agent over steps 0..t inclusive of a run
-    of the game."""
+    of the game, which the run must fit (see check_run)."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    check_run(game.arena, run)
     responses = _Responses(game, tax)
     total = 0
     q = 0
@@ -210,26 +221,41 @@ def _karp(edges: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
 
 
 def _component_means(
-    edges: Sequence[Sequence[tuple[int, int]]],
+    successors: Sequence[Sequence[int]],
+    weights: Sequence[Sequence[int]],
 ) -> Iterator[tuple[list[int], tuple[int, int]]]:
     """(members, minimum cycle mean) of every strongly connected component
-    that contains a cycle, in a graph on vertices 0..n-1 whose edges[v]
-    lists (target, integer weight) pairs.  Every cycle of a component whose
-    internal edges all weigh w has mean w, so Karp runs only on components
-    with mixed weights."""
-    targets = [[t for t, _ in out] for out in edges]
-    for component in strongly_connected_components(
-        range(len(edges)), targets.__getitem__
-    ):
-        local = {v: i for i, v in enumerate(component)}
-        internal = [
-            [(local[t], w) for t, w in edges[v] if t in local] for v in component
-        ]
-        weights = {w for out in internal for _, w in out}
-        if len(weights) == 1:
-            yield component, (weights.pop(), 1)
-        elif weights:
-            yield component, _karp(internal)
+    that contains a cycle, successors first, in a graph on vertices 0..n-1
+    whose vertex v has an edge to successors[v][i] of integer weight
+    weights[v][i].  Every cycle of a component whose internal edges all
+    weigh w has mean w, so Karp runs only on components with mixed
+    weights."""
+    components = strongly_connected_components(successors)
+    component_of = [0] * len(successors)
+    for k, members in enumerate(components):
+        for v in members:
+            component_of[v] = k
+    for k, members in enumerate(components):
+        internal = {
+            w
+            for v in members
+            for t, w in zip(successors[v], weights[v])
+            if component_of[t] == k
+        }
+        if len(internal) == 1:
+            yield members, (internal.pop(), 1)
+        elif internal:
+            local = {v: i for i, v in enumerate(members)}
+            yield members, _karp(
+                [
+                    [
+                        (local[t], w)
+                        for t, w in zip(successors[v], weights[v])
+                        if component_of[t] == k
+                    ]
+                    for v in members
+                ]
+            )
 
 
 def min_mean_cycle(
@@ -246,13 +272,13 @@ def min_mean_cycle(
         for t, _ in out:
             index.setdefault(t, len(index))
     scale = lcm(*(w.denominator for out in adjacency.values() for _, w in out))
-    edges: list[list[tuple[int, int]]] = [[] for _ in index]
+    successors: list[list[int]] = [[] for _ in index]
+    weights: list[list[int]] = [[] for _ in index]
     for v, out in adjacency.items():
-        edges[index[v]] = [
-            (index[t], w.numerator * (scale // w.denominator)) for t, w in out
-        ]
+        successors[index[v]] = [index[t] for t, _ in out]
+        weights[index[v]] = [w.numerator * (scale // w.denominator) for _, w in out]
     best: tuple[int, int] | None = None
-    for _, mean in _component_means(edges):
+    for _, mean in _component_means(successors, weights):
         if best is None or _below(mean, best):
             best = mean
     return None if best is None else Fraction(best[0], best[1] * scale)
@@ -262,18 +288,24 @@ def min_mean_cycle(
 # Best responses
 
 
-@dataclass(frozen=True, eq=False)
 class ResponseGraph:
     """Product graph of one agent's unconstrained choices against the other
     machines, an optional tax machine, and the agent's goal automaton.
 
-    vertices[i] is (arena state, others' machine states, tax state,
-    automaton state); edges[i] lists (target index, weight) pairs, one per
-    action of the agent and automaton successor, where weight is the agent's
-    taxed step cost times scale, an integer, with scale fixed per (game,
-    tax) (see _Responses).  initial holds vertex indices, and acceptance
-    one set of vertex indices per acceptance set of the goal automaton;
-    every vertex is reachable from initial.
+    Vertices are numbered 0..n-1 in the order they are reached, the
+    initial ones (listed in initial) first; every vertex is reachable from
+    them.  successors[v] lists v's edges, one per action of the agent and
+    automaton successor, and weights[v] their weights: the agent's taxed
+    step cost times scale, an integer, with scale fixed per (game, tax)
+    (see _Responses).  masks[v] has bit k set when v's automaton state is
+    in the goal automaton's acceptance set k, and full has one bit per
+    set, so a component meets every set when the OR of its masks is full.
+
+    vertices, edges and acceptance spell the same graph out and are built
+    on first read, which the memo never does: vertices[v] is (arena state,
+    others' machine states, tax state, automaton state), edges[v] lists
+    (target, weight) pairs, and acceptance holds one frozenset of vertices
+    per acceptance set.
 
     Every vertex whose automaton state is not the sink agrees with its arena
     label: the state's atom is that label restricted to the automaton's
@@ -285,28 +317,71 @@ class ResponseGraph:
     and weights.
     """
 
-    vertices: tuple[tuple, ...]
-    edges: tuple[tuple[tuple[int, int], ...], ...]
-    initial: tuple[int, ...]
-    acceptance: tuple[frozenset[int], ...]
-    scale: int
+    def __init__(
+        self,
+        successors: list[list[int]],
+        weights: list[list[int]],
+        masks: list[int],
+        full: int,
+        initial: tuple[int, ...],
+        scale: int,
+        configs: list[tuple[int, tuple[int, ...], int]],
+        keys: list[int],
+        n_automaton_states: int,
+    ) -> None:
+        self.successors = successors
+        self.weights = weights
+        self.masks = masks
+        self.full = full
+        self.initial = initial
+        self.scale = scale
+        # vertex v pairs configuration c with automaton state b, where
+        # keys[v] = c * n_automaton_states + b
+        self._configs = configs
+        self._keys = keys
+        self._n_automaton_states = n_automaton_states
+
+    @cached_property
+    def vertices(self) -> tuple[tuple, ...]:
+        configs = self._configs
+        return tuple(
+            (*configs[c], b)
+            for c, b in (divmod(key, self._n_automaton_states) for key in self._keys)
+        )
+
+    @cached_property
+    def edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(
+            tuple(zip(targets, weights))
+            for targets, weights in zip(self.successors, self.weights)
+        )
+
+    @cached_property
+    def acceptance(self) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(v for v, mask in enumerate(self.masks) if mask >> k & 1)
+            for k in range(self.full.bit_length())
+        )
 
 
 class _Goal(NamedTuple):
-    """An agent's goal automaton as the product reads it.
+    """An agent's goal automaton as the product reads it, over the
+    automaton's state numbers (the sink included).
 
     columns numbers the automaton's atoms; a label that is no atom reads
     column -1.  moves[b][c] lists the successors of state b whose atom has
     column c and that can still reach an accepting cycle, or just the sink
     when there are none; starts does the same for the initial states.
+    masks[b] has bit k set when state b is in the acceptance set k that
+    the product keeps, and full has one bit per kept set.
     """
 
     constrained: frozenset[str]
     columns: Mapping[frozenset[str], int]
     starts: tuple[tuple[int, ...], ...]
     moves: tuple[tuple[tuple[int, ...], ...], ...]
-    acceptance: tuple[frozenset[int], ...]
-    sink: int
+    masks: tuple[int, ...]
+    full: int
 
 
 @lru_cache(maxsize=256)
@@ -316,13 +391,12 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
     # live states reach a cyclic component that meets every acceptance set;
     # components come successors first, so one pass settles each of them
     live: set[int] = set()
-    for component in strongly_connected_components(
-        range(len(edges)), edges.__getitem__
-    ):
+    for component in strongly_connected_components(edges):
         cyclic = len(component) > 1 or component[0] in edges[component[0]]
-        if (cyclic and _meets_all(automaton.acceptance, component)) or any(
-            t in live for b in component for t in edges[b]
-        ):
+        if (
+            cyclic
+            and all(not marks.isdisjoint(component) for marks in automaton.acceptance)
+        ) or any(t in live for b in component for t in edges[b]):
             live.update(component)
 
     # a set holding every non-sink state is met by every non-sink product
@@ -353,9 +427,23 @@ def _goal_automaton(formula: Formula, vocabulary: tuple[str, ...]) -> _Goal:
         columns=columns,
         starts=split(automaton.initial),
         moves=tuple(split(out) for out in edges),
-        acceptance=acceptance,
-        sink=automaton.sink,
+        masks=tuple(
+            sum(1 << k for k, marks in enumerate(acceptance) if b in marks)
+            for b in range(len(edges))
+        ),
+        full=(1 << len(acceptance)) - 1,
     )
+
+
+class _Reader(NamedTuple):
+    """What one agent's product graphs read of a (game, tax) memo besides
+    the profile: the agent's goal, the goal column of each arena state's
+    label, each agent's letter stride, and the agent's own letters."""
+
+    goal: _Goal
+    columns: list[int]
+    strides: list[int]
+    own_letters: list[int]
 
 
 class _Responses:
@@ -408,6 +496,34 @@ class _Responses:
         self.values: dict[
             tuple[int, tuple[StrategyMachine, ...]], tuple[bool, int, int]
         ] = {}
+        self._readers: dict[int, _Reader] = {}
+
+    def reader(self, agent: int) -> _Reader:
+        """The agent's _Reader, built on its first product graph."""
+        found = self._readers.get(agent)
+        if found is None:
+            arena = self.game.arena
+            goal = _goal_automaton(self.game.goals[agent], arena.vocabulary)
+            # letter_of is linear in the action indices, so a letter is the
+            # sum of each agent's action times the letter of that agent's
+            # unit action
+            n = arena.n_agents
+            strides = [
+                arena.letter_of([int(j == i) for j in range(n)]) for i in range(n)
+            ]
+            found = self._readers[agent] = _Reader(
+                goal=goal,
+                columns=[
+                    goal.columns.get(label & goal.constrained, -1)
+                    for label in arena.labels
+                ],
+                strides=strides,
+                own_letters=[
+                    action * strides[agent]
+                    for action in range(len(arena.actions[agent]))
+                ],
+            )
+        return found
 
     def step(self, state: int, letter: int, tax_state: int) -> tuple[int, ...]:
         cost = self._rows[state][letter]
@@ -483,112 +599,124 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
     """Build the graph from its initial vertices outwards.
 
     A vertex pairs a configuration (arena state, others' machine states,
-    tax state) with an automaton state.  Each configuration's arena steps
+    tax state), numbered c in the order configurations are reached, with
+    an automaton state b, and is looked up by its key c * width + b, where
+    width counts the automaton's states.  Each configuration's arena steps
     are expanded once, on its first vertex, and every automaton state on
     it reuses them, with the agent's weight of each step read once from
     the step-cost table.
     """
-    game, tax = responses.game, responses.tax
-    arena = game.arena
-    goal = _goal_automaton(game.goals[agent], arena.vocabulary)
-    # letter_of is linear in the action indices, so a letter is the sum of
-    # each agent's action times the letter of that agent's unit action
-    n = arena.n_agents
-    strides = [arena.letter_of([int(j == i) for j in range(n)]) for i in range(n)]
+    goal, columns, strides, own_letters = responses.reader(agent)
+    tax, arena = responses.tax, responses.game.arena
     others = [
         (machine.outputs, machine.transitions, strides[i])
         for i, machine in enumerate(profile.machines)
         if i != agent
     ]
-    own_letters = [
-        action * strides[agent] for action in range(len(arena.actions[agent]))
-    ]
-    steps = responses.steps
+    tax_moves = tax.transitions if tax is not None else None
+    steps, step = responses.steps, responses.step
+    moves, masks = goal.moves, goal.masks
+    width = len(moves)
     # a non-sink automaton state's atom is the label of its arena state
     # (see ResponseGraph): each step looks its successors up by the label
     # of its target
-    columns = [
-        goal.columns.get(label & goal.constrained, -1) for label in arena.labels
-    ]
     starts = goal.starts[columns[arena.initial]]
 
     configs: list[tuple[int, tuple[int, ...], int]] = [
         (arena.initial, (0,) * len(others), 0)
     ]
     config_index = {configs[0]: 0}
-    # per configuration: (target configuration, target column, weight) per
-    # own action, or None until its first vertex is expanded
+    # per configuration: (target configuration times width, target column,
+    # weight) per own action, or None until its first vertex is expanded
     expansions: list[list[tuple[int, int, int]] | None] = [None]
-    pairs = [(0, b) for b in starts]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    edges: list[tuple[tuple[int, int], ...]] = []
-    # pairs grows while it is walked, so every reached vertex is expanded
-    for c, b in pairs:
+    # per state tuple of the other machines: (letter, their next states) per
+    # own action, shared by every configuration holding those states
+    memory_plays: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    # the vertex number of each key, -1 until the vertex is reached
+    blank = [-1] * width
+    numbers = blank.copy()
+    keys = list(starts)
+    for v, b in enumerate(starts):
+        numbers[b] = v
+    successors: list[list[int]] = []
+    weights: list[list[int]] = []
+    vertex_masks: list[int] = []
+    # keys grows while it is walked, so every reached vertex is expanded
+    for key in keys:
+        c, b = divmod(key, width)
         expansion = expansions[c]
         if expansion is None:
             state, memory, tax_state = configs[c]
-            others_letter = sum(
-                outputs[q] * stride
-                for (outputs, _, stride), q in zip(others, memory)
-            )
+            plays = memory_plays.get(memory)
+            if plays is None:
+                others_letter = sum(
+                    outputs[q] * stride
+                    for (outputs, _, stride), q in zip(others, memory)
+                )
+                their_rows = [table[q] for (_, table, _), q in zip(others, memory)]
+                plays = memory_plays[memory] = [
+                    (letter, tuple([their_row[letter] for their_row in their_rows]))
+                    for letter in [others_letter + own for own in own_letters]
+                ]
             row = arena.transition[state]
             expansion = expansions[c] = []
-            for own_letter in own_letters:
-                letter = others_letter + own_letter
+            for letter, memory_next in plays:
                 target = row[letter]
-                key = (state, letter, tax_state)
-                weights = steps.get(key) or responses.step(*key)
-                memory_next = tuple(
-                    [moves[q][letter] for (_, moves, _), q in zip(others, memory)]
-                )
-                tax_next = tax.transitions[tax_state][letter] if tax is not None else 0
+                cell = (state, letter, tax_state)
+                cost = steps.get(cell) or step(*cell)
+                tax_next = tax_moves[tax_state][letter] if tax_moves else 0
                 config = (target, memory_next, tax_next)
                 t = config_index.get(config)
                 if t is None:
                     t = config_index[config] = len(configs)
                     configs.append(config)
                     expansions.append(None)
-                expansion.append((t, columns[target], weights[agent]))
-        follow = goal.moves[b]
-        out = []
-        for t, column, weight in expansion:
+                    numbers.extend(blank)
+                expansion.append((t * width, columns[target], cost[agent]))
+        follow = moves[b]
+        out: list[int] = []
+        out_weights: list[int] = []
+        for base, column, weight in expansion:
             for b_next in follow[column]:
-                pair = (t, b_next)
-                j = index.get(pair)
-                if j is None:
-                    j = index[pair] = len(pairs)
-                    pairs.append(pair)
-                out.append((j, weight))
-        edges.append(tuple(out))
+                k = base + b_next
+                j = numbers[k]
+                if j < 0:
+                    j = numbers[k] = len(keys)
+                    keys.append(k)
+                out.append(j)
+                out_weights.append(weight)
+        successors.append(out)
+        weights.append(out_weights)
+        vertex_masks.append(masks[b])
     return ResponseGraph(
-        vertices=tuple((*configs[c], b) for c, b in pairs),
-        edges=tuple(edges),
-        initial=tuple(range(len(starts))),
-        acceptance=tuple(
-            frozenset(i for i, (_, b) in enumerate(pairs) if b in marks)
-            for marks in goal.acceptance
-        ),
-        scale=responses.scale,
+        successors,
+        weights,
+        vertex_masks,
+        goal.full,
+        tuple(range(len(starts))),
+        responses.scale,
+        configs,
+        keys,
+        width,
     )
-
-
-def _meets_all(acceptance: tuple[frozenset[int], ...], members: list[int]) -> bool:
-    """Whether the members meet every acceptance set."""
-    return all(not marks.isdisjoint(members) for marks in acceptance)
 
 
 def _response_mean(graph: ResponseGraph) -> tuple[bool, int, int]:
     """The best response read off the agent's product graph, as (goal met,
-    num, den): its cost is num / (den * graph.scale)."""
+    num, den): its cost is num / (den * graph.scale).  A component wins
+    when the OR of its vertices' masks is full."""
+    masks, full = graph.masks, graph.full
     best: tuple[int, int] | None = None
     best_winning: tuple[int, int] | None = None
-    for members, mean in _component_means(graph.edges):
+    for members, mean in _component_means(graph.successors, graph.weights):
         if best is None or _below(mean, best):
             best = mean
-        if _meets_all(graph.acceptance, members) and (
-            best_winning is None or _below(mean, best_winning)
-        ):
-            best_winning = mean
+        if best_winning is None or _below(mean, best_winning):
+            mask = 0
+            for v in members:
+                mask |= masks[v]
+            if mask == full:
+                best_winning = mean
     assert best is not None, "total arenas always reach a cycle"
     goal_met = best_winning is not None
     num, den = best_winning if goal_met else best

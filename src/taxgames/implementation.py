@@ -240,9 +240,7 @@ def single_agent_observed_cycle(
     for agent, adjacency in enumerate(
         _agent_class_graphs(graph, n_classes, class_edges)
     ):
-        for component in strongly_connected_components(
-            range(n_classes), adjacency.__getitem__
-        ):
+        for component in strongly_connected_components(adjacency):
             if len(component) > 1:
                 # every member has a successor inside the component, so a
                 # walk that stays inside must revisit a class
@@ -270,9 +268,7 @@ def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
         # components come successors first; one of two or more classes
         # holds a cycle
         depth = [0] * n_classes
-        for component in strongly_connected_components(
-            range(n_classes), adjacency.__getitem__
-        ):
+        for component in strongly_connected_components(adjacency):
             if len(component) > 1:
                 raise ValueError(
                     f"single-agent observed cycle for agent {agent}: "

@@ -611,14 +611,14 @@ def buchi_accepts_lasso(automaton: BuchiAutomaton, trace: LabelTrace) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
 
-    for component in strongly_connected_components(sorted(seen), successors):
-        members = set(component)
-        nontrivial = len(component) > 1 or any(
-            nxt in members for nxt in successors(component[0])
-        )
-        if not nontrivial:
+    nodes = sorted(seen)
+    number = {node: i for i, node in enumerate(nodes)}
+    edges = [[number[nxt] for nxt in successors(node)] for node in nodes]
+    for component in strongly_connected_components(edges):
+        first = component[0]
+        if len(component) == 1 and first not in edges[first]:
             continue
-        states = {state for state, _ in component}
+        states = {nodes[i][0] for i in component}
         if all(not states.isdisjoint(marks) for marks in automaton.acceptance):
             return True
     return False

@@ -144,10 +144,36 @@ def run_at(run: LassoRun, k: int) -> RunStep:
     return run.cycle[(k - len(run.prefix)) % len(run.cycle)]
 
 
+def check_run(arena: Arena, run: LassoRun) -> None:
+    """Raise ValueError unless the run fits the arena: its cycle is
+    nonempty, and every step's state and letter are the arena's."""
+    if not run.cycle:
+        raise ValueError("run cycle must be nonempty")
+    n_states, n_letters = arena.n_states, arena.n_letters
+    for step in (*run.prefix, *run.cycle):
+        if not 0 <= step.state < n_states:
+            raise ValueError(
+                f"run visits state {step.state}, outside 0..{n_states - 1}"
+            )
+        if not 0 <= step.letter < n_letters:
+            raise ValueError(
+                f"run plays letter {step.letter}, outside 0..{n_letters - 1}"
+            )
+
+
 def label_trace(arena: Arena, run: LassoRun) -> LabelTrace:
+    """The run's label word; the run must fit the arena (see check_run)."""
+    check_run(arena, run)
+    return _label_trace(arena, run)
+
+
+def _label_trace(arena: Arena, run: LassoRun) -> LabelTrace:
+    """label_trace of a run that fits the arena by construction, as the
+    runs of _generate_run do."""
+    labels = arena.labels
     return LabelTrace(
-        prefix=tuple(arena.labels[step.state] for step in run.prefix),
-        cycle=tuple(arena.labels[step.state] for step in run.cycle),
+        prefix=tuple([labels[step.state] for step in run.prefix]),
+        cycle=tuple([labels[step.state] for step in run.cycle]),
     )
 
 

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own algorithms: temporal
 formulas are checked by walking the lasso position by position, run costs
 by a Fraction walk over (run position, tax state) pairs, mean cycles by
-enumerating simple cycles, machine enumeration by brute force over raw
+enumerating simple cycles, strongly connected components by mutual
+reachability, machine enumeration by brute force over raw
 tables, and best responses by trying every small machine that reads only
 the other agents' actions; exact best responses are read off the product
 with the degeneralised goal automaton (a round-robin counter over the
@@ -41,7 +42,6 @@ from taxgames.ltl import (
 )
 
 import taxgames as tg
-from taxgames._graphs import strongly_connected_components
 
 
 # ======================== Bundled example, built in code ====================
@@ -502,6 +502,43 @@ def simple_cycle_min_mean(
     return best
 
 
+# ======================== Component oracle ==================================
+
+
+def reachable_components(nodes: Iterable, successors) -> list[list]:
+    """Strongly connected components by mutual reachability: v joins u's
+    component when u reaches v and v reaches u.  Each component is the
+    intersection of one forward and one backward search from its first
+    node in the given order; components come in that order, and so do
+    their members.  Nodes are any hashable values."""
+    nodes = list(nodes)
+    forward: dict = {u: list(successors(u)) for u in nodes}
+    backward: dict = {}
+    for u, targets in forward.items():
+        for v in targets:
+            backward.setdefault(v, []).append(u)
+
+    def reach(start, edges: Mapping) -> set:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for v in edges.get(frontier.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    placed: set = set()
+    components = []
+    for u in nodes:
+        if u not in placed:
+            both = reach(u, forward) & reach(u, backward)
+            component = [v for v in nodes if v in both]
+            placed.update(component)
+            components.append(component)
+    return components
+
+
 # ======================== Levelling tax oracle ==============================
 
 
@@ -795,8 +832,8 @@ def reference_response_value(
         graph[vertex] = out
 
     best = best_winning = None
-    for component in strongly_connected_components(
-        list(graph), lambda v: [t for t, _ in graph[v]]
+    for component in reachable_components(
+        graph, lambda v: [t for t, _ in graph[v]]
     ):
         members = set(component)
         mean = tg.min_mean_cycle(

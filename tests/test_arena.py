@@ -6,12 +6,14 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import taxgames as tg
+from taxgames.arena import _cost_ceilings
 
-from helpers import constant_profile, junction_game
+from helpers import constant_profile, junction_game, rational_game
 
 FIXTURES = Path(tg.__file__).parent / "fixtures"
 
@@ -205,6 +207,26 @@ class TestCostHelpers:
         game = junction_game()
         assert tg.max_cost(game, 0) == 2
         assert tg.max_cost(game, 1) == 2
+
+    def test_cost_ceilings_are_the_fraction_max(self):
+        # read off the integer cost table: rational games mix denominators
+        # 1, 2, 3 and 7, and an all-zero game's ceilings are 0
+        rng = Random(19)
+        games = [rational_game(rng) for _ in range(10)]
+        games.append(tg.zero_cost_game(junction_game()))
+        for game in games:
+            arena = game.arena
+            cells = [vector for row in arena.cost for vector in row]
+            expected = tuple(
+                max(Fraction(0), *(vector[i] for vector in cells))
+                for i in range(arena.n_agents)
+            )
+            ceilings = _cost_ceilings(arena)
+            assert ceilings == expected
+            assert all(type(c) is Fraction for c in ceilings)
+            assert tuple(
+                tg.max_cost(game, i) for i in range(arena.n_agents)
+            ) == expected
 
     def test_equal_vectors_are_one_object(self):
         # junction's 16 cells hold 4 distinct vectors, built or parsed

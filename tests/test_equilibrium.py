@@ -263,10 +263,8 @@ class TestResponseGraph:
         ]:
             formula = tg.parse_ltl(text, vocabulary)
             assert len(tg.to_buchi(formula, vocabulary).acceptance) == automaton_sets
-            assert (
-                len(tg.equilibrium._goal_automaton(formula, vocabulary).acceptance)
-                == goal_sets
-            )
+            goal = tg.equilibrium._goal_automaton(formula, vocabulary)
+            assert goal.full == (1 << goal_sets) - 1
         rng = Random(43)
         for _ in range(8):
             game = rational_game(rng, goals=("G F p & G F q", "G F p"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -15,6 +16,7 @@ from helpers import (
     constant_machine,
     constant_profile,
     junction_game,
+    random_game,
     rational_game,
     reference_no_agent_improves,
 )
@@ -347,6 +349,50 @@ def test_driver_yes_verdicts_pass_verify_witness():
     assert len(yes) >= 10
     assert any("eliminated" in line for lines in yes for line in lines)
     assert any(answer != "yes" for answer, _ in answers)
+
+
+CORPUS_GOALS = (
+    ("G F p", "G F q"),
+    ("F G q", "G F p"),
+    ("G (p -> F q)", "F G p"),
+    ("G F p & G F q", "F q"),
+    ("(G F p) | (F G q)", "G !p"),
+)
+CORPUS_OBJECTIVES = (
+    "G F p",
+    "F G q",
+    "G (p -> F q)",
+    "G F p & G F q",
+    "F p",
+    "G !q",
+    "p U q",
+    "X p",
+    "(G F p) | (F G q)",
+    "G (p <-> q)",
+)
+
+
+def test_bound_one_verdict_corpus_is_pinned():
+    # 41 games x 10 objectives x 2 drivers: every verdict document, witness
+    # taxes and profiles included, hashed in this order; the digest changes
+    # when any answer, witness or diagnostic does
+    games = [junction_game()]
+    for s in range(20):
+        games.append(random_game(Random(s), n_states=3, goals=CORPUS_GOALS[s % 5]))
+        games.append(rational_game(Random(100 + s), goals=CORPUS_GOALS[(s + 2) % 5]))
+    digest = hashlib.sha256()
+    answers = []
+    for game in games:
+        for text in CORPUS_OBJECTIVES:
+            objective = tg.parse_ltl(text, game.arena.vocabulary)
+            for driver in (tg.e_nash_implement, tg.a_nash_implement):
+                verdict = driver(game, objective, 1)
+                digest.update(tg.verdict_to_yaml(verdict).encode())
+                answers.append(verdict.answer)
+    assert (len(answers), answers.count("yes")) == (820, 516)
+    assert digest.hexdigest() == (
+        "708fe3cf8736c3fa7e138cd4c0208e9502c2c810619203ad0496d1bf125aee1a"
+    )
 
 
 class TestVerifyWitness:

@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import taxgames as tg  # noqa: E402
+from taxgames._graphs import strongly_connected_components  # noqa: E402
 from taxgames.equilibrium import _component_means  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -21,6 +22,7 @@ from helpers import (  # noqa: E402
     left_nested_or,
     random_game,
     rational_tax,
+    reachable_components,
     reference_machines,
     reference_parse,
     reference_response_value,
@@ -33,10 +35,15 @@ DETERMINISTIC = settings(
 )
 
 
+# goals whose automata keep two and four acceptance sets, so product
+# vertices carry multi-bit acceptance masks
+MULTI_SET_GOALS = ("(G F p) & (G F q)", "(G F p) & (G F q) & (F G p)")
+
+
 @DETERMINISTIC
 @given(
     rng=st.randoms(use_true_random=False),
-    goals=st.tuples(*[st.sampled_from(RESPONSE_GOALS)] * 2),
+    goals=st.tuples(*[st.sampled_from(RESPONSE_GOALS + MULTI_SET_GOALS)] * 2),
     n_states=st.integers(1, 3),
     memory=st.integers(1, 2),
     taxed=st.booleans(),
@@ -87,7 +94,9 @@ def uniform_and_mixed(draw):
 def test_component_means_match_cycle_enumeration(case):
     uniform, mixed, w, edges = case
     means = {}
-    for members, (num, den) in _component_means(edges):
+    successors = [[t for t, _ in out] for out in edges]
+    weights = [[x for _, x in out] for out in edges]
+    for members, (num, den) in _component_means(successors, weights):
         inside = set(members)
         means[frozenset(members)] = Fraction(num, den)
         sub = {v: [(t, x) for t, x in edges[v] if t in inside] for v in members}
@@ -96,6 +105,30 @@ def test_component_means_match_cycle_enumeration(case):
     assert frozenset(mixed) in means
     graph = {v: [(t, Fraction(x)) for t, x in out] for v, out in enumerate(edges)}
     assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)
+
+
+@DETERMINISTIC
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), max_size=6) if n else st.nothing(),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_components_match_mutual_reachability(successors):
+    # drawn lists may repeat a target and name the vertex itself
+    components = strongly_connected_components(successors)
+    expected = reachable_components(range(len(successors)), successors.__getitem__)
+    assert sorted(map(sorted, components)) == sorted(expected)
+    # successors first: every edge stays inside or leads to an earlier one
+    position = {v: k for k, members in enumerate(components) for v in members}
+    assert all(
+        position[t] <= position[v]
+        for v, targets in enumerate(successors)
+        for t in targets
+    )
 
 
 TOKENS = (

@@ -166,3 +166,30 @@ class TestEnumeration:
         arena = junction_game().arena
         with pytest.raises(tg.ResourceLimitError):
             list(tg.enumerate_profiles(arena, 2, cap=10))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            tg.LassoRun(prefix=(), cycle=(tg.RunStep(7, 0),)), id="state-outside"
+        ),
+        pytest.param(
+            tg.LassoRun(prefix=(), cycle=(tg.RunStep(0, 99),)), id="letter-outside"
+        ),
+        pytest.param(
+            tg.LassoRun(prefix=(tg.RunStep(0, 0),), cycle=()), id="empty-cycle"
+        ),
+    ],
+)
+def test_run_that_does_not_fit_the_game_is_rejected(run):
+    # the three readers of a run check it with check_run
+    game = junction_game()
+    with pytest.raises(ValueError, match="run"):
+        tg.taxed_cost(game, run, None, 0)
+    with pytest.raises(ValueError, match="run"):
+        tg.truncated_mean(game, run, None, 0, 3)
+    with pytest.raises(ValueError, match="run"):
+        tg.label_trace(game.arena, run)
+    with pytest.raises(ValueError, match="run"):
+        tg.check_run(game.arena, run)
