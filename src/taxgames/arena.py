@@ -9,7 +9,7 @@ tuple of per-agent action indices are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -78,6 +78,10 @@ class Arena:
     the per-agent Fraction vector of every state and letter.  The arena is
     total by construction: a None cell in either table raises one
     ValueError naming every missing cell, so no algorithm meets a hole.
+    A copy made by dataclasses.replace that keeps its source's transition
+    table object, as the cost-only copies do, scans only its cost table:
+    _checked_transition, which replace hands on, is the table the source
+    was checked with.
     """
 
     states: tuple[str, ...]
@@ -88,14 +92,21 @@ class Arena:
     transition: tuple[tuple[int, ...], ...]
     cost: tuple[tuple[tuple[Fraction, ...], ...], ...]
     initial: int
+    _checked_transition: tuple[tuple[int, ...], ...] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
+        tables = (self.cost,)
+        if self.transition is not self._checked_transition:
+            tables = (self.transition, self.cost)
         # a row object that many states share is read once
         if not any(
             None in row
-            for table in (self.transition, self.cost)
+            for table in tables
             for row in {id(row): row for row in table}.values()
         ):
+            object.__setattr__(self, "_checked_transition", self.transition)
             return
         missing = [
             f"missing-{kind}: ({name}, {'/'.join(self.letter_names(letter))})"

@@ -40,13 +40,19 @@ are built only for values that leave the library (evaluate, taxed_cost,
 truncated_mean, best_response).  An agent that wins its goal while its
 run costs its cheapest untaxed step needs no product graph: taxes are
 non-negative, so no deviation can cost it less.
+
+Sweeps play profiles through a run-class table (_Plays) owned by the
+sweep or driver call: each bounded profile is played once per call, and
+each distinct canonical run is labelled and has its goals decided once.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -60,9 +66,9 @@ from .strategy import (
     StrategyMachine,
     _generate_run,
     _label_trace,
+    _universes,
     check_profile,
     check_run,
-    enumerate_profiles,
     lasso_canonical,
     run_at,
 )
@@ -113,23 +119,157 @@ class Outcome:
         return LexValue(goal_met=agent in self.winners, cost=self.costs[agent])
 
 
-def _play(
-    game: Game, profile: Profile
-) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
-    """Canonical run, label trace and goal winners of a profile that fits
-    the game; no costs."""
-    run = lasso_canonical(_generate_run(game.arena, profile))
-    trace = _label_trace(game.arena, run)
-    winners = frozenset(
-        i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
-    )
-    return run, trace, winners
+class _Verdicts(dict):
+    """Whether the run of each class of a run-class table satisfies one
+    formula, keyed by class and decided on first read."""
+
+    def __init__(self, formula: Formula, traces: list[LabelTrace]) -> None:
+        super().__init__()
+        self.formula = formula
+        self.traces = traces
+
+    def __missing__(self, k: int) -> bool:
+        verdict = self[k] = eval_on_lasso(self.formula, self.traces[k])
+        return verdict
+
+
+class _Plays:
+    """What each profile of a game plays, tabled for one sweep or driver
+    call: the call that creates it owns it, so it lives no longer than the
+    call.
+
+    A profile's canonical run, its label trace and its goal winners read
+    only the arena's transitions, labels and initial state and the goals,
+    which every cost-only copy of the game shares (zero_cost_game, the
+    levelled game, apply_static).  So one table serves every sweep of a
+    call, whichever copy its best-response memo prices.  Runs are interned
+    into run classes: class k has the canonical run runs[k], the label
+    trace traces[k] and the goal winners winners[k], each decided once,
+    and verdicts(formula)[k] says whether the run satisfies a formula,
+    decided once per formula and class, for every sweep that reads it.
+
+    walk() yields each profile of the bounded universes with its class, in
+    enumeration order, and plays each profile once however many sweeps
+    walk it: rows[index] is the class of the profile at that index, for
+    every profile walked so far.  An index is mixed radix over the
+    profile's machine ids, the positions of its machines in the numbered
+    universes, with the last agent's digit lowest.  class_of looks up any
+    profile that fits the game: by index once the walk has passed it, and
+    otherwise by the profile itself, played on first sight; a table that
+    is never walked numbers no universe.  memory_bound and cap size the
+    walk, and a cap of None numbers the universes without a cap check.
+    """
+
+    def __init__(
+        self, game: Game, memory_bound: int = 1, cap: int | None = None
+    ) -> None:
+        self.game = game
+        self.memory_bound = memory_bound
+        self.cap = cap
+        self.runs: list[LassoRun] = []
+        self.traces: list[LabelTrace] = []
+        self.winners: list[frozenset[int]] = []
+        self.rows = array("I")
+        self.universes: list[list[StrategyMachine]] | None = None
+        # once numbered: ids[i] maps each machine of agent i to its id,
+        # and an agent's id counts strides[i] in a profile's index
+        self.ids: list[dict[StrategyMachine, int]] = []
+        self.strides: list[int] = []
+        self._class_of_run: dict[LassoRun, int] = {}
+        self._class_of_profile: dict[Profile, int] = {}
+        self._verdicts: dict[Formula, _Verdicts] = {}
+
+    def numbered(self) -> list[list[StrategyMachine]]:
+        """The machine universes, numbered and cap-checked on first use."""
+        if self.universes is None:
+            universes = _universes(self.game.arena, self.memory_bound, self.cap)
+            self.ids = [
+                {machine: k for k, machine in enumerate(machines)}
+                for machines in universes
+            ]
+            stride = 1
+            for machines in reversed(universes):
+                self.strides.append(stride)
+                stride *= len(machines)
+            self.strides.reverse()
+            self.universes = universes
+        return self.universes
+
+    def walk(self) -> Iterator[tuple[Profile, int]]:
+        """(profile, class) of every bounded profile, lazily, in
+        enumeration order; the cap is checked on the first item."""
+        rows = self.rows
+        for index, machines in enumerate(product(*self.numbered())):
+            profile = Profile(machines)
+            if index == len(rows):
+                rows.append(self._intern(profile))
+            yield profile, rows[index]
+
+    def position(self, profile: Profile) -> int | None:
+        """The profile's index, or None when the universes are not
+        numbered or one of its machines is outside them."""
+        if self.universes is None:
+            return None
+        index = 0
+        for machine, ids, stride in zip(profile.machines, self.ids, self.strides):
+            k = ids.get(machine)
+            if k is None:
+                return None
+            index += k * stride
+        return index
+
+    def class_at(self, index: int | None, profile: Profile) -> int:
+        """The class of a profile that fits the game; index is the
+        profile's index, or None when position finds none."""
+        if index is not None and index < len(self.rows):
+            return self.rows[index]
+        found = self._class_of_profile.get(profile)
+        if found is None:
+            found = self._class_of_profile[profile] = self._intern(profile)
+        return found
+
+    def class_of(self, profile: Profile) -> int:
+        return self.class_at(self.position(profile), profile)
+
+    def play(
+        self, profile: Profile
+    ) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
+        """Canonical run, label trace and goal winners of a profile that
+        fits the game."""
+        k = self.class_of(profile)
+        return self.runs[k], self.traces[k], self.winners[k]
+
+    def verdicts(self, formula: Formula) -> _Verdicts:
+        found = self._verdicts.get(formula)
+        if found is None:
+            found = self._verdicts[formula] = _Verdicts(formula, self.traces)
+        return found
+
+    def _intern(self, profile: Profile) -> int:
+        """Play the profile and return its run's class, labelling the run
+        and deciding its goals when the class is new."""
+        arena = self.game.arena
+        run = lasso_canonical(_generate_run(arena, profile))
+        found = self._class_of_run.get(run)
+        if found is None:
+            found = self._class_of_run[run] = len(self.runs)
+            trace = _label_trace(arena, run)
+            self.runs.append(run)
+            self.traces.append(trace)
+            self.winners.append(
+                frozenset(
+                    i
+                    for i, goal in enumerate(self.game.goals)
+                    if eval_on_lasso(goal, trace)
+                )
+            )
+        return found
 
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
     check_profile(game.arena, profile)
     responses = _Responses(game, tax)
-    run, trace, winners = _play(game, profile)
+    run, trace, winners = _Plays(game).play(profile)
     return Outcome(
         run=run, winners=winners, costs=responses.mean_costs(run), trace=trace
     )
@@ -779,26 +919,23 @@ def is_nash(
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
     check_profile(game.arena, profile)
-    run, _, winners = _play(game, profile)
+    run, _, winners = _Plays(game).play(profile)
     return _no_agent_improves(_Responses(game, tax), profile, run, winners)
 
 
 def _nash_sweep(
-    responses: _Responses,
-    memory_bound: int,
-    objective: Formula | None = None,
-    cap: int = 10**7,
+    responses: _Responses, plays: _Plays, objective: Formula | None = None
 ) -> Iterator[Profile]:
-    """Lazily, in enumeration order, each bounded canonical profile that is
-    an exact Nash equilibrium of the responses' game under their tax.  The
-    objective, when given, filters runs before any best response is
-    computed."""
-    game = responses.game
-    for profile in enumerate_profiles(game.arena, memory_bound, cap=cap):
-        run, trace, winners = _play(game, profile)
-        if objective is not None and not eval_on_lasso(objective, trace):
+    """Lazily, in enumeration order, each bounded canonical profile of the
+    table's walk that is an exact Nash equilibrium of the responses' game
+    under their tax.  The objective, when given, filters runs before any
+    best response is computed, decided once per run class on the table."""
+    runs, winners = plays.runs, plays.winners
+    satisfied = plays.verdicts(objective) if objective is not None else None
+    for profile, k in plays.walk():
+        if satisfied is not None and not satisfied[k]:
             continue
-        if _no_agent_improves(responses, profile, run, winners):
+        if _no_agent_improves(responses, profile, runs[k], winners[k]):
             yield profile
 
 
@@ -816,4 +953,6 @@ def find_ne(
     equilibria needing more than memory_bound machine states are missed.
     Results keep enumeration order.
     """
-    return list(_nash_sweep(_Responses(game, tax), memory_bound, objective, cap))
+    return list(
+        _nash_sweep(_Responses(game, tax), _Plays(game, memory_bound, cap), objective)
+    )

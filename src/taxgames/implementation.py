@@ -27,14 +27,13 @@ from typing import Iterable, Sequence
 from ._graphs import strongly_connected_components
 from .arena import Game, _cost_ceilings, _uniform_cost_game, zero_cost_game
 from .errors import ResourceLimitError, SearchLimitError
-from .ltl import Formula, Not, eval_on_lasso, to_text
+from .ltl import Formula, Not, to_text
 from .strategy import (
     LassoRun,
     Profile,
     StrategyMachine,
     canonicalize_machine,
     check_profile,
-    enumerate_machines,
 )
 from .taxation import (
     DynamicTax,
@@ -50,7 +49,7 @@ from .equilibrium import (
     _beats,
     _nash_sweep,
     _no_agent_improves,
-    _play,
+    _Plays,
     _Responses,
 )
 
@@ -83,21 +82,21 @@ def initial_deviation(
     deviated = profile.replace(agent, alt)
     check_profile(game.arena, profile)
     check_profile(game.arena, deviated)
-    run, _, winners = _play(game, profile)
-    run2, _, winners2 = _play(game, deviated)
-    return _edge_ok(agent, run, winners, run2, winners2)
+    plays = _Plays(game)
+    return _edge_ok(
+        agent, plays.class_of(profile), plays.class_of(deviated), plays.winners
+    )
 
 
 def _edge_ok(
-    agent: int,
-    src_run: LassoRun,
-    src_winners: frozenset[int],
-    tgt_run: LassoRun,
-    tgt_winners: frozenset[int],
+    agent: int, source: int, target: int, winners: Sequence[frozenset[int]]
 ) -> bool:
-    if src_run == tgt_run:
+    """Whether the agent's switch from a profile of run class source to
+    one of run class target is an initial deviation; winners holds each
+    class's goal winners.  Runs differ exactly when their classes do."""
+    if source == target:
         return False
-    return agent not in src_winners or agent in tgt_winners
+    return agent not in winners[source] or agent in winners[target]
 
 
 def build_deviation_graph(
@@ -105,51 +104,66 @@ def build_deviation_graph(
     seed_nodes: Iterable[Profile],
     memory_bound: int,
     cap: int = 10**7,
+    *,
+    plays: _Plays | None = None,
 ) -> DeviationGraph:
     """Nodes are the seeds plus every one-step initial-deviation target
     reachable from a seed within the bounded machine universe; edges are all
-    initial deviations among the node set."""
+    initial deviations among the node set.
+
+    plays is the run-class table of the calling driver, whose sweeps have
+    played the universe already, so a deviation is looked up by its index:
+    the seed's index moved by the agent's stride.  Without one the graph
+    plays its nodes on a fresh table."""
     arena = game.arena
-    seeds = [_canonical(p) for p in seed_nodes]
-    universes = [
-        list(enumerate_machines(len(arena.actions[i]), arena.n_letters, memory_bound))
-        for i in range(arena.n_agents)
-    ]
+    if plays is None:
+        plays = _Plays(game, memory_bound)
+    seeds = list(seed_nodes)
+    universes = plays.numbered()
     if seeds and sum(len(u) for u in universes) * len(seeds) > cap:
         raise ResourceLimitError(
             f"deviation graph expansion exceeds cap {cap}"
         )
+    seeds = [_canonical(p) for p in seeds]
 
     nodes: list[Profile] = []
     index: dict[Profile, int] = {}
-    annotations: list[tuple[LassoRun, frozenset[int]]] = []
+    classes: list[int] = []
 
-    def add(profile: Profile, run: LassoRun, winners: frozenset[int]) -> None:
+    def add(profile: Profile, k: int) -> None:
         index[profile] = len(nodes)
         nodes.append(profile)
-        annotations.append((run, winners))
+        classes.append(k)
 
     for seed in seeds:
         if seed not in index:
             check_profile(arena, seed)
-            run, _, winners = _play(game, seed)
-            add(seed, run, winners)
+            add(seed, plays.class_of(seed))
+    winners = plays.winners
     for seed in seeds:
-        src = index[seed]
-        src_run, src_winners = annotations[src]
-        for agent in range(arena.n_agents):
-            for machine in universes[agent]:
-                # the seed itself and nodes already added need no play
+        src = classes[index[seed]]
+        position = plays.position(seed)
+        for agent, machines in enumerate(universes):
+            stride = plays.strides[agent]
+            # the index of the seed with the agent's machine id at 0; a
+            # seed outside the universes has none
+            base = (
+                None
+                if position is None
+                else position - plays.ids[agent][seed.machines[agent]] * stride
+            )
+            for j, machine in enumerate(machines):
+                # the seed itself and nodes already added need no lookup
                 candidate = seed.replace(agent, machine)
                 if candidate in index:
                     continue
-                run, _, winners = _play(game, candidate)
-                if _edge_ok(agent, src_run, src_winners, run, winners):
-                    add(candidate, run, winners)
+                at = None if base is None else base + j * stride
+                k = plays.class_at(at, candidate)
+                if _edge_ok(agent, src, k, winners):
+                    add(candidate, k)
 
     edges: list[tuple[int, int, int]] = []
     for u, source in enumerate(nodes):
-        src_run, src_winners = annotations[u]
         for v, target in enumerate(nodes):
             if u == v:
                 continue
@@ -161,14 +175,13 @@ def build_deviation_graph(
             if len(differing) != 1:
                 continue
             agent = differing[0]
-            tgt_run, tgt_winners = annotations[v]
-            if _edge_ok(agent, src_run, src_winners, tgt_run, tgt_winners):
+            if _edge_ok(agent, classes[u], classes[v], winners):
                 edges.append((u, v, agent))
 
     return DeviationGraph(
         nodes=tuple(nodes),
-        runs=tuple(run for run, _ in annotations),
-        winners=tuple(winners for _, winners in annotations),
+        runs=tuple(plays.runs[k] for k in classes),
+        winners=tuple(winners[k] for k in classes),
         edges=tuple(edges),
     )
 
@@ -407,6 +420,8 @@ def check_eliminable(
     cap: int = 10**7,
     search_cap: int = 100_000,
     state_cap: int = 4096,
+    *,
+    plays: _Plays | None = None,
 ) -> tuple[DeviationGraph, DynamicTax] | None:
     """Search for a witness deviation graph eliminating the given profiles.
 
@@ -417,13 +432,14 @@ def check_eliminable(
     synthesized tax fails re-verification (every edge strict, every target
     non-Nash).  Returns the reindexed witness graph with the tax
     synthesized and re-verified for it, None when no candidate works, and
-    raises SearchLimitError when the search budget runs out.
+    raises SearchLimitError when the search budget runs out.  plays, the
+    calling driver's run-class table, goes to build_deviation_graph.
     """
     targets = list(profiles)
     if not targets:
         empty = DeviationGraph(nodes=(), runs=(), winners=(), edges=())
         return empty, synthesize_eliminating_tax(game, empty)
-    full = build_deviation_graph(game, targets, memory_bound, cap=cap)
+    full = build_deviation_graph(game, targets, memory_bound, cap=cap, plays=plays)
     node_of = {profile: i for i, profile in enumerate(full.nodes)}
     target_ids = [node_of[_canonical(p)] for p in targets]
     out_edges: dict[int, list[tuple[int, int, int]]] = {u: [] for u in target_ids}
@@ -592,32 +608,36 @@ def verify_witness(
     their witness tax, so this check agrees with theirs."""
     check_profile(game.arena, profile)
     return _verify_witness(
-        _Responses(game, tax), problem, objective, memory_bound, profile, cap
+        _Responses(game, tax),
+        _Plays(game, memory_bound, cap),
+        problem,
+        objective,
+        profile,
     )
 
 
 def _verify_witness(
     responses: _Responses,
+    plays: _Plays,
     problem: str,
     objective: Formula,
-    memory_bound: int,
     profile: Profile,
-    cap: int,
 ) -> tuple[str, ...]:
     """verify_witness on responses, the memo of the game under the witness
-    tax, for a profile that fits the game."""
-    run, trace, winners = _play(responses.game, profile)
+    tax, and plays, a run-class table of the game, for a profile that fits
+    the game."""
+    k = plays.class_of(profile)
     problems = []
-    if not _no_agent_improves(responses, profile, run, winners):
+    if not _no_agent_improves(responses, profile, plays.runs[k], plays.winners[k]):
         problems.append("witness profile is not an equilibrium under the witness tax")
-    if not eval_on_lasso(objective, trace):
+    if not plays.verdicts(objective)[k]:
         problems.append("witness run does not satisfy the objective")
     if problem == "anash" and not problems:
-        bad = list(_nash_sweep(responses, memory_bound, Not(objective), cap))
+        bad = list(_nash_sweep(responses, plays, Not(objective)))
         if bad:
             problems.append(
                 f"{len(bad)} objective-violating equilibria survive the tax "
-                f"at bound {memory_bound}"
+                f"at bound {plays.memory_bound}"
             )
     return tuple(problems)
 
@@ -633,30 +653,34 @@ def e_nash_implement(
 
     Equilibria of the cost-free game are exactly the equilibria achievable
     under some tax, and the uniform levelling tax realizes any of them; a
-    yes verdict carries that tax and a supporting profile, re-verified from
-    scratch.  The re-verification runs on the levelled game, every cell at
+    yes verdict carries that tax and a supporting profile, re-verified on a
+    best-response memo of its own.  The sweep and the re-verification read
+    one run-class table, so the witness is played once.  The
+    re-verification runs on the levelled game, every cell at
     the levelling tax's level, which charges each step what the game
     charges under that tax, so it is exact without reading the per-cell
     table, and the table is built only for a yes.  An empty bounded search
     is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
     free = _Responses(zero_cost_game(game), None)
-    return _e_nash(game, free, objective, memory_bound, cap, objective_text)[0]
+    plays = _Plays(game, memory_bound, cap)
+    return _e_nash(game, free, plays, objective, objective_text)[0]
 
 
 def _e_nash(
     game: Game,
     free: _Responses,
+    plays: _Plays,
     objective: Formula,
-    memory_bound: int,
-    cap: int,
     objective_text: str | None,
 ) -> tuple[ImplementationVerdict, _Responses | None]:
     """e_nash_implement, sweeping the cost-free game through free, the
-    best-response memo of that game without a tax; also the memo of the
-    levelled game that checked the witness, or None when none was found."""
+    best-response memo of that game without a tax, and plays, the call's
+    run-class table; also the memo of the levelled game that checked the
+    witness, or None when none was found."""
+    memory_bound = plays.memory_bound
     text = objective_text if objective_text is not None else to_text(objective)
-    witness = next(_nash_sweep(free, memory_bound, objective, cap), None)
+    witness = next(_nash_sweep(free, plays, objective), None)
     if witness is None:
         return ImplementationVerdict(
             problem="enash",
@@ -668,7 +692,7 @@ def _e_nash(
             ),
         ), None
     levelled = _levelled_responses(game)
-    problems = _verify_witness(levelled, "enash", objective, memory_bound, witness, cap)
+    problems = _verify_witness(levelled, plays, "enash", objective, witness)
     if problems:
         return ImplementationVerdict(
             problem="enash",
@@ -704,18 +728,21 @@ def a_nash_implement(
     witness check run on the levelled game taxed by the eliminator alone,
     which charges every step what the game charges under the composed tax
     (see _levelled_responses), so the composed tax is built only for a yes.
+    Every sweep, the deviation graph and the witness checks read one
+    run-class table, so each bounded profile is played once per call.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
     # the e-nash sweep and the violating sweep share one cost-free memo
     free = _Responses(zero_cost_game(game), None)
-    base, levelled = _e_nash(game, free, objective, memory_bound, cap, objective_text)
+    plays = _Plays(game, memory_bound, cap)
+    base, levelled = _e_nash(game, free, plays, objective, objective_text)
     if base.answer != "yes":
         return replace(
             base,
             problem="anash",
             diagnostics=base.diagnostics + ("e-nash precondition failed",),
         )
-    violating = list(_nash_sweep(free, memory_bound, Not(objective), cap))
+    violating = list(_nash_sweep(free, plays, Not(objective)))
     eliminator: DynamicTax | None = None
     diagnostics: list[str] = []
     if violating:
@@ -727,6 +754,7 @@ def a_nash_implement(
                 cap=cap,
                 search_cap=search_cap,
                 state_cap=state_cap,
+                plays=plays,
             )
         except SearchLimitError as stop:
             return ImplementationVerdict(
@@ -759,16 +787,14 @@ def a_nash_implement(
     final = (
         levelled if eliminator is None else _Responses(levelled.game, eliminator)
     )
-    witness = next(_nash_sweep(final, memory_bound, objective, cap), None)
+    witness = next(_nash_sweep(final, plays, objective), None)
     if witness is None:
         problems: tuple[str, ...] = (
             "no equilibrium satisfying the objective survives the "
             "synthesized tax",
         )
     else:
-        problems = _verify_witness(
-            final, "anash", objective, memory_bound, witness, cap
-        )
+        problems = _verify_witness(final, plays, "anash", objective, witness)
     if problems:
         return ImplementationVerdict(
             problem="anash",
@@ -907,20 +933,25 @@ def static_insufficiency_check(
     from .taxation import apply_static
 
     bad = Not(objective)
+    # each candidate once, in order, with the family it first comes in; a
+    # taxed game plays what the game plays, so one table serves every tax,
+    # looked up by profile, and each run class is checked against the
+    # objective once
+    candidates: dict[Profile, str] = {}
+    for family, profile in _candidate_profiles(game, memory_bound):
+        candidates.setdefault(_canonical(profile), family)
+    plays = _Plays(game)
+    violates = plays.verdicts(bad)
     rows: list[StaticInsufficiencyRow] = []
     for tax in tax_grid:
         taxed = apply_static(game, tax)
         responses = _Responses(taxed, None)
         hit: StaticInsufficiencyRow | None = None
-        seen: set[Profile] = set()
-        for family, profile in _candidate_profiles(taxed, memory_bound):
-            canonical = _canonical(profile)
-            if canonical in seen:
+        for canonical, family in candidates.items():
+            k = plays.class_of(canonical)
+            if not violates[k]:
                 continue
-            seen.add(canonical)
-            run, trace, winners = _play(taxed, canonical)
-            if not eval_on_lasso(bad, trace):
-                continue
+            run, winners = plays.runs[k], plays.winners[k]
             if _no_agent_improves(responses, canonical, run, winners):
                 costs = ", ".join(str(c) for c in responses.mean_costs(run))
                 hit = StaticInsufficiencyRow(

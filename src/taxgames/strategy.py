@@ -261,12 +261,13 @@ def enumerate_machines(
                 yield StrategyMachine(outputs=outputs, transitions=structure)
 
 
-def enumerate_profiles(
-    arena: Arena, memory_bound: int, cap: int = 10**7
-) -> Iterator[Profile]:
-    """Cartesian product of the per-agent canonical machine universes,
-    yielded lazily in deterministic order.  Raises when the profile count
-    would exceed the cap."""
+def _universes(
+    arena: Arena, memory_bound: int, cap: int | None
+) -> list[list[StrategyMachine]]:
+    """Each agent's canonical machine universe, in enumeration order.
+    Raises when one agent alone has more than cap machines, checked while
+    they are enumerated, or when the profile count would exceed the cap;
+    a cap of None checks neither."""
     n_letters = arena.n_letters
     universes: list[list[StrategyMachine]] = []
     for i in range(arena.n_agents):
@@ -275,7 +276,7 @@ def enumerate_profiles(
             len(arena.actions[i]), n_letters, memory_bound
         ):
             machines.append(machine)
-            if len(machines) > cap:
+            if cap is not None and len(machines) > cap:
                 raise ResourceLimitError(
                     f"agent {arena.agents[i]} alone has more than {cap} "
                     f"machines at memory bound {memory_bound}"
@@ -284,9 +285,18 @@ def enumerate_profiles(
     size = 1
     for machines in universes:
         size *= len(machines)
-    if size > cap:
+    if cap is not None and size > cap:
         raise ResourceLimitError(
             f"{size} profiles at memory bound {memory_bound} exceeds cap {cap}"
         )
-    for combo in product(*universes):
+    return universes
+
+
+def enumerate_profiles(
+    arena: Arena, memory_bound: int, cap: int = 10**7
+) -> Iterator[Profile]:
+    """Cartesian product of the per-agent canonical machine universes,
+    yielded lazily in deterministic order.  Raises when the profile count
+    would exceed the cap."""
+    for combo in product(*_universes(arena, memory_bound, cap)):
         yield Profile(machines=combo)

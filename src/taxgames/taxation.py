@@ -215,22 +215,39 @@ def _levelling_tax(arena: Arena, target: Fraction) -> StaticTax:
     """uniform_levelling_tax for a level already checked against the
     ceiling.  Its surcharges are non-negative Fractions by that check and
     its cells come in sorted order, so the entries are built as static_tax
-    would leave them.  Each cost vector object gets its surcharge once,
-    keyed by identity (None when it is all zero), and each cost row object
-    its (letter, surcharge) template once; states that share the row emit
-    their entries from the shared template."""
+    would leave them.  A surcharge is target - cost, computed on the
+    integer cost table over the lcm of its scale and the target's
+    denominator; each integer cost vector object gets its surcharge once,
+    keyed by identity (None when it is all zero), each distinct integer
+    surcharge its Fraction once, and each cost row object its (letter,
+    surcharge) template once; states that share the row emit their entries
+    from the shared template."""
+    costs = arena._integer_costs
+    scale = lcm(costs.scale, target.denominator)
+    factor = scale // costs.scale
+    level = target.numerator * (scale // target.denominator)
+    fractions: dict[int, Fraction] = {}
+
+    def fraction(surcharge: int) -> Fraction:
+        found = fractions.get(surcharge)
+        if found is None:
+            found = fractions[surcharge] = Fraction(surcharge, scale)
+        return found
+
     surcharges: dict[int, tuple[Fraction, ...] | None] = {}
     templates: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
     entries = []
-    for s, row in enumerate(arena.cost):
+    for s, row in enumerate(costs.rows):
         template = templates.get(id(row))
         if template is None:
             template = templates[id(row)] = []
             for letter, base in enumerate(row):
                 key = id(base)
                 if key not in surcharges:
-                    vector = tuple(target - x for x in base)
-                    surcharges[key] = vector if any(vector) else None
+                    rest = [level - x * factor for x in base]
+                    surcharges[key] = (
+                        tuple([fraction(r) for r in rest]) if any(rest) else None
+                    )
                 vector = surcharges[key]
                 if vector is not None:
                     template.append((letter, vector))

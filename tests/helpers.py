@@ -543,16 +543,18 @@ def reachable_components(nodes: Iterable, successors) -> list[list]:
 
 
 def reference_levelling_entries(
-    arena: tg.Arena,
+    arena: tg.Arena, level: Fraction | None = None
 ) -> tuple[tuple[int, int, tuple[Fraction, ...]], ...]:
-    """The levelling tax at the lowest valid level, cell by cell: the
-    largest cost of any agent (at least 0) from a scan of every cell, then
-    one surcharge vector per cell, with all-zero vectors dropped."""
-    level = Fraction(0)
-    for row in arena.cost:
-        for vector in row:
-            for x in vector:
-                level = max(level, x)
+    """The levelling tax at the given level, by default the lowest valid
+    one, cell by cell: the largest cost of any agent (at least 0) from a
+    scan of every cell, then one surcharge vector per cell, level - cost
+    in Fractions, with all-zero vectors dropped."""
+    if level is None:
+        level = Fraction(0)
+        for row in arena.cost:
+            for vector in row:
+                for x in vector:
+                    level = max(level, x)
     entries = []
     for s, row in enumerate(arena.cost):
         for letter, base in enumerate(row):
@@ -619,10 +621,12 @@ def random_static_tax(
 
 
 def rational_game(
-    rng: Random, goals: tuple[str, str] = ("G F p", "G F p")
+    rng: Random,
+    goals: tuple[str, str] = ("G F p", "G F p"),
+    n_actions: tuple[int, int] = (2, 2),
 ) -> tg.Game:
     """A random game whose costs have denominators mixed from 1, 2, 3, 7."""
-    game = random_game(rng, n_states=2, max_cost=6, goals=goals)
+    game = random_game(rng, n_states=2, n_actions=n_actions, max_cost=6, goals=goals)
     cost = tuple(
         tuple(
             tuple(Fraction(x, rng.choice((1, 2, 3, 7))) for x in vector)
@@ -867,6 +871,30 @@ def reference_no_agent_improves(
         <= 0
         for agent in range(len(profile.machines))
     )
+
+
+def reference_nash_sweep(
+    responses,
+    memory_bound: int,
+    objective: tg.Formula | None = None,
+    cap: int = 10**7,
+) -> Iterator[tg.Profile]:
+    """The Nash sweep one profile at a time, the reference for the
+    run-class sweep: each bounded profile is played, labelled and has its
+    goals and the objective decided from scratch, then goes through the
+    library's Nash test on the responses' memo, in enumeration order."""
+    game = responses.game
+    arena = game.arena
+    for profile in tg.enumerate_profiles(arena, memory_bound, cap=cap):
+        run = tg.lasso_canonical(tg.generate_run(arena, profile))
+        trace = tg.label_trace(arena, run)
+        winners = frozenset(
+            i for i, goal in enumerate(game.goals) if tg.eval_on_lasso(goal, trace)
+        )
+        if objective is not None and not tg.eval_on_lasso(objective, trace):
+            continue
+        if tg.equilibrium._no_agent_improves(responses, profile, run, winners):
+            yield profile
 
 
 def reference_is_nash(

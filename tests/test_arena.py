@@ -202,6 +202,36 @@ class TestTotality:
         assert str(err.value) == "arena is not total: missing-cost: (s1, a/c)"
 
 
+class _CountedRow(tuple):
+    """A transition row that counts the totality scans that read it."""
+
+    scans = 0
+
+    def __contains__(self, item) -> bool:
+        _CountedRow.scans += 1
+        return super().__contains__(item)
+
+
+def test_cost_only_copies_skip_the_transition_scan(monkeypatch):
+    # a copy that keeps its source's checked transition table scans only
+    # its cost table; a copy with another transition table is scanned
+    game = junction_game()
+    arena = game.arena
+    counted = tuple(_CountedRow(row) for row in arena.transition)
+    monkeypatch.setattr(_CountedRow, "scans", 0)
+    source = replace(arena, transition=counted)
+    assert _CountedRow.scans == len(counted)
+    copies = [
+        tg.zero_cost_game(replace(game, arena=source)).arena,
+        tg.apply_static(replace(game, arena=source), tg.zero_tax(2)).arena,
+        replace(source, cost=arena.cost),
+    ]
+    assert _CountedRow.scans == len(counted)
+    assert all(copy.transition is counted for copy in copies)
+    replace(source, transition=tuple(_CountedRow(row) for row in arena.transition))
+    assert _CountedRow.scans == 2 * len(counted)
+
+
 class TestCostHelpers:
     def test_max_cost(self):
         game = junction_game()

@@ -448,7 +448,67 @@ class TestVerifyWitness:
         )
 
 
+def record_plays(monkeypatch) -> list:
+    """Record the profile of every run generated for a sweep, driver or
+    check."""
+    played: list = []
+    generate = tg.equilibrium._generate_run
+
+    def recording(arena, profile):
+        played.append(profile)
+        return generate(arena, profile)
+
+    monkeypatch.setattr(tg.equilibrium, "_generate_run", recording)
+    return played
+
+
+def test_a_nash_plays_each_profile_once(monkeypatch):
+    # the e-nash sweep, the violating sweep, the deviation graph, the final
+    # sweep and the witness checks read one run-class table: each profile
+    # of the bound-1 universe is played once, and each run's goals are
+    # decided once
+    game = junction_game()
+    objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+    universe = list(tg.enumerate_profiles(game.arena, 1))
+    runs = {tg.lasso_canonical(tg.generate_run(game.arena, p)) for p in universe}
+    played = record_plays(monkeypatch)
+    decided: list = []
+    evaluate = tg.equilibrium.eval_on_lasso
+
+    def recording(formula, trace):
+        if formula in game.goals:
+            decided.append((formula, trace))
+        return evaluate(formula, trace)
+
+    monkeypatch.setattr(tg.equilibrium, "eval_on_lasso", recording)
+    verdict = tg.a_nash_implement(game, objective, 1)
+    assert verdict.answer == "yes"
+    assert verdict.diagnostics[0].startswith("eliminated")
+    assert len(universe) == 4
+    assert sorted(played, key=universe.index) == universe
+    assert len(decided) == len(game.goals) * len(runs)
+
+
 class TestStaticInsufficiency:
+    def test_each_candidate_is_played_once(self, monkeypatch):
+        # one run-class table serves every tax of the grid
+        game = junction_game()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        rng = Random(53)
+        grid = [
+            tg.static_tax(2, {
+                (s, a): (rng.randint(0, 3), rng.randint(0, 3))
+                for s in range(4)
+                for a in range(4)
+                if rng.random() < 0.5
+            })
+            for _ in range(4)
+        ]
+        played = record_plays(monkeypatch)
+        report = tg.static_insufficiency_check(game, objective, 2, grid)
+        assert len(report.rows) == 4
+        assert played and len(played) == len(set(played))
+
     def test_zero_tax_keeps_bad_equilibrium(self):
         game = junction_game()
         objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)

@@ -15,15 +15,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import taxgames as tg  # noqa: E402
 from taxgames._graphs import strongly_connected_components  # noqa: E402
-from taxgames.equilibrium import _component_means  # noqa: E402
+from taxgames.equilibrium import _component_means, _Responses  # noqa: E402
 
 from helpers import (  # noqa: E402
     RESPONSE_GOALS,
     left_nested_or,
     random_game,
+    rational_game,
     rational_tax,
     reachable_components,
     reference_machines,
+    reference_nash_sweep,
     reference_parse,
     reference_response_value,
     simple_cycle_min_mean,
@@ -87,6 +89,39 @@ def uniform_and_mixed(draw):
     for v in draw(st.lists(st.sampled_from(uniform), max_size=2)):
         edges[v].append((draw(st.sampled_from(mixed)), draw(weights)))
     return uniform, mixed, w, edges
+
+
+# objectives that tell the runs of small games apart in different ways
+SWEEP_OBJECTIVES = ("p", "X q", "G F p", "!p U q")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(
+    rng=st.randoms(use_true_random=False),
+    goals=st.tuples(*[st.sampled_from(RESPONSE_GOALS)] * 2),
+    rational=st.booleans(),
+    memory=st.integers(1, 2),
+)
+def test_find_ne_matches_profilewise_sweep(rng, goals, rational, memory):
+    # the run-class sweep against the sweep that plays every profile from
+    # scratch: the same equilibria in the same order, untaxed and taxed,
+    # with no objective and with each objective.  At bound 2 one agent has
+    # a single action, so the universes stay in the hundreds
+    n_actions = rng.choice(((2, 1), (1, 2))) if memory == 2 else (2, 2)
+    if rational:
+        game = rational_game(rng, goals, n_actions)
+    else:
+        game = random_game(
+            rng, n_states=rng.randint(1, 3), n_actions=n_actions, max_cost=2,
+            goals=goals,
+        )
+    vocabulary = game.arena.vocabulary
+    objectives = [None] + [tg.parse_ltl(text, vocabulary) for text in SWEEP_OBJECTIVES]
+    for tax in (None, rational_tax(rng, game.arena)):
+        responses = _Responses(game, tax)
+        for objective in objectives:
+            expected = list(reference_nash_sweep(responses, memory, objective))
+            assert tg.find_ne(game, tax, memory, objective) == expected
 
 
 @DETERMINISTIC

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import taxgames as tg
+from taxgames.arena import _cost_ceilings
 from taxgames.cli import _report_data
 from taxgames.implementation import _levelled_responses, _levelling_machine
 
@@ -214,6 +215,19 @@ class TestLevellingOracle:
         assert tg.uniform_levelling_tax(game, max(ceilings)).entries == expected
         assert _levelling_machine(game).outputs[0].entries == expected
         assert [tg.max_cost(game, i) for i in range(arena.n_agents)] == ceilings
+
+    @pytest.mark.parametrize("game", levelling_games()[:12])
+    def test_level_off_the_cost_scale_keeps_reprs(self, game):
+        # the surcharges are worked out on the integer cost table, over
+        # the lcm of its scale and the level's denominator; each entry is
+        # the Fraction level - cost, down to its repr
+        arena = game.arena
+        for extra in (Fraction(0), Fraction(1, 11), Fraction(5, 6)):
+            level = max(_cost_ceilings(arena)) + extra
+            expected = reference_levelling_entries(arena, level)
+            entries = tg.uniform_levelling_tax(game, level).entries
+            assert entries == expected
+            assert repr(entries) == repr(expected)
 
     def test_copied_vectors_are_distinct_objects(self):
         arena = copied_costs(junction_game()).arena
