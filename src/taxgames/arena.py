@@ -163,6 +163,14 @@ class Arena:
             raise KeyError(f"unknown state {name!r}") from None
 
     @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        """Each agent's letter stride: letter_of is linear in the action
+        indices, so a letter is the sum of each agent's action times its
+        stride."""
+        n = self.n_agents
+        return tuple(self.letter_of([int(j == i) for j in range(n)]) for i in range(n))
+
+    @cached_property
     def _integer_costs(self) -> _IntegerCosts:
         """The cost table as integers, converted on first use; the arena
         is frozen, so the conversion is kept with it."""

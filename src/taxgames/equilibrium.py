@@ -44,6 +44,21 @@ non-negative, so no deviation can cost it less.
 Sweeps play profiles through a run-class table (_Plays) owned by the
 sweep or driver call: each bounded profile is played once per call, and
 each distinct canonical run is labelled and has its goals decided once.
+
+One strictly better deviation refutes a profile, and a table that has
+played every bounded profile holds many.  For agent i, a profile's row is
+the profiles that differ from it only in agent i's machine.  On a complete
+table the Nash test first reads each agent's row: the best value in it,
+from the goal winners of the table and the integer run cost of each run
+class, summed once per class under the memo's (game, tax).  A row whose
+best strictly beats the agent's own value refutes the profile with no
+product graph.  This is exact: a bounded machine is a deviation, and the
+exact best response is at least as good as it, so the exact test would
+refute the profile too.  Only bounded equilibria reach the product
+graphs.  Rows are read only from a complete table: find_ne and
+a_nash_implement walk the whole table anyway and complete it first, while
+the lazy sweep of e_nash_implement stops at its witness and plays nothing
+ahead of it.
 """
 
 from __future__ import annotations
@@ -151,7 +166,10 @@ class _Plays:
     walk() yields each profile of the bounded universes with its class, in
     enumeration order, and plays each profile once however many sweeps
     walk it: rows[index] is the class of the profile at that index, for
-    every profile walked so far.  An index is mixed radix over the
+    every profile walked so far.  fill() plays every bounded profile not
+    played yet; a table is complete once it has played them all, and only
+    a complete table's rows are read by the Nash test (see
+    _no_agent_improves).  An index is mixed radix over the
     profile's machine ids, the positions of its machines in the numbered
     universes, with the last agent's digit lowest.  class_of looks up any
     profile that fits the game: by index once the walk has passed it, and
@@ -175,6 +193,7 @@ class _Plays:
         # and an agent's id counts strides[i] in a profile's index
         self.ids: list[dict[StrategyMachine, int]] = []
         self.strides: list[int] = []
+        self.size = 0
         self._class_of_run: dict[LassoRun, int] = {}
         self._class_of_profile: dict[Profile, int] = {}
         self._verdicts: dict[Formula, _Verdicts] = {}
@@ -192,8 +211,20 @@ class _Plays:
                 self.strides.append(stride)
                 stride *= len(machines)
             self.strides.reverse()
+            self.size = stride
             self.universes = universes
         return self.universes
+
+    @property
+    def complete(self) -> bool:
+        """Whether every bounded profile has been played."""
+        return self.universes is not None and len(self.rows) == self.size
+
+    def fill(self) -> None:
+        """Play every bounded profile not played yet, in enumeration
+        order, so that the table is complete."""
+        for _ in self.walk():
+            pass
 
     def walk(self) -> Iterator[tuple[Profile, int]]:
         """(profile, class) of every bounded profile, lazily, in
@@ -231,14 +262,6 @@ class _Plays:
     def class_of(self, profile: Profile) -> int:
         return self.class_at(self.position(profile), profile)
 
-    def play(
-        self, profile: Profile
-    ) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
-        """Canonical run, label trace and goal winners of a profile that
-        fits the game."""
-        k = self.class_of(profile)
-        return self.runs[k], self.traces[k], self.winners[k]
-
     def verdicts(self, formula: Formula) -> _Verdicts:
         found = self._verdicts.get(formula)
         if found is None:
@@ -248,28 +271,36 @@ class _Plays:
     def _intern(self, profile: Profile) -> int:
         """Play the profile and return its run's class, labelling the run
         and deciding its goals when the class is new."""
-        arena = self.game.arena
-        run = lasso_canonical(_generate_run(arena, profile))
+        run = lasso_canonical(_generate_run(self.game.arena, profile))
         found = self._class_of_run.get(run)
         if found is None:
             found = self._class_of_run[run] = len(self.runs)
-            trace = _label_trace(arena, run)
+            trace, winners = _decide(self.game, run)
             self.runs.append(run)
             self.traces.append(trace)
-            self.winners.append(
-                frozenset(
-                    i
-                    for i, goal in enumerate(self.game.goals)
-                    if eval_on_lasso(goal, trace)
-                )
-            )
+            self.winners.append(winners)
         return found
+
+
+def _decide(game: Game, run: LassoRun) -> tuple[LabelTrace, frozenset[int]]:
+    """A run's label trace and the agents whose goals it satisfies."""
+    trace = _label_trace(game.arena, run)
+    return trace, frozenset(
+        i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
+    )
+
+
+def _play(game: Game, profile: Profile) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
+    """Canonical run, label trace and goal winners of one profile that fits
+    the game, played on no table: a one-off check reads it once."""
+    run = lasso_canonical(_generate_run(game.arena, profile))
+    return (run, *_decide(game, run))
 
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
     check_profile(game.arena, profile)
     responses = _Responses(game, tax)
-    run, trace, winners = _Plays(game).play(profile)
+    run, trace, winners = _play(game, profile)
     return Outcome(
         run=run, winners=winners, costs=responses.mean_costs(run), trace=trace
     )
@@ -582,7 +613,7 @@ class _Reader(NamedTuple):
 
     goal: _Goal
     columns: list[int]
-    strides: list[int]
+    strides: tuple[int, ...]
     own_letters: list[int]
 
 
@@ -603,6 +634,9 @@ class _Responses:
     machines): a response reads nothing else of the profile.  run_costs
     sums a run's steps from the same table, and mean_costs turns those
     sums into the Fraction costs that evaluate and taxed_cost return.
+    row_best reads the rows of one complete run-class table: each run
+    class is summed once, and each row's best value is kept per (agent,
+    row); a memo that is handed another table forgets the first one's.
     floors[i] is agent i's cheapest untaxed step cost over scale.  The
     arena is total (see Arena) and the tax is checked against it here, so
     every cell a graph or run reaches has a successor, a cost and a tax
@@ -637,6 +671,9 @@ class _Responses:
             tuple[int, tuple[StrategyMachine, ...]], tuple[bool, int, int]
         ] = {}
         self._readers: dict[int, _Reader] = {}
+        self._plays: _Plays | None = None
+        self._class_values: dict[int, tuple[tuple[bool, int, int], ...]] = {}
+        self._row_values: dict[tuple[int, int], tuple[bool, int, int]] = {}
 
     def reader(self, agent: int) -> _Reader:
         """The agent's _Reader, built on its first product graph."""
@@ -644,13 +681,7 @@ class _Responses:
         if found is None:
             arena = self.game.arena
             goal = _goal_automaton(self.game.goals[agent], arena.vocabulary)
-            # letter_of is linear in the action indices, so a letter is the
-            # sum of each agent's action times the letter of that agent's
-            # unit action
-            n = arena.n_agents
-            strides = [
-                arena.letter_of([int(j == i) for j in range(n)]) for i in range(n)
-            ]
+            strides = arena._strides
             found = self._readers[agent] = _Reader(
                 goal=goal,
                 columns=[
@@ -705,6 +736,47 @@ class _Responses:
         Fraction of run_costs' integer sums."""
         totals, length = self.run_costs(run)
         return tuple(Fraction(total, length * self.scale) for total in totals)
+
+    def _read(self, plays: _Plays) -> None:
+        """Keep class and row values for plays, forgetting those of any
+        table read before."""
+        if plays is not self._plays:
+            self._plays = plays
+            self._class_values = {}
+            self._row_values = {}
+
+    def class_values(
+        self, plays: _Plays, k: int
+    ) -> tuple[tuple[bool, int, int], ...]:
+        """Each agent's value on the run of class k of plays, as (goal met,
+        total, length) from run_costs, summed once per class."""
+        self._read(plays)
+        found = self._class_values.get(k)
+        if found is None:
+            totals, length = self.run_costs(plays.runs[k])
+            winners = plays.winners[k]
+            found = self._class_values[k] = tuple(
+                [(i in winners, total, length) for i, total in enumerate(totals)]
+            )
+        return found
+
+    def row_best(self, plays: _Plays, agent: int, index: int) -> tuple[bool, int, int]:
+        """The agent's best value, as (goal met, total, length) over the
+        run's cycle, among the profiles of plays, a complete table, that
+        differ from the one at index only in the agent's machine: table
+        indices base + m * stride for each machine id m of the agent."""
+        self._read(plays)
+        stride = plays.strides[agent]
+        n = len(plays.universes[agent])
+        base = index - index // stride % n * stride
+        found = self._row_values.get((agent, base))
+        if found is None:
+            for k in set(plays.rows[base : base + n * stride : stride]):
+                value = self.class_values(plays, k)[agent]
+                if found is None or _beats(value, found):
+                    found = value
+            self._row_values[(agent, base)] = found
+        return found
 
     def value(self, profile: Profile, agent: int) -> tuple[bool, int, int]:
         machines = profile.machines
@@ -898,18 +970,37 @@ def _no_agent_improves(
     profile: Profile,
     run: LassoRun,
     winners: frozenset[int],
+    plays: _Plays | None = None,
+    index: int | None = None,
 ) -> bool:
     """Whether no agent's best response strictly beats its value on the
     profile's run, whose goal winners are given; stops at the first agent
-    that improves.  An agent that wins its goal at its cost floor is
-    skipped without a product graph, since no deviation can beat that."""
-    totals, length = responses.run_costs(run)
+    that improves.
+
+    When plays is a complete run-class table and index the profile's
+    index in it, every agent's row is read first (see
+    _Responses.row_best): a row whose best value beats the agent's refutes
+    the profile with no product graph, since a bounded machine is a
+    deviation.  So only bounded equilibria reach the exact test, where an
+    agent that wins its goal at its cost floor is skipped without a
+    product graph, since no deviation can beat that, and every other
+    agent's exact best response, at least as good as its row, is compared
+    with its value."""
+    if plays is not None and index is not None and plays.complete:
+        values = responses.class_values(plays, plays.rows[index])
+        row_best = responses.row_best
+        for agent, value in enumerate(values):
+            if _beats(row_best(plays, agent, index), value):
+                return False
+    else:
+        totals, length = responses.run_costs(run)
+        values = [(i in winners, total, length) for i, total in enumerate(totals)]
     floors = responses.floors
-    for agent, total in enumerate(totals):
-        met = agent in winners
+    for agent, value in enumerate(values):
+        met, total, length = value
         if met and total == floors[agent] * length:
             continue
-        if _beats(responses.value(profile, agent), (met, total, length)):
+        if _beats(responses.value(profile, agent), value):
             return False
     return True
 
@@ -919,7 +1010,7 @@ def is_nash(
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
     check_profile(game.arena, profile)
-    run, _, winners = _Plays(game).play(profile)
+    run, _, winners = _play(game, profile)
     return _no_agent_improves(_Responses(game, tax), profile, run, winners)
 
 
@@ -929,13 +1020,15 @@ def _nash_sweep(
     """Lazily, in enumeration order, each bounded canonical profile of the
     table's walk that is an exact Nash equilibrium of the responses' game
     under their tax.  The objective, when given, filters runs before any
-    best response is computed, decided once per run class on the table."""
+    best response is computed, decided once per run class on the table.
+    The sweep plays nothing ahead of its walk; only a table its caller has
+    completed refutes profiles by their rows."""
     runs, winners = plays.runs, plays.winners
     satisfied = plays.verdicts(objective) if objective is not None else None
-    for profile, k in plays.walk():
+    for index, (profile, k) in enumerate(plays.walk()):
         if satisfied is not None and not satisfied[k]:
             continue
-        if _no_agent_improves(responses, profile, runs[k], winners[k]):
+        if _no_agent_improves(responses, profile, runs[k], winners[k], plays, index):
             yield profile
 
 
@@ -951,8 +1044,9 @@ def find_ne(
 
     Every returned profile is an equilibrium of the unrestricted game;
     equilibria needing more than memory_bound machine states are missed.
-    Results keep enumeration order.
+    Results keep enumeration order.  The sweep walks every bounded
+    profile, so its table is completed first, and rows refute profiles.
     """
-    return list(
-        _nash_sweep(_Responses(game, tax), _Plays(game, memory_bound, cap), objective)
-    )
+    plays = _Plays(game, memory_bound, cap)
+    plays.fill()
+    return list(_nash_sweep(_Responses(game, tax), plays, objective))

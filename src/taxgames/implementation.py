@@ -49,6 +49,7 @@ from .equilibrium import (
     _beats,
     _nash_sweep,
     _no_agent_improves,
+    _play,
     _Plays,
     _Responses,
 )
@@ -82,21 +83,19 @@ def initial_deviation(
     deviated = profile.replace(agent, alt)
     check_profile(game.arena, profile)
     check_profile(game.arena, deviated)
-    plays = _Plays(game)
-    return _edge_ok(
-        agent, plays.class_of(profile), plays.class_of(deviated), plays.winners
-    )
+    run, _, source = _play(game, profile)
+    other, _, target = _play(game, deviated)
+    return _edge_ok(agent, run == other, source, target)
 
 
 def _edge_ok(
-    agent: int, source: int, target: int, winners: Sequence[frozenset[int]]
+    agent: int, same_run: bool, source: frozenset[int], target: frozenset[int]
 ) -> bool:
-    """Whether the agent's switch from a profile of run class source to
-    one of run class target is an initial deviation; winners holds each
-    class's goal winners.  Runs differ exactly when their classes do."""
-    if source == target:
-        return False
-    return agent not in winners[source] or agent in winners[target]
+    """Whether the agent's switch from one profile to another is an
+    initial deviation: same_run tells whether their runs are equal, and
+    source and target are their goal winners.  On a run-class table, runs
+    are equal exactly when their classes are."""
+    return not same_run and (agent not in source or agent in target)
 
 
 def build_deviation_graph(
@@ -159,7 +158,7 @@ def build_deviation_graph(
                     continue
                 at = None if base is None else base + j * stride
                 k = plays.class_at(at, candidate)
-                if _edge_ok(agent, src, k, winners):
+                if _edge_ok(agent, src == k, winners[src], winners[k]):
                     add(candidate, k)
 
     edges: list[tuple[int, int, int]] = []
@@ -175,7 +174,8 @@ def build_deviation_graph(
             if len(differing) != 1:
                 continue
             agent = differing[0]
-            if _edge_ok(agent, classes[u], classes[v], winners):
+            u_class, v_class = classes[u], classes[v]
+            if _edge_ok(agent, u_class == v_class, winners[u_class], winners[v_class]):
                 edges.append((u, v, agent))
 
     return DeviationGraph(
@@ -433,15 +433,21 @@ def check_eliminable(
     non-Nash).  Returns the reindexed witness graph with the tax
     synthesized and re-verified for it, None when no candidate works, and
     raises SearchLimitError when the search budget runs out.  plays, the
-    calling driver's run-class table, goes to build_deviation_graph.
+    calling driver's run-class table, goes to build_deviation_graph; when
+    it is complete, the Nash test reads each target's row under a
+    candidate's tax, where the edge the candidate picked for the target
+    refutes it with no product graph.
     """
     targets = list(profiles)
     if not targets:
         empty = DeviationGraph(nodes=(), runs=(), winners=(), edges=())
         return empty, synthesize_eliminating_tax(game, empty)
+    if plays is None:
+        plays = _Plays(game, memory_bound)
     full = build_deviation_graph(game, targets, memory_bound, cap=cap, plays=plays)
     node_of = {profile: i for i, profile in enumerate(full.nodes)}
     target_ids = [node_of[_canonical(p)] for p in targets]
+    positions = [plays.position(full.nodes[i]) for i in target_ids]
     out_edges: dict[int, list[tuple[int, int, int]]] = {u: [] for u in target_ids}
     for edge in full.edges:
         if edge[0] in out_edges:
@@ -500,9 +506,9 @@ def check_eliminable(
         for u, v, agent in candidate.edges:
             if not _beats(taxed_value(v, agent), taxed_value(u, agent)):
                 return None
-        for i in target_ids:
+        for i, at in zip(target_ids, positions):
             if _no_agent_improves(
-                responses, full.nodes[i], full.runs[i], full.winners[i]
+                responses, full.nodes[i], full.runs[i], full.winners[i], plays, at
             ):
                 return None
         return candidate, tax
@@ -626,13 +632,18 @@ def _verify_witness(
     """verify_witness on responses, the memo of the game under the witness
     tax, and plays, a run-class table of the game, for a profile that fits
     the game."""
-    k = plays.class_of(profile)
+    index = plays.position(profile)
+    k = plays.class_at(index, profile)
     problems = []
-    if not _no_agent_improves(responses, profile, plays.runs[k], plays.winners[k]):
+    if not _no_agent_improves(
+        responses, profile, plays.runs[k], plays.winners[k], plays, index
+    ):
         problems.append("witness profile is not an equilibrium under the witness tax")
     if not plays.verdicts(objective)[k]:
         problems.append("witness run does not satisfy the objective")
     if problem == "anash" and not problems:
+        # the sweep walks the whole table, so it is completed first
+        plays.fill()
         bad = list(_nash_sweep(responses, plays, Not(objective)))
         if bad:
             problems.append(
@@ -729,12 +740,16 @@ def a_nash_implement(
     which charges every step what the game charges under the composed tax
     (see _levelled_responses), so the composed tax is built only for a yes.
     Every sweep, the deviation graph and the witness checks read one
-    run-class table, so each bounded profile is played once per call.
+    run-class table, so each bounded profile is played once per call.  The
+    violating sweep walks the whole table anyway, so it is completed
+    before the first sweep, and every Nash test of the call refutes
+    profiles by their rows.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
     # the e-nash sweep and the violating sweep share one cost-free memo
     free = _Responses(zero_cost_game(game), None)
     plays = _Plays(game, memory_bound, cap)
+    plays.fill()
     base, levelled = _e_nash(game, free, plays, objective, objective_text)
     if base.answer != "yes":
         return replace(

@@ -94,20 +94,27 @@ def generate_run(arena: Arena, profile: Profile) -> LassoRun:
 
 def _generate_run(arena: Arena, profile: Profile) -> LassoRun:
     """generate_run for a profile that fits the arena, such as every
-    profile enumerate_profiles yields."""
-    machines = profile.machines
-    config = (arena.initial, tuple(0 for _ in machines))
+    profile enumerate_profiles yields.  A letter is the sum of each
+    machine's output times its agent's letter stride (see Arena)."""
+    machines = [
+        (m.outputs, m.transitions, stride)
+        for m, stride in zip(profile.machines, arena._strides)
+    ]
+    transition = arena.transition
+    state = arena.initial
+    memory = (0,) * len(machines)
+    config = (state, memory)
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     steps: list[RunStep] = []
     while config not in seen:
         seen[config] = len(steps)
-        state, memory = config
-        letter = arena.letter_of(
-            tuple(m.outputs[q] for m, q in zip(machines, memory))
+        letter = sum(
+            [outputs[q] * stride for (outputs, _, stride), q in zip(machines, memory)]
         )
         steps.append(RunStep(state, letter))
-        target = arena.transition[state][letter]
-        config = (target, tuple(m.transitions[q][letter] for m, q in zip(machines, memory)))
+        memory = tuple([table[q][letter] for (_, table, _), q in zip(machines, memory)])
+        state = transition[state][letter]
+        config = (state, memory)
     split = seen[config]
     return LassoRun(prefix=tuple(steps[:split]), cycle=tuple(steps[split:]))
 

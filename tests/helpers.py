@@ -855,12 +855,18 @@ def reference_response_value(
 
 
 def reference_no_agent_improves(
-    responses, profile: tg.Profile, run: tg.LassoRun, winners: frozenset[int]
+    responses,
+    profile: tg.Profile,
+    run: tg.LassoRun,
+    winners: frozenset[int],
+    plays=None,
+    index: int | None = None,
 ) -> bool:
     """The library's Nash test on Fractions, with its signature: each
     agent's `reference_taxed_costs` on the run against its
     `reference_response_value` under the responses' game and tax, with no
-    memo and no shortcut."""
+    memo and no shortcut.  It reads no rows, so plays and index are
+    ignored."""
     game, tax = responses.game, responses.tax
     costs = reference_taxed_costs(game.arena, run, tax)
     return all(
@@ -882,7 +888,8 @@ def reference_nash_sweep(
     """The Nash sweep one profile at a time, the reference for the
     run-class sweep: each bounded profile is played, labelled and has its
     goals and the objective decided from scratch, then goes through the
-    library's Nash test on the responses' memo, in enumeration order."""
+    library's Nash test on the responses' memo, in enumeration order, with
+    no table, so no row refutes it."""
     game = responses.game
     arena = game.arena
     for profile in tg.enumerate_profiles(arena, memory_bound, cap=cap):
@@ -893,7 +900,9 @@ def reference_nash_sweep(
         )
         if objective is not None and not tg.eval_on_lasso(objective, trace):
             continue
-        if tg.equilibrium._no_agent_improves(responses, profile, run, winners):
+        if tg.equilibrium._no_agent_improves(
+            responses, profile, run, winners, None, None
+        ):
             yield profile
 
 

@@ -414,27 +414,44 @@ class TestIntegerNashTest:
         # the final sweep and the witness check read the levelled game
         # under the eliminator, and share one memo, so no product graph
         # under it is built twice; the cost-free sweeps and the e-nash
-        # check run untaxed, and the eliminability check taxes the game
-        game = junction_game()
-        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        # check run untaxed, and the eliminability check taxes the game.
+        # Here agents lose on bounded equilibria under the eliminator, so
+        # the final memo builds graphs
+        game = random_game(Random(2), n_states=3, max_cost=3, goals=("p", "p"))
+        objective = tg.parse_ltl("F G q", game.arena.vocabulary)
         built = record_response_graphs(monkeypatch)
         verdict = tg.a_nash_implement(game, objective, 1)
         assert verdict.answer == "yes"
+        assert verdict.diagnostics[0].startswith("eliminated")
         final = [
             (memo, key)
             for memo, key in built
             if memo.tax is not None and memo.game is not game
         ]
         keys = [key for _, key in final]
-        assert keys and len(keys) == len(set(keys))
+        assert len(keys) >= 2 and len(keys) == len(set(keys))
         assert len({id(memo) for memo, _ in final}) == 1
+
+    def test_a_nash_on_junction_refutes_by_rows(self, monkeypatch):
+        # on junction every profile that the final sweep, the witness
+        # check and the candidate checks test is refuted by its row or
+        # skipped at its floor, so no taxed memo builds a graph
+        game = junction_game()
+        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        built = record_response_graphs(monkeypatch)
+        verdict = tg.a_nash_implement(game, objective, 1)
+        assert verdict.answer == "yes"
+        assert verdict.diagnostics[0].startswith("eliminated")
+        assert [memo for memo, _ in built if memo.tax is not None] == []
 
     def test_drivers_check_witnesses_on_the_levelled_game(self, monkeypatch):
         # no product graph reads the per-cell witness tax; the levelled
         # game charges its floor on every step, so no winner of the e-nash
-        # witness run needs a graph either
-        game = junction_game()
-        objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+        # witness run needs a graph either, while its loser does
+        game = random_game(
+            Random(3), n_states=3, max_cost=3, goals=("G F p", "F G q")
+        )
+        objective = tg.parse_ltl("G (p -> F q)", game.arena.vocabulary)
         free: list = []
         zero_cost_game = tg.implementation.zero_cost_game
 
@@ -453,7 +470,68 @@ class TestIntegerNashTest:
         assert verdict.answer == "yes"
         winners = tg.evaluate(game, verdict.witness_profile).winners
         checked = {agent for memo, (agent, _) in built if memo.game is not free[-1]}
-        assert winners and not winners & checked
+        assert winners and checked and not winners & checked
+
+    def test_row_refuted_profile_builds_no_graph(self, monkeypatch):
+        # at (d, d) both drivers lose, and driver 1 improves by swerving,
+        # a bounded machine: on a complete table its row refutes the
+        # profile before any graph, where the exact test builds one
+        game = junction_game()
+        profile = constant_profile(game.arena, [1, 1])
+        plays = tg.equilibrium._Plays(game, 1)
+        plays.fill()
+        index = plays.position(profile)
+        k = plays.rows[index]
+        responses = tg.equilibrium._Responses(game, None)
+        keys = count_response_graphs(monkeypatch)
+        run, winners = plays.runs[k], plays.winners[k]
+        no_improves = tg.equilibrium._no_agent_improves
+        assert not no_improves(responses, profile, run, winners, plays, index)
+        assert keys == []
+        assert not no_improves(responses, profile, run, winners)
+        assert [agent for agent, _ in keys] == [0]
+
+    def test_find_ne_builds_graphs_only_for_bounded_equilibria(self, monkeypatch):
+        # a profile that some bounded machine of one agent beats is refuted
+        # by that agent's row, so every graph find_ne builds belongs to a
+        # bounded equilibrium: no agent gains by another bounded machine
+        rng = Random(43)
+        graphs = refuted = 0
+        for _ in range(6):
+            game = random_game(
+                rng, goals=(rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+            )
+            arena = game.arena
+            universes = [
+                list(tg.enumerate_machines(len(actions), arena.n_letters, 1))
+                for actions in arena.actions
+            ]
+            profiles = list(tg.enumerate_profiles(arena, 1))
+            bounded = [
+                p
+                for p in profiles
+                if all(
+                    tg.prefers(
+                        tg.evaluate(game, p.replace(agent, m)).value(agent),
+                        tg.evaluate(game, p).value(agent),
+                    )
+                    <= 0
+                    for agent, machines in enumerate(universes)
+                    for m in machines
+                )
+            ]
+            keys = count_response_graphs(monkeypatch)
+            found = tg.find_ne(game, None, 1)
+            assert set(found) <= set(bounded)
+            tested = {
+                (agent, p.machines[:agent] + p.machines[agent + 1 :])
+                for p in bounded
+                for agent in range(2)
+            }
+            assert set(keys) <= tested
+            graphs += len(keys)
+            refuted += len(profiles) - len(bounded)
+        assert graphs and refuted
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -487,6 +488,23 @@ def test_a_nash_plays_each_profile_once(monkeypatch):
     assert len(universe) == 4
     assert sorted(played, key=universe.index) == universe
     assert len(decided) == len(game.goals) * len(runs)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_e_nash_plays_no_profile_past_its_witness(monkeypatch, bound):
+    # the lazy e-nash sweep stops at its witness and plays nothing ahead,
+    # not even to complete rows; at bound 2 one row of agent 0 spans 962
+    # profiles, so completing one would play far past the witness
+    game = junction_game()
+    objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
+    played = record_plays(monkeypatch)
+    verdict = tg.e_nash_implement(game, objective, bound)
+    assert verdict.answer == "yes"
+    universe = tg.enumerate_profiles(game.arena, bound)
+    expected = list(islice(universe, len(played)))
+    assert played == expected
+    assert played[-1] == verdict.witness_profile
+    assert next(universe, None) is not None
 
 
 class TestStaticInsufficiency:

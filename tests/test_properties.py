@@ -7,6 +7,7 @@ draws the same examples.
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -26,6 +27,7 @@ from helpers import (  # noqa: E402
     reachable_components,
     reference_machines,
     reference_nash_sweep,
+    reference_no_agent_improves,
     reference_parse,
     reference_response_value,
     simple_cycle_min_mean,
@@ -122,6 +124,56 @@ def test_find_ne_matches_profilewise_sweep(rng, goals, rational, memory):
         for objective in objectives:
             expected = list(reference_nash_sweep(responses, memory, objective))
             assert tg.find_ne(game, tax, memory, objective) == expected
+
+
+# the drivers' objectives: each of them splits the equilibria of some
+# small games, so both the e-nash and the a-nash paths are taken
+DRIVER_OBJECTIVES = ("G F p", "F G q", "G (p -> F q)", "true")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=24)
+@given(
+    seed=st.integers(0, 2**32),
+    goals=st.tuples(*[st.sampled_from(RESPONSE_GOALS)] * 2),
+    rational=st.booleans(),
+    memory=st.integers(1, 2),
+    taxed=st.booleans(),
+    filtered=st.booleans(),
+    objective_text=st.sampled_from(DRIVER_OBJECTIVES),
+)
+def test_row_refutation_keeps_every_answer(
+    seed, goals, rational, memory, taxed, filtered, objective_text
+):
+    # find_ne, e_nash_implement and a_nash_implement against the same
+    # calls with the Nash test swapped for the Fraction reference, which
+    # reads no rows: rows only refute profiles that the exact test
+    # refutes too.  find_ne runs untaxed or under a rational tax, with no
+    # objective or with the drivers' one; the bound-2 universes stay in
+    # the hundreds, as one agent has a single action
+    rng = Random(seed)
+    n_actions = rng.choice(((2, 1), (1, 2))) if memory == 2 else (2, 2)
+    if rational:
+        game = rational_game(rng, goals, n_actions)
+    else:
+        game = random_game(
+            rng, n_states=rng.randint(1, 3), n_actions=n_actions, max_cost=2,
+            goals=goals,
+        )
+    tax = rational_tax(rng, game.arena) if taxed else None
+    objective = tg.parse_ltl(objective_text, game.arena.vocabulary)
+
+    def answers() -> list:
+        return [tg.find_ne(game, tax, memory, objective if filtered else None)] + [
+            (v.answer, v.witness_tax, v.witness_profile, v.diagnostics)
+            for driver in (tg.e_nash_implement, tg.a_nash_implement)
+            for v in [driver(game, objective, memory)]
+        ]
+
+    library = answers()
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (tg.equilibrium, tg.implementation):
+            patch.setattr(module, "_no_agent_improves", reference_no_agent_improves)
+        assert answers() == library
 
 
 @DETERMINISTIC
