@@ -37,19 +37,34 @@ from .taxation import DynamicTax, StaticTax, lift_static, static_tax
 
 _ANSWERS = ("yes", "no-within-bound", "unknown-at-bound")
 
+# libyaml's classes when PyYAML was built with it; both pairs write equal bytes
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# composers recurse once per nesting level (libyaml's overflows the C stack)
+_MAX_NESTING = 100
+_NESTING = {
+    yaml.SequenceStartEvent: 1,
+    yaml.MappingStartEvent: 1,
+    yaml.SequenceEndEvent: -1,
+    yaml.MappingEndEvent: -1,
+}
+
 
 def dump_yaml(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+    return yaml.dump(data, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 
 
 def _load_yaml(text: str) -> Any:
     try:
-        return yaml.safe_load(text)
+        # both parsers are state machines: counting their events cannot overflow
+        depth = 0
+        for event in yaml.parse(text, Loader=_LOADER):
+            depth += _NESTING.get(type(event), 0)
+            if depth > _MAX_NESTING:
+                raise DocumentError("invalid yaml: nested too deeply to load")
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as err:
         raise DocumentError(f"invalid yaml: {err}") from err
-    except RecursionError as err:
-        # the pure-Python loader recurses once per nesting level
-        raise DocumentError("invalid yaml: nested too deeply to load") from err
 
 
 def _body(text: str, kind: str) -> dict:

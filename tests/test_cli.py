@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -330,6 +333,42 @@ class TestCheck:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid yaml: ")
+
+
+# Deep documents run in a child process, so that a crashing loader fails the
+# test instead of killing pytest.
+DEEP_DOCUMENTS = {
+    "flow": lambda n: "game: " + "[" * n + "]" * n,
+    "compact-block": lambda n: "game:\n" + "- " * n + "p\n",
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(DEEP_DOCUMENTS[shape](n), id=f"{shape}-{n}")
+        for shape in DEEP_DOCUMENTS
+        for n in (40_000, 100_000)
+    ]
+    + [pytest.param("game: " + '["]", ' * 40_000 + "]" * 40_000, id="quoted-brackets")],
+)
+def test_deep_document_exits_2_in_a_process(tmp_path, text):
+    path = tmp_path / "deep.game"
+    path.write_text(text)
+    env = dict(os.environ)
+    src = str(Path(tg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "taxgames.cli", "check", "enash"]
+        + ["--game", str(path), "--objective", "p"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid yaml: nested too deeply")
 
 
 class TestGridworld:

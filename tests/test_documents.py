@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from random import Random
 
 import pytest
+import yaml
 
 import taxgames as tg
+from taxgames import documents
+
+from helpers import random_game, random_static_tax, rational_tax
 
 FIXTURES = Path(tg.__file__).parent / "fixtures"
 
@@ -234,3 +240,98 @@ class TestVerdictDocuments:
         )
         with pytest.raises(tg.DocumentError):
             tg.parse_verdict(text)
+
+
+# ---------------------------------------------------------------------------
+# YAML backends: libyaml's classes when present, the pure-Python pair else
+
+PURE = (yaml.SafeLoader, yaml.SafeDumper)
+LIBYAML = (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None))
+BACKENDS = [
+    pytest.param(PURE, id="pure"),
+    pytest.param(
+        LIBYAML,
+        id="libyaml",
+        marks=pytest.mark.skipif(
+            not yaml.__with_libyaml__, reason="PyYAML built without libyaml"
+        ),
+    ),
+]
+
+ROUND_TRIP = {
+    "game": lambda text: tg.game_to_yaml(tg.parse_game(text)),
+    "grid": lambda text: tg.grid_to_yaml(tg.parse_grid(text)),
+    "profile": lambda text: tg.profile_to_yaml(tg.parse_profile(text)),
+    "tax": lambda text: tg.tax_to_yaml(tg.parse_tax(text)),
+    "verdict": lambda text: tg.verdict_to_yaml(tg.parse_verdict(text)),
+}
+
+
+def use_backend(monkeypatch, backend) -> None:
+    loader, dumper = backend
+    monkeypatch.setattr(documents, "_LOADER", loader)
+    monkeypatch.setattr(documents, "_DUMPER", dumper)
+
+
+@pytest.fixture(scope="module")
+def backend_documents() -> list[tuple[str, str]]:
+    """(kind, text) of every fixture, the corridor game, and dumped random
+    games, taxes, profiles and verdicts."""
+    docs = [(path.suffix[1:], path.read_text()) for path in sorted(FIXTURES.iterdir())]
+    corridor = tg.grid_world_game(tg.load_grid(FIXTURES / "corridor.grid"))
+    docs.append(("game", tg.game_to_yaml(corridor)))
+    for seed in range(4):
+        rng = Random(seed)
+        game = random_game(rng, goals=("G F p", "F G q"))
+        objective = tg.parse_ltl("G F q", game.arena.vocabulary)
+        profiles = list(islice(tg.enumerate_profiles(game.arena, 2), 200))
+        docs += [
+            ("game", tg.game_to_yaml(game)),
+            ("tax", tg.tax_to_yaml(random_static_tax(rng, game))),
+            ("tax", tg.tax_to_yaml(rational_tax(rng, game.arena))),
+            ("profile", tg.profile_to_yaml(rng.choice(profiles))),
+            ("verdict", tg.verdict_to_yaml(tg.e_nash_implement(game, objective, 1))),
+            ("verdict", tg.verdict_to_yaml(tg.a_nash_implement(game, objective, 1))),
+        ]
+    return docs
+
+
+class TestYamlBackends:
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_and_pure_agree(self, monkeypatch, backend_documents):
+        assert (documents._LOADER, documents._DUMPER) == LIBYAML
+        for kind, text in backend_documents:
+            seen = []
+            for backend in (LIBYAML, PURE):
+                use_backend(monkeypatch, backend)
+                data = documents._load_yaml(text)
+                seen.append((data, documents.dump_yaml(data), ROUND_TRIP[kind](text)))
+            assert seen[0] == seen[1]
+            # the C classes hidden, load(dump(x)) is still dump(x); a dumped
+            # document that round-trips to itself has already shown it
+            dumped = seen[1][2]
+            assert dumped == text or ROUND_TRIP[kind](dumped) == dumped
+        with pytest.raises(tg.DocumentError, match="^invalid yaml: "):
+            tg.parse_game("game: " + "[" * 3000 + "]" * 3000)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "[" * n + "]" * n,
+            lambda n: '["]", ' * n + "]" * n,
+            lambda n: "\n" + "- " * n + "p",
+            lambda n: "{a: " * n + "p" + "}" * n,
+        ],
+        ids=["flow", "quoted-brackets", "compact-block", "mappings"],
+    )
+    def test_nesting_limit_is_exact(self, monkeypatch, backend, nest):
+        use_backend(monkeypatch, backend)
+        # the top-level mapping is the first level: the limit loads, and the
+        # body is then rejected as a game, one level more is not loaded
+        inner = documents._MAX_NESTING - 1
+        with pytest.raises(tg.DocumentError) as err:
+            tg.parse_game("game: " + nest(inner))
+        assert not str(err.value).startswith("invalid yaml")
+        with pytest.raises(tg.DocumentError, match="^invalid yaml: nested too deeply"):
+            tg.parse_game("game: " + nest(inner + 1))
