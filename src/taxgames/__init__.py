@@ -45,11 +45,9 @@ from .equilibrium import (
     evaluate,
     find_ne,
     is_nash,
-    min_mean_cycle,
     prefers,
     response_graph,
     taxed_cost,
-    truncated_mean,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -70,7 +68,6 @@ from .implementation import (
     e_nash_implement,
     initial_deviation,
     observed_path_index,
-    single_agent_observed_cycle,
     static_insufficiency_check,
     synthesize_eliminating_tax,
     verify_witness,
@@ -92,7 +89,6 @@ from .ltl import (
     Var,
     always,
     and_,
-    buchi_accepts_lasso,
     eval_on_lasso,
     eventually,
     iff,
@@ -111,13 +107,11 @@ from .strategy import (
     canonicalize_machine,
     check_profile,
     check_run,
-    distinguishable,
     enumerate_machines,
     enumerate_profiles,
     generate_run,
     label_trace,
     lasso_canonical,
-    run_at,
 )
 from .taxation import (
     DynamicTax,

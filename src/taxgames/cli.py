@@ -24,7 +24,7 @@ from .documents import (
     load_verdict,
     verdict_to_yaml,
 )
-from .equilibrium import evaluate, is_nash, taxed_cost
+from .equilibrium import _Responses, evaluate, is_nash
 from .errors import DocumentError, ResourceLimitError, TaxgamesError
 from .implementation import a_nash_implement, e_nash_implement, verify_witness
 from .ltl import parse_ltl
@@ -65,6 +65,9 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
     arena = game.arena
     outcome = evaluate(game, profile, tax)
     run = outcome.run
+    untaxed = outcome.costs
+    if tax is not None:
+        untaxed = _Responses(game, None).mean_costs(run)
 
     def step_data(step: RunStep, tax_state: int) -> dict:
         data: dict[str, Any] = {
@@ -95,7 +98,7 @@ def _report_data(game: Game, profile: Profile, tax: DynamicTax | None) -> dict:
         "costs": [
             {
                 "agent": arena.agents[i],
-                "untaxed": str(taxed_cost(game, run, None, i)),
+                "untaxed": str(untaxed[i]),
             }
             for i in range(arena.n_agents)
         ],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import yaml
 

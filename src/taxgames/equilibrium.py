@@ -10,15 +10,16 @@ reachability and optimal cost is a minimum mean cycle.  A strongly
 connected component wins when it meets every acceptance set, since it then
 has an accepting cycle, one through all of them.
 
-Product vertices agree with their arena labels: a non-sink automaton state
-is paired only with arena states whose label it reads, and a step whose
-target label no automaton successor reads goes straight to the sink, as
-does a step to an automaton state that can no longer reach an accepting
-cycle.  This is exact: a mismatching vertex could only step into the sink,
-so it lies on no cycle, and its sink copy has the same out-edges and
-weights; a dead automaton state lies on no accepting cycle either, and the
-sink copy keeps every arena cycle.  So the accepting components and every
-cycle mean, hence every best-response value, stay the same.
+Label guard.  Product vertices agree with their arena labels: a non-sink
+automaton state is paired only with arena states whose label it reads,
+and a step whose target label no automaton successor reads goes straight
+to the sink, as does a step to an automaton state that can no longer
+reach an accepting cycle.  This is exact: a mismatching vertex could only
+step into the sink, so it lies on no cycle, and its sink copy has the
+same out-edges and weights; a dead automaton state lies on no accepting
+cycle either, and the sink copy keeps every arena cycle.  So the
+accepting components and every cycle mean, hence every best-response
+value, stay the same.
 
 A product graph is built in one pass, on integer vertex ids.  Many
 automaton states share one configuration (arena state, other machines'
@@ -37,28 +38,28 @@ out of it, is summed over the run's joint cycle with the tax machine from
 the same step-cost table the product graphs read; the Nash test compares
 it with the memoised best responses by cross-multiplication.  Fractions
 are built only for values that leave the library (evaluate, taxed_cost,
-truncated_mean, best_response).  An agent that wins its goal while its
-run costs its cheapest untaxed step needs no product graph: taxes are
-non-negative, so no deviation can cost it less.
+best_response).  An agent that wins its goal while its run costs its
+cheapest untaxed step needs no product graph: taxes are non-negative, so
+no deviation can cost it less.
 
 Sweeps play profiles through a run-class table (_Plays) owned by the
 sweep or driver call: each bounded profile is played once per call, and
 each distinct canonical run is labelled and has its goals decided once.
 
-One strictly better deviation refutes a profile, and a table that has
-played every bounded profile holds many.  For agent i, a profile's row is
-the profiles that differ from it only in agent i's machine.  On a complete
-table the Nash test first reads each agent's row: the best value in it,
-from the goal winners of the table and the integer run cost of each run
-class, summed once per class under the memo's (game, tax).  A row whose
-best strictly beats the agent's own value refutes the profile with no
-product graph.  This is exact: a bounded machine is a deviation, and the
-exact best response is at least as good as it, so the exact test would
-refute the profile too.  Only bounded equilibria reach the product
-graphs.  Rows are read only from a complete table: find_ne and
-a_nash_implement walk the whole table anyway and complete it first, while
-the lazy sweep of e_nash_implement stops at its witness and plays nothing
-ahead of it.
+Row refutation.  One strictly better deviation refutes a profile, and a
+table that has played every bounded profile holds many.  For agent i, a
+profile's row is the profiles that differ from it only in agent i's
+machine.  On a complete table the Nash test first reads each agent's row:
+the best value in it, from the goal winners of the table and the integer
+run cost of each run class, summed once per class under the memo's (game,
+tax).  A row whose best strictly beats the agent's own value refutes the
+profile with no product graph.  This is exact: a bounded machine is a
+deviation, and the exact best response is at least as good as it, so the
+exact test would refute the profile too.  Only bounded equilibria reach
+the product graphs.  Rows are read only from a complete table: find_ne
+and a_nash_implement walk the whole table anyway and complete it first,
+while the lazy sweep of e_nash_implement stops at its witness and plays
+nothing ahead of it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .strategy import (
     check_profile,
     check_run,
     lasso_canonical,
-    run_at,
 )
 from .taxation import DynamicTax, _joint_walk, check_tax
 
@@ -167,9 +167,8 @@ class _Plays:
     enumeration order, and plays each profile once however many sweeps
     walk it: rows[index] is the class of the profile at that index, for
     every profile walked so far.  fill() plays every bounded profile not
-    played yet; a table is complete once it has played them all, and only
-    a complete table's rows are read by the Nash test (see
-    _no_agent_improves).  An index is mixed radix over the
+    played yet; a table is complete once it has played them all (see Row
+    refutation in the module docstring).  An index is mixed radix over the
     profile's machine ids, the positions of its machines in the numbered
     universes, with the last agent's digit lowest.  class_of looks up any
     profile that fits the game: by index once the walk has passed it, and
@@ -309,34 +308,11 @@ def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Out
 def taxed_cost(
     game: Game, run: LassoRun, tax: DynamicTax | None, agent: int
 ) -> Fraction:
-    """Exact limit-average taxed cost of one agent along a run of the game.
-
-    The per-step taxed cost sequence is ultimately periodic, so the liminf
-    of running averages is the plain mean over the joint cycle of the run
-    and the tax machine; the prefix contributes nothing.  The run must fit
-    the game (see check_run).
-    """
+    """Exact limit-average taxed cost of one agent along a run of the game,
+    which the run must fit (see check_run): the mean over the joint cycle
+    of the run and the tax machine (see _Responses.run_costs)."""
     check_run(game.arena, run)
     return _Responses(game, tax).mean_costs(run)[agent]
-
-
-def truncated_mean(
-    game: Game, run: LassoRun, tax: DynamicTax | None, agent: int, t: int
-) -> Fraction:
-    """Average taxed cost of one agent over steps 0..t inclusive of a run
-    of the game, which the run must fit (see check_run)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    check_run(game.arena, run)
-    responses = _Responses(game, tax)
-    total = 0
-    q = 0
-    for k in range(t + 1):
-        step = run_at(run, k)
-        total += responses.step(step.state, step.letter, q)[agent]
-        if tax is not None:
-            q = tax.next_state(q, step.letter)
-    return Fraction(total, (t + 1) * responses.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -429,32 +405,6 @@ def _component_means(
             )
 
 
-def min_mean_cycle(
-    graph: Mapping[object, Iterable[tuple[object, Fraction]]],
-) -> Fraction | None:
-    """Minimum over all directed cycles of mean edge weight; None if acyclic.
-
-    The weights are scaled to integers by the lcm of their denominators and
-    the mean is divided back at the end."""
-    adjacency = {v: [(t, Fraction(w)) for t, w in out] for v, out in graph.items()}
-    index: dict[object, int] = {}
-    for v, out in adjacency.items():
-        index.setdefault(v, len(index))
-        for t, _ in out:
-            index.setdefault(t, len(index))
-    scale = lcm(*(w.denominator for out in adjacency.values() for _, w in out))
-    successors: list[list[int]] = [[] for _ in index]
-    weights: list[list[int]] = [[] for _ in index]
-    for v, out in adjacency.items():
-        successors[index[v]] = [index[t] for t, _ in out]
-        weights[index[v]] = [w.numerator * (scale // w.denominator) for _, w in out]
-    best: tuple[int, int] | None = None
-    for _, mean in _component_means(successors, weights):
-        if best is None or _below(mean, best):
-            best = mean
-    return None if best is None else Fraction(best[0], best[1] * scale)
-
-
 # ---------------------------------------------------------------------------
 # Best responses
 
@@ -471,21 +421,11 @@ class ResponseGraph:
     (see _Responses).  masks[v] has bit k set when v's automaton state is
     in the goal automaton's acceptance set k, and full has one bit per
     set, so a component meets every set when the OR of its masks is full.
+    Every vertex whose automaton state is not the sink agrees with its
+    arena label (see Label guard in the module docstring).
 
-    vertices, edges and acceptance spell the same graph out and are built
-    on first read, which the memo never does: vertices[v] is (arena state,
-    others' machine states, tax state, automaton state), edges[v] lists
-    (target, weight) pairs, and acceptance holds one frozenset of vertices
-    per acceptance set.
-
-    Every vertex whose automaton state is not the sink agrees with its arena
-    label: the state's atom is that label restricted to the automaton's
-    constrained variables.  Successors whose atom mismatches the target's
-    label are never built, nor are those that cannot reach an accepting
-    cycle; when no successor is left, the step goes straight to the sink.
-    Values are unchanged, because a mismatching vertex could only step into
-    the sink: it lies on no cycle, and its sink copy has the same out-edges
-    and weights.
+    vertices[v] is (arena state, others' machine states, tax state,
+    automaton state), built on first read, which the memo never does.
     """
 
     def __init__(
@@ -518,20 +458,6 @@ class ResponseGraph:
         return tuple(
             (*configs[c], b)
             for c, b in (divmod(key, self._n_automaton_states) for key in self._keys)
-        )
-
-    @cached_property
-    def edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(
-            tuple(zip(targets, weights))
-            for targets, weights in zip(self.successors, self.weights)
-        )
-
-    @cached_property
-    def acceptance(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(v for v, mask in enumerate(self.masks) if mask >> k & 1)
-            for k in range(self.full.bit_length())
         )
 
 
@@ -641,12 +567,6 @@ class _Responses:
     arena is total (see Arena) and the tax is checked against it here, so
     every cell a graph or run reaches has a successor, a cost and a tax
     state.
-
-    The drivers check their witnesses on a memo of the levelled game, every
-    cost cell at the cost ceiling λ, taxed by the eliminator alone or not
-    at all: its step costs are those of the game under the per-cell
-    witness tax, and its floors are λ, so every winner on a cycle that the
-    eliminator does not surcharge is skipped.
     """
 
     def __init__(self, game: Game, tax: DynamicTax | None) -> None:
@@ -808,16 +728,9 @@ def response_graph(
 
 
 def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGraph:
-    """Build the graph from its initial vertices outwards.
-
-    A vertex pairs a configuration (arena state, others' machine states,
-    tax state), numbered c in the order configurations are reached, with
-    an automaton state b, and is looked up by its key c * width + b, where
-    width counts the automaton's states.  Each configuration's arena steps
-    are expanded once, on its first vertex, and every automaton state on
-    it reuses them, with the agent's weight of each step read once from
-    the step-cost table.
-    """
+    """Build the graph from its initial vertices outwards, in one pass
+    (see the module docstring).  Configurations are numbered c in the order
+    they are reached, and width counts the automaton's states."""
     goal, columns, strides, own_letters = responses.reader(agent)
     tax, arena = responses.tax, responses.game.arena
     others = [
@@ -829,9 +742,8 @@ def _product(responses: _Responses, profile: Profile, agent: int) -> ResponseGra
     steps, step = responses.steps, responses.step
     moves, masks = goal.moves, goal.masks
     width = len(moves)
-    # a non-sink automaton state's atom is the label of its arena state
-    # (see ResponseGraph): each step looks its successors up by the label
-    # of its target
+    # each step looks its automaton successors up by the label of its
+    # target (see Label guard in the module docstring)
     starts = goal.starts[columns[arena.initial]]
 
     configs: list[tuple[int, tuple[int, ...], int]] = [
@@ -978,14 +890,9 @@ def _no_agent_improves(
     that improves.
 
     When plays is a complete run-class table and index the profile's
-    index in it, every agent's row is read first (see
-    _Responses.row_best): a row whose best value beats the agent's refutes
-    the profile with no product graph, since a bounded machine is a
-    deviation.  So only bounded equilibria reach the exact test, where an
-    agent that wins its goal at its cost floor is skipped without a
-    product graph, since no deviation can beat that, and every other
-    agent's exact best response, at least as good as its row, is compared
-    with its value."""
+    index in it, every agent's row is read first (see Row refutation in
+    the module docstring).  In the exact test an agent that wins its goal
+    at its cost floor is skipped without a product graph."""
     if plays is not None and index is not None and plays.complete:
         values = responses.class_values(plays, plays.rows[index])
         row_best = responses.row_best
@@ -1021,8 +928,7 @@ def _nash_sweep(
     table's walk that is an exact Nash equilibrium of the responses' game
     under their tax.  The objective, when given, filters runs before any
     best response is computed, decided once per run class on the table.
-    The sweep plays nothing ahead of its walk; only a table its caller has
-    completed refutes profiles by their rows."""
+    The sweep plays nothing ahead of its walk."""
     runs, winners = plays.runs, plays.winners
     satisfied = plays.verdicts(objective) if objective is not None else None
     for index, (profile, k) in enumerate(plays.walk()):
@@ -1044,9 +950,9 @@ def find_ne(
 
     Every returned profile is an equilibrium of the unrestricted game;
     equilibria needing more than memory_bound machine states are missed.
-    Results keep enumeration order.  The sweep walks every bounded
-    profile, so its table is completed first, and rows refute profiles.
+    Results keep enumeration order.
     """
+    responses = _Responses(game, tax)  # checks the tax before any play
     plays = _Plays(game, memory_bound, cap)
     plays.fill()
-    return list(_nash_sweep(_Responses(game, tax), plays, objective))
+    return list(_nash_sweep(responses, plays, objective))

@@ -15,6 +15,20 @@ agent i is d·(c_i*+1), where d is the length of the longest chain of
 i-deviations leaving the run's class and c_i* the agent's maximum step cost;
 along any i-edge d drops by at least one, so the taxed costs of source and
 target differ by at least (c_i*+1) - c_i* = 1 in the target's favour.
+
+Levelled game.  A yes verdict's witness tax is the uniform levelling tax
+at the cost ceiling λ, with a_nash_implement's eliminator X composed on
+top when it needs one.  Cell by cell the game under it charges cost +
+(λ - cost) + X = λ + X, as Fractions: exactly the levelled game, every
+cost cell at λ, taxed by X alone.  So the drivers check their witnesses,
+and a_nash_implement runs its final sweep, on one memo of the levelled
+game (_levelled_responses, taxed by X when there is one), which decides
+what a check under the per-cell witness tax decides, with no levelling
+table read; the witness tax is built only for a yes.  Every step of the
+levelled game costs the floor λ, so an agent that wins its goal on a
+cycle that X does not surcharge needs no product graph.  verify_witness,
+for outside callers, checks the per-cell tax it is given on its own memo,
+and so agrees with the drivers.
 """
 
 from __future__ import annotations
@@ -228,56 +242,18 @@ def _quotient(
     return class_nodes, node_class, class_edges
 
 
-def _agent_class_graphs(
-    graph: DeviationGraph,
-    n_classes: int,
-    class_edges: Sequence[tuple[int, int, int]],
-) -> list[list[list[int]]]:
-    """adjacency[i][c] lists the classes that agent-i edges lead to from c."""
-    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
-    adjacency = [[[] for _ in range(n_classes)] for _ in range(n_agents)]
-    for src, tgt, agent in class_edges:
-        adjacency[agent][src].append(tgt)
-    return adjacency
-
-
-def single_agent_observed_cycle(
-    graph: DeviationGraph,
-) -> tuple[int, tuple[int, ...]] | None:
-    """A cycle in the run quotient whose edges all carry one agent, as
-    (agent, class cycle), or None.  Self-loops cannot occur because edges
-    require distinguishable runs, so exactly the strongly connected
-    components of two or more classes hold cycles."""
-    class_nodes, _, class_edges = _quotient(graph)
-    n_classes = len(class_nodes)
-    for agent, adjacency in enumerate(
-        _agent_class_graphs(graph, n_classes, class_edges)
-    ):
-        for component in strongly_connected_components(adjacency):
-            if len(component) > 1:
-                # every member has a successor inside the component, so a
-                # walk that stays inside must revisit a class
-                members = set(component)
-                position: dict[int, int] = {}
-                walk: list[int] = []
-                cls = component[0]
-                while cls not in position:
-                    position[cls] = len(walk)
-                    walk.append(cls)
-                    cls = next(t for t in adjacency[cls] if t in members)
-                return agent, tuple(walk[position[cls]:])
-    return None
-
-
 def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
     """Path statistics of the run quotient; raises ValueError naming the
     first agent whose class graph has a cycle, where path lengths diverge."""
     class_nodes, node_class, class_edges = _quotient(graph)
     n_classes = len(class_nodes)
+    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
+    # adjacencies[i][c] lists the classes that agent-i edges lead to from c
+    adjacencies = [[[] for _ in range(n_classes)] for _ in range(n_agents)]
+    for src, tgt, agent in class_edges:
+        adjacencies[agent][src].append(tgt)
     d_out: list[tuple[int, ...]] = []
-    for agent, adjacency in enumerate(
-        _agent_class_graphs(graph, n_classes, class_edges)
-    ):
+    for agent, adjacency in enumerate(adjacencies):
         # components come successors first; one of two or more classes
         # holds a cycle
         depth = [0] * n_classes
@@ -433,10 +409,8 @@ def check_eliminable(
     non-Nash).  Returns the reindexed witness graph with the tax
     synthesized and re-verified for it, None when no candidate works, and
     raises SearchLimitError when the search budget runs out.  plays, the
-    calling driver's run-class table, goes to build_deviation_graph; when
-    it is complete, the Nash test reads each target's row under a
-    candidate's tax, where the edge the candidate picked for the target
-    refutes it with no product graph.
+    calling driver's run-class table, goes to build_deviation_graph and to
+    the Nash test of each target, which reads rows when it is complete.
     """
     targets = list(profiles)
     if not targets:
@@ -585,13 +559,8 @@ def _levelling_machine(game: Game) -> DynamicTax:
 
 def _levelled_responses(game: Game) -> _Responses:
     """The untaxed memo of the levelled game: every cost cell charges every
-    agent the cost ceiling λ, the level of _levelling_machine.  Under an
-    eliminator X composed with the levelling tax, the game charges cost +
-    (λ - cost) + X = λ + X on every cell, as Fractions: the levelled game
-    taxed by X.  So a check there decides what a check under the per-cell
-    composed tax decides, with no levelling table read.  Every step of the
-    levelled game costs the floor λ, so an agent that wins its goal on a
-    cycle that X does not surcharge needs no product graph."""
+    agent the cost ceiling λ, the level of _levelling_machine (see Levelled
+    game in the module docstring)."""
     return _Responses(_uniform_cost_game(game, _cost_ceiling(game.arena)), None)
 
 
@@ -608,10 +577,7 @@ def verify_witness(
     equilibrium under the tax and its run satisfies the objective; for
     anash, also no bounded equilibrium under the tax violates it.  The
     check keeps its own best-response memo of the game under the given
-    per-cell tax, apart from any sweep that found the witness.  The drivers
-    check their own witnesses on the levelled game instead (see
-    _levelled_responses), whose step costs equal those of the game under
-    their witness tax, so this check agrees with theirs."""
+    per-cell tax, apart from any sweep that found the witness."""
     check_profile(game.arena, profile)
     return _verify_witness(
         _Responses(game, tax),
@@ -664,14 +630,10 @@ def e_nash_implement(
 
     Equilibria of the cost-free game are exactly the equilibria achievable
     under some tax, and the uniform levelling tax realizes any of them; a
-    yes verdict carries that tax and a supporting profile, re-verified on a
-    best-response memo of its own.  The sweep and the re-verification read
-    one run-class table, so the witness is played once.  The
-    re-verification runs on the levelled game, every cell at
-    the levelling tax's level, which charges each step what the game
-    charges under that tax, so it is exact without reading the per-cell
-    table, and the table is built only for a yes.  An empty bounded search
-    is reported as no-within-bound.
+    yes verdict carries that tax and a supporting profile, re-verified on
+    the levelled game (see the module docstring).  The sweep and the
+    re-verification read one run-class table, so the witness is played
+    once.  An empty bounded search is reported as no-within-bound.
     objective_text overrides how the objective is quoted in the verdict."""
     free = _Responses(zero_cost_game(game), None)
     plays = _Plays(game, memory_bound, cap)
@@ -735,15 +697,12 @@ def a_nash_implement(
     exist)?  Requires the e-nash condition plus eliminability of the
     objective-violating cost-free equilibria; the witness tax, the
     eliminator composed with the levelling tax, is re-verified within the
-    bounded universe before a yes is returned.  The final sweep and the
-    witness check run on the levelled game taxed by the eliminator alone,
-    which charges every step what the game charges under the composed tax
-    (see _levelled_responses), so the composed tax is built only for a yes.
+    bounded universe before a yes is returned; the final sweep and the
+    witness check run on the levelled game (see the module docstring).
     Every sweep, the deviation graph and the witness checks read one
-    run-class table, so each bounded profile is played once per call.  The
-    violating sweep walks the whole table anyway, so it is completed
-    before the first sweep, and every Nash test of the call refutes
-    profiles by their rows.
+    run-class table, so each bounded profile is played once per call; it
+    is completed before the first sweep, so rows refute profiles (see Row
+    refutation in the equilibrium module docstring).
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
     # the e-nash sweep and the violating sweep share one cost-free memo

@@ -24,7 +24,6 @@ from itertools import product as _iterproduct
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, TaxgamesError
-from ._graphs import strongly_connected_components
 
 
 class LtlError(TaxgamesError):
@@ -450,14 +449,6 @@ class BuchiAutomaton:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def successors(self, state: int, letter: frozenset[str]) -> tuple[int, ...]:
-        if state == self.sink:
-            return (self.sink,)
-        if (letter & self.constrained) != self.atoms[state]:
-            return (self.sink,)
-        out = self.edges[state]
-        return out if out else (self.sink,)
-
 
 def to_buchi(
     formula: Formula,
@@ -574,51 +565,3 @@ def to_buchi(
         acceptance=acceptance,
         sink=sink,
     )
-
-
-def buchi_accepts_lasso(automaton: BuchiAutomaton, trace: LabelTrace) -> bool:
-    """Whether the automaton accepts the infinite word of the trace.
-
-    Explores the product of automaton states with the canonical trace
-    positions and looks for a reachable nontrivial strongly connected
-    component that meets every acceptance set: it has a cycle through all
-    of them.
-    """
-    prefix, cycle = trace
-    if not cycle:
-        raise ValueError("trace cycle must be nonempty")
-    count = len(prefix) + len(cycle)
-    wrap = len(prefix)
-    letters = list(prefix) + list(cycle)
-
-    def succ_pos(i: int) -> int:
-        return i + 1 if i + 1 < count else wrap
-
-    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
-        state, pos = node
-        return [
-            (target, succ_pos(pos))
-            for target in automaton.successors(state, letters[pos])
-        ]
-
-    start = [(q, 0) for q in automaton.initial]
-    seen: set[tuple[int, int]] = set(start)
-    queue = list(start)
-    while queue:
-        node = queue.pop()
-        for nxt in successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
-    nodes = sorted(seen)
-    number = {node: i for i, node in enumerate(nodes)}
-    edges = [[number[nxt] for nxt in successors(node)] for node in nodes]
-    for component in strongly_connected_components(edges):
-        first = component[0]
-        if len(component) == 1 and first not in edges[first]:
-            continue
-        states = {nodes[i][0] for i in component}
-        if all(not states.isdisjoint(marks) for marks in automaton.acceptance):
-            return True
-    return False

@@ -64,6 +64,10 @@ class LassoRun:
 
 
 def check_profile(arena: Arena, profile: Profile) -> None:
+    """Raise AlphabetMismatchError unless the profile has one machine per
+    agent, and each has a state, one transition row per state reading the
+    arena's letters, targets among its states and outputs among its
+    agent's actions."""
     if len(profile.machines) != arena.n_agents:
         raise AlphabetMismatchError(
             f"profile has {len(profile.machines)} machines for "
@@ -71,17 +75,25 @@ def check_profile(arena: Arena, profile: Profile) -> None:
         )
     n_letters = arena.n_letters
     for i, machine in enumerate(profile.machines):
-        limit = len(arena.actions[i])
-        if any(o >= limit or o < 0 for o in machine.outputs):
+        where = f"machine of agent {arena.agents[i]}"
+        n_states, rows = machine.n_states, machine.transitions
+        if not n_states or len(rows) != n_states:
             raise AlphabetMismatchError(
-                f"machine of agent {arena.agents[i]} outputs an action "
-                f"outside its {limit} actions"
+                f"{where} has {len(rows)} transition rows for {n_states} states"
             )
-        if any(len(row) != n_letters for row in machine.transitions):
+        limit = len(arena.actions[i])
+        if min(machine.outputs) < 0 or max(machine.outputs) >= limit:
             raise AlphabetMismatchError(
-                f"machine of agent {arena.agents[i]} reads "
-                f"{len(machine.transitions[0]) if machine.transitions else 0} "
-                f"letters, arena has {n_letters}"
+                f"{where} outputs an action outside its {limit} actions"
+            )
+        for row in rows:
+            if len(row) != n_letters:
+                raise AlphabetMismatchError(
+                    f"{where} reads {len(row)} letters, arena has {n_letters}"
+                )
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n_states:
+            raise AlphabetMismatchError(
+                f"{where} moves to a state outside 0..{n_states - 1}"
             )
 
 
@@ -145,12 +157,6 @@ def lasso_canonical(run: LassoRun) -> LassoRun:
     return LassoRun(prefix=tuple(prefix), cycle=tuple(cycle))
 
 
-def run_at(run: LassoRun, k: int) -> RunStep:
-    if k < len(run.prefix):
-        return run.prefix[k]
-    return run.cycle[(k - len(run.prefix)) % len(run.cycle)]
-
-
 def check_run(arena: Arena, run: LassoRun) -> None:
     """Raise ValueError unless the run fits the arena: its cycle is
     nonempty, and every step's state and letter are the arena's."""
@@ -182,13 +188,6 @@ def _label_trace(arena: Arena, run: LassoRun) -> LabelTrace:
         prefix=tuple([labels[step.state] for step in run.prefix]),
         cycle=tuple([labels[step.state] for step in run.cycle]),
     )
-
-
-def distinguishable(arena: Arena, first: Profile, second: Profile) -> bool:
-    """Whether the two profiles generate different infinite runs."""
-    run1 = lasso_canonical(generate_run(arena, first))
-    run2 = lasso_canonical(generate_run(arena, second))
-    return run1 != run2
 
 
 # ---------------------------------------------------------------------------

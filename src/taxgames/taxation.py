@@ -146,19 +146,30 @@ def lift_static(tax: StaticTax, n_letters: int = 1) -> DynamicTax:
 
 
 def check_tax(arena: Arena, tax: DynamicTax) -> None:
-    """Raise AlphabetMismatchError unless the tax machine covers the arena's
-    agents, reads its letters and rates only its cells."""
+    """Raise AlphabetMismatchError unless the tax machine has a state, one
+    transition row per state with targets among its states, covers the
+    arena's agents, reads its letters and rates only its cells."""
+    rows = tax.transitions
+    if not tax.outputs or len(rows) != tax.n_states:
+        raise AlphabetMismatchError(
+            f"tax machine has {len(rows)} transition rows for "
+            f"{tax.n_states} states"
+        )
     if tax.n_agents != arena.n_agents:
         raise AlphabetMismatchError(
             f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
         )
     n_states, n_letters = arena.n_states, arena.n_letters
-    for q, row in enumerate(tax.transitions):
+    for q, row in enumerate(rows):
         if len(row) != n_letters:
             raise AlphabetMismatchError(
                 f"tax machine state {q} reads {len(row)} letters, "
                 f"game has {n_letters}"
             )
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= tax.n_states:
+        raise AlphabetMismatchError(
+            f"tax machine moves to a state outside 0..{tax.n_states - 1}"
+        )
     # an output object that many tax states share is read once
     seen: set[int] = set()
     for q, output in enumerate(tax.outputs):

@@ -13,6 +13,13 @@ The recursive-descent parser, the recursive formula comparison and the
 recursive transition-table enumerator are the references for the library's
 iterative versions; they recurse once per nesting level, so feed them small
 inputs only.
+
+Some functions here were public library API that only tests read: the
+automaton acceptance check `buchi_accepts_lasso` (with `buchi_successors`),
+`min_mean_cycle` (the library's Karp on Fraction weights), `run_at` and
+`single_agent_observed_cycle`.  The first two still use the library's
+Tarjan and Karp, which `reachable_components` and `simple_cycle_min_mean`
+check independently.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
@@ -42,6 +50,9 @@ from taxgames.ltl import (
 )
 
 import taxgames as tg
+from taxgames._graphs import strongly_connected_components
+from taxgames.equilibrium import _component_means
+from taxgames.implementation import _quotient
 
 
 # ======================== Bundled example, built in code ====================
@@ -245,6 +256,64 @@ def reference_to_buchi(formula: tg.Formula) -> tg.BuchiAutomaton:
         ),
         sink=sink,
     )
+
+
+def buchi_successors(
+    automaton: tg.BuchiAutomaton, state: int, letter: frozenset[str]
+) -> tuple[int, ...]:
+    """The automaton's successors of a state on reading a letter: its
+    edges when the letter agrees with the state's atom on the constrained
+    variables, and otherwise, or when it has none, just the sink."""
+    if state == automaton.sink:
+        return (automaton.sink,)
+    if (letter & automaton.constrained) != automaton.atoms[state]:
+        return (automaton.sink,)
+    return automaton.edges[state] or (automaton.sink,)
+
+
+def buchi_accepts_lasso(automaton: tg.BuchiAutomaton, trace: tg.LabelTrace) -> bool:
+    """Whether the automaton accepts the infinite word of the trace.
+
+    Explores the product of automaton states with the canonical trace
+    positions and looks for a reachable nontrivial strongly connected
+    component that meets every acceptance set: it has a cycle through all
+    of them.
+    """
+    prefix, cycle = trace
+    if not cycle:
+        raise ValueError("trace cycle must be nonempty")
+    count = len(prefix) + len(cycle)
+    wrap = len(prefix)
+    letters = list(prefix) + list(cycle)
+
+    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+        state, pos = node
+        nxt = pos + 1 if pos + 1 < count else wrap
+        return [
+            (target, nxt)
+            for target in buchi_successors(automaton, state, letters[pos])
+        ]
+
+    start = [(q, 0) for q in automaton.initial]
+    seen: set[tuple[int, int]] = set(start)
+    queue = list(start)
+    while queue:
+        for nxt in successors(queue.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+    nodes = sorted(seen)
+    number = {node: i for i, node in enumerate(nodes)}
+    edges = [[number[nxt] for nxt in successors(node)] for node in nodes]
+    for component in strongly_connected_components(edges):
+        first = component[0]
+        if len(component) == 1 and first not in edges[first]:
+            continue
+        states = {nodes[i][0] for i in component}
+        if all(not states.isdisjoint(marks) for marks in automaton.acceptance):
+            return True
+    return False
 
 
 # ======================== Parser and structure oracles ======================
@@ -502,6 +571,30 @@ def simple_cycle_min_mean(
     return best
 
 
+def min_mean_cycle(
+    graph: Mapping[object, Iterable[tuple[object, Fraction]]],
+) -> Fraction | None:
+    """Minimum over all directed cycles of mean edge weight, None if there
+    is no cycle: the library's component walk and Karp
+    (`equilibrium._component_means`) on Fraction weights, scaled to
+    integers by the lcm of their denominators and divided back at the
+    end."""
+    adjacency = {v: [(t, Fraction(w)) for t, w in out] for v, out in graph.items()}
+    index: dict[object, int] = {}
+    for v, out in adjacency.items():
+        index.setdefault(v, len(index))
+        for t, _ in out:
+            index.setdefault(t, len(index))
+    scale = lcm(*(w.denominator for out in adjacency.values() for _, w in out))
+    successors: list[list[int]] = [[] for _ in index]
+    weights: list[list[int]] = [[] for _ in index]
+    for v, out in adjacency.items():
+        successors[index[v]] = [index[t] for t, _ in out]
+        weights[index[v]] = [w.numerator * (scale // w.denominator) for _, w in out]
+    means = [Fraction(*mean) for _, mean in _component_means(successors, weights)]
+    return min(means) / scale if means else None
+
+
 # ======================== Component oracle ==================================
 
 
@@ -720,6 +813,14 @@ def oracle_response_values(
 # ======================== Run cost oracle ===================================
 
 
+def run_at(run: tg.LassoRun, k: int) -> tg.RunStep:
+    """Step k of the run's infinite step sequence."""
+    if k < len(run.prefix):
+        return run.prefix[k]
+    return run.cycle[(k - len(run.prefix)) % len(run.cycle)]
+
+
+
 def reference_taxed_costs(
     arena: tg.Arena, run: tg.LassoRun, tax: tg.DynamicTax | None = None
 ) -> tuple[Fraction, ...]:
@@ -754,7 +855,7 @@ def reference_running_means(
     means = []
     q = 0
     for t in range(horizon):
-        state, letter = tg.run_at(run, t)
+        state, letter = run_at(run, t)
         cost = arena.cost[state][letter]
         if tax is not None:
             rate = tax.outputs[q].rate(state, letter)
@@ -792,10 +893,11 @@ def reference_response_value(
 
     Vertices are (arena state, others' machine states, tax state, state of
     the `reference_to_buchi` automaton), stepped through
-    `BuchiAutomaton.successors`, so a vertex whose automaton atom
-    contradicts its label stays in the graph until it steps into the sink.  Weights are Fractions.  The goal is attainable iff a
+    `buchi_successors`, so a vertex whose automaton atom contradicts its
+    label stays in the graph until it steps into the sink.  Weights are
+    Fractions.  The goal is attainable iff a
     strongly connected component with a cycle holds an accepting vertex;
-    the cost is the least `tg.min_mean_cycle` inside such components, or
+    the cost is the least `min_mean_cycle` inside such components, or
     inside any component when none is.
     """
     arena = game.arena
@@ -829,7 +931,7 @@ def reference_response_value(
                 machines[i].transitions[q][letter] for i, q in zip(others, memory)
             )
             target = arena.transition[state][letter]
-            for b_next in automaton.successors(b, arena.labels[state]):
+            for b_next in buchi_successors(automaton, b, arena.labels[state]):
                 succ = (target, memory_next, tax_next, b_next)
                 out.append((succ, weight))
                 frontier.append(succ)
@@ -840,7 +942,7 @@ def reference_response_value(
         graph, lambda v: [t for t, _ in graph[v]]
     ):
         members = set(component)
-        mean = tg.min_mean_cycle(
+        mean = min_mean_cycle(
             {v: [(t, w) for t, w in graph[v] if t in members] for v in component}
         )
         if mean is None:
@@ -914,3 +1016,37 @@ def reference_is_nash(
     return reference_no_agent_improves(
         SimpleNamespace(game=game, tax=tax), profile, outcome.run, outcome.winners
     )
+
+
+# ======================== Deviation graph oracle ============================
+
+
+def single_agent_observed_cycle(
+    graph: tg.DeviationGraph,
+) -> tuple[int, tuple[int, ...]] | None:
+    """A cycle in the run quotient whose edges all carry one agent, as
+    (agent, class cycle), or None.  Classes are numbered as
+    `implementation._quotient` numbers them.  Self-loops cannot occur
+    because edges require distinct runs, so exactly the strongly connected
+    components of two or more classes hold cycles."""
+    class_nodes, _, class_edges = _quotient(graph)
+    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
+    for agent in range(n_agents):
+        adjacency: list[list[int]] = [[] for _ in class_nodes]
+        for source, target, by in class_edges:
+            if by == agent:
+                adjacency[source].append(target)
+        for component in strongly_connected_components(adjacency):
+            if len(component) > 1:
+                # every member has a successor inside the component, so a
+                # walk that stays inside must revisit a class
+                members = set(component)
+                position: dict[int, int] = {}
+                walk: list[int] = []
+                cls = component[0]
+                while cls not in position:
+                    position[cls] = len(walk)
+                    walk.append(cls)
+                    cls = next(t for t in adjacency[cls] if t in members)
+                return agent, tuple(walk[position[cls]:])
+    return None

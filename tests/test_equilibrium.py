@@ -20,6 +20,7 @@ from helpers import (
     constant_profile,
     junction_game,
     junction_tax,
+    min_mean_cycle,
     oracle_eval,
     oracle_response_values,
     random_game,
@@ -52,18 +53,18 @@ class TestLexValue:
 class TestMinMeanCycle:
     def test_two_cycle(self):
         graph = {0: [(1, Fraction(3))], 1: [(0, Fraction(1))]}
-        assert tg.min_mean_cycle(graph) == 2
+        assert min_mean_cycle(graph) == 2
 
     def test_self_loop_beats_long_cycle(self):
         graph = {
             0: [(0, Fraction(1)), (1, Fraction(0))],
             1: [(0, Fraction(0))],
         }
-        assert tg.min_mean_cycle(graph) == 0
+        assert min_mean_cycle(graph) == 0
 
     def test_acyclic_returns_none(self):
         graph = {0: [(1, Fraction(1))], 1: []}
-        assert tg.min_mean_cycle(graph) is None
+        assert min_mean_cycle(graph) is None
 
     def test_matches_enumeration_oracle(self):
         rng = Random(11)
@@ -79,7 +80,7 @@ class TestMinMeanCycle:
                         )
                         edges.append((w, weight))
                 graph[v] = edges
-            assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)
+            assert min_mean_cycle(graph) == simple_cycle_min_mean(graph)
 
 
 class TestEvaluate:
@@ -218,7 +219,7 @@ class TestResponseGraph:
         automaton = tg.to_buchi(tg.FALSE, game.arena.vocabulary)
         graph = tg.response_graph(game, constant_profile(game.arena, [0, 1]), 0)
         assert {b for *_, b in graph.vertices} == {automaton.sink}
-        assert not any(graph.acceptance)
+        assert not any(graph.masks)
 
     def test_scale_is_fixed_by_game_and_tax(self):
         # the ring's costs have denominators 1, 2 and 3, and B's graphs
@@ -245,7 +246,8 @@ class TestResponseGraph:
                     partial += lcm_of_denominators(reached) != scale
                     again = tg.response_graph(game, profile, agent, tax, shared)
                     assert graph.scale == again.scale == shared.scale == scale
-                    assert graph.edges == again.edges
+                    assert graph.successors == again.successors
+                    assert graph.weights == again.weights
                     assert tg.equilibrium._response_value(
                         graph
                     ) == reference_response_value(game, profile, agent, tax)
@@ -271,7 +273,7 @@ class TestResponseGraph:
             machines = list(tg.enumerate_machines(2, game.arena.n_letters, 2))
             profile = tg.Profile((rng.choice(machines), rng.choice(machines)))
             tax = rational_tax(rng, game.arena)
-            assert len(tg.response_graph(game, profile, 0, tax).acceptance) == 2
+            assert tg.response_graph(game, profile, 0, tax).full == 0b11
             assert tg.best_response(
                 game, profile, 0, tax
             ) == reference_response_value(game, profile, 0, tax)
@@ -727,3 +729,45 @@ def profilewise_ne(game, tax, objective) -> list[tg.Profile]:
             )
         )
     ]
+
+
+def malformed_cases():
+    """(machine, tax) parameters on junction, one of them None: each bad
+    machine plays agent 0 against a constant agent 1, and each bad tax
+    taxes a well-formed profile."""
+    zero = tg.zero_tax(2)
+    machines = {
+        "target-outside": tg.StrategyMachine((0,), ((1, 1, 1, 1),)),
+        "target-negative": tg.StrategyMachine((0,), ((-1, 0, 0, 0),)),
+        "fewer-rows": tg.StrategyMachine((0, 1), ((0, 0, 0, 0),)),
+        "no-states": tg.StrategyMachine((), ()),
+    }
+    taxes = {
+        "next-outside": tg.DynamicTax((zero, zero), ((0, 0, 0, 2), (0,) * 4)),
+        "next-negative": tg.DynamicTax((zero, zero), ((0, 0, 0, -1), (0,) * 4)),
+        "fewer-rows": tg.DynamicTax((zero, zero), ((0, 0, 0, 0),)),
+        "no-states": tg.DynamicTax((), ()),
+    }
+    for name, machine in machines.items():
+        yield pytest.param(machine, None, id=f"machine-{name}")
+    for name, tax in taxes.items():
+        yield pytest.param(None, tax, id=f"tax-{name}")
+
+
+@pytest.mark.parametrize("machine, tax", malformed_cases())
+def test_malformed_machines_are_rejected(machine, tax):
+    # a machine needs a state, one transition row per state and targets
+    # among its states; check_profile and check_tax refuse any other
+    game = junction_game()
+    profile = constant_profile(game.arena, [0, 0])
+    calls = []
+    if machine is not None:
+        profile = tg.Profile((machine, constant_machine(0, 4)))
+        calls.append(lambda: tg.generate_run(game.arena, profile))
+    else:
+        calls.append(lambda: tg.find_ne(game, tax, 1))
+    calls.append(lambda: tg.is_nash(game, profile, tax))
+    calls.append(lambda: tg.evaluate(game, profile, tax))
+    for call in calls:
+        with pytest.raises(tg.AlphabetMismatchError):
+            call()

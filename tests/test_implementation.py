@@ -20,6 +20,7 @@ from helpers import (
     random_game,
     rational_game,
     reference_no_agent_improves,
+    single_agent_observed_cycle,
 )
 
 
@@ -101,7 +102,7 @@ class TestObservedQuotient:
     def test_full_junction_graph_has_agent_cycle(self):
         game = junction_game()
         graph = tg.build_deviation_graph(game, [alpha(game, 0, 0)], 1)
-        hit = tg.single_agent_observed_cycle(graph)
+        hit = single_agent_observed_cycle(graph)
         assert hit is not None
         agent, cycle = hit
         assert agent in (0, 1)
@@ -130,7 +131,7 @@ class TestObservedQuotient:
             winners=(frozenset(),) * n,
             edges=tuple((i, (i + 1) % n, 0) for i in range(n)),
         )
-        agent, cycle = tg.single_agent_observed_cycle(graph)
+        agent, cycle = single_agent_observed_cycle(graph)
         assert agent == 0
         assert len(cycle) == n
         assert all(
@@ -148,7 +149,7 @@ class TestObservedQuotient:
     def test_path_statistics(self):
         game = junction_game()
         graph = witness_graph(game)
-        assert tg.single_agent_observed_cycle(graph) is None
+        assert single_agent_observed_cycle(graph) is None
         index = tg.observed_path_index(graph)
         assert index.node_class == (0, 1, 2)  # three distinct runs
         root = index.node_class[0]
@@ -216,7 +217,7 @@ class TestCheckEliminable:
         found = tg.check_eliminable(game, [target], 1)
         assert found is not None
         graph, tax = found
-        assert tg.single_agent_observed_cycle(graph) is None
+        assert single_agent_observed_cycle(graph) is None
         assert tax == tg.synthesize_eliminating_tax(game, graph)
         assert not tg.is_nash(game, target, tax)
 

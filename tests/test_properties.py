@@ -21,6 +21,7 @@ from taxgames.equilibrium import _component_means, _Responses  # noqa: E402
 from helpers import (  # noqa: E402
     RESPONSE_GOALS,
     left_nested_or,
+    min_mean_cycle,
     random_game,
     rational_game,
     rational_tax,
@@ -191,7 +192,7 @@ def test_component_means_match_cycle_enumeration(case):
     assert means[frozenset(uniform)] == w
     assert frozenset(mixed) in means
     graph = {v: [(t, Fraction(x)) for t, x in out] for v, out in enumerate(edges)}
-    assert tg.min_mean_cycle(graph) == simple_cycle_min_mean(graph)
+    assert min_mean_cycle(graph) == simple_cycle_min_mean(graph)
 
 
 @DETERMINISTIC

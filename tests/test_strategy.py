@@ -12,6 +12,7 @@ from helpers import (
     junction_game,
     raw_machines,
     reference_canonical,
+    run_at,
 )
 
 
@@ -45,7 +46,7 @@ class TestRuns:
         wrap = len(run.prefix)
         for k, expected in enumerate(simulate(arena, profile, 24)):
             pos = k if k < total else wrap + (k - wrap) % (total - wrap)
-            assert tg.run_at(run, pos) == expected
+            assert run_at(run, pos) == expected
         # a run reads no cost, so re-costing the game leaves it alone
         free = tg.zero_cost_game(junction_game()).arena
         assert tg.generate_run(free, profile) == run
@@ -90,13 +91,6 @@ class TestCanonicalLasso:
         run = tg.generate_run(arena, constant_profile(arena, [0, 1]))
         doubled = tg.LassoRun(prefix=run.prefix, cycle=run.cycle + run.cycle)
         assert tg.lasso_canonical(doubled) == tg.lasso_canonical(run)
-
-    def test_distinguishable(self):
-        arena = junction_game().arena
-        p1 = constant_profile(arena, [0, 0])
-        p2 = constant_profile(arena, [0, 1])
-        assert tg.distinguishable(arena, p1, p2)
-        assert not tg.distinguishable(arena, p1, p1)
 
 
 class TestCanonicalizeMachine:
@@ -183,12 +177,10 @@ class TestEnumeration:
     ],
 )
 def test_run_that_does_not_fit_the_game_is_rejected(run):
-    # the three readers of a run check it with check_run
+    # the two readers of a run check it with check_run
     game = junction_game()
     with pytest.raises(ValueError, match="run"):
         tg.taxed_cost(game, run, None, 0)
-    with pytest.raises(ValueError, match="run"):
-        tg.truncated_mean(game, run, None, 0, 3)
     with pytest.raises(ValueError, match="run"):
         tg.label_trace(game.arena, run)
     with pytest.raises(ValueError, match="run"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -352,7 +353,7 @@ class TestTaxedCost:
         )
         exact = tg.taxed_cost(game, run, None, 0)
         t = 100 * len(run.cycle)
-        approx = tg.truncated_mean(game, run, None, 0, t)
+        approx = reference_running_means(game.arena, run, None, t + 1)[t][0]
         assert abs(approx - exact) <= Fraction(2, 100)
 
     def test_agent_arity_checked(self):
@@ -363,9 +364,9 @@ class TestTaxedCost:
 
 
 class TestOneCostPath:
-    """evaluate, taxed_cost and truncated_mean all read the integer step
-    table of one (game, tax); the Fraction oracles walk arena.cost and
-    StaticTax.rate themselves."""
+    """evaluate and taxed_cost read the integer step table of one (game,
+    tax); the Fraction oracles walk arena.cost and StaticTax.rate
+    themselves."""
 
     @staticmethod
     def instances():
@@ -393,19 +394,20 @@ class TestOneCostPath:
                 expected = reference_taxed_costs(arena, outcome.run, tax)
                 assert outcome.costs == expected
                 for run in (outcome.run, tg.generate_run(arena, profile)):
-                    # several laps of the joint cycle, which is at most
-                    # n_tax_states run cycles long
-                    horizon = len(run) + 4 * len(run.cycle) * n_tax_states
-                    means = reference_running_means(arena, run, tax, horizon)
-                    wrap = len(run.prefix)
-                    ends = {0, max(wrap - 1, 0), wrap, horizon - 1}
+                    # the joint cycle of run and tax is j run cycles long,
+                    # for some j <= n_tax_states, and starts before step
+                    # start; so the lap steps after it hold whole joint
+                    # cycles, and their mean is the limit of the running
+                    # means
+                    start = len(run) + len(run.cycle) * n_tax_states
+                    lap = len(run.cycle) * lcm(*range(1, n_tax_states + 1))
+                    means = reference_running_means(arena, run, tax, start + lap)
                     for agent in range(arena.n_agents):
                         assert tg.taxed_cost(game, run, tax, agent) == expected[agent]
-                        for t in ends:
-                            assert (
-                                tg.truncated_mean(game, run, tax, agent, t)
-                                == means[t][agent]
-                            )
+                        total = means[-1][agent] * (start + lap)
+                        assert total - means[start - 1][agent] * start == (
+                            expected[agent] * lap
+                        )
                 checked += 1
         assert checked == 14 * 10
 
@@ -420,7 +422,5 @@ class TestOneCostPath:
         )
         with pytest.raises(tg.AlphabetMismatchError):
             tg.taxed_cost(game, run, tax, 0)
-        with pytest.raises(tg.AlphabetMismatchError):
-            tg.truncated_mean(game, run, tax, 0, 3)
         with pytest.raises(tg.AlphabetMismatchError):
             tg.evaluate(game, profile, tax)
