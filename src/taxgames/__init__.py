@@ -57,17 +57,13 @@ from .errors import (
     TaxgamesError,
 )
 from .implementation import (
-    DeviationGraph,
     ImplementationVerdict,
-    ObservedPathIndex,
     StaticInsufficiencyReport,
     StaticInsufficiencyRow,
     a_nash_implement,
-    build_deviation_graph,
     check_eliminable,
     e_nash_implement,
     initial_deviation,
-    observed_path_index,
     static_insufficiency_check,
     synthesize_eliminating_tax,
     verify_witness,

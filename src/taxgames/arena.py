@@ -376,8 +376,15 @@ def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, costs.scale) for c in costs.ceilings)
 
 
+def _check_agent(arena: Arena, agent: int) -> None:
+    """Raise ValueError unless agent indexes one of the arena's agents."""
+    if not 0 <= agent < arena.n_agents:
+        raise ValueError(f"agent index {agent} is outside 0..{arena.n_agents - 1}")
+
+
 def max_cost(game: Game, agent: int) -> Fraction:
     """Exact maximum per-step cost of one agent over all cells."""
+    _check_agent(game.arena, agent)
     return _cost_ceilings(game.arena)[agent]
 
 

@@ -74,7 +74,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game
+from .arena import Game, _check_agent
 from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
 from .strategy import (
     LassoRun,
@@ -311,6 +311,7 @@ def taxed_cost(
     """Exact limit-average taxed cost of one agent along a run of the game,
     which the run must fit (see check_run): the mean over the joint cycle
     of the run and the tax machine (see _Responses.run_costs)."""
+    _check_agent(game.arena, agent)
     check_run(game.arena, run)
     return _Responses(game, tax).mean_costs(run)[agent]
 
@@ -718,10 +719,7 @@ def response_graph(
     """The agent's product graph; responses, when given, is the (game, tax)
     memo whose step-cost table the graph reads and fills.  An agent index
     outside the game raises ValueError."""
-    if not 0 <= agent < game.arena.n_agents:
-        raise ValueError(
-            f"agent index {agent} is outside 0..{game.arena.n_agents - 1}"
-        )
+    _check_agent(game.arena, agent)
     if responses is None:
         responses = _Responses(game, tax)
     return _product(responses, profile, agent)

@@ -1,20 +1,23 @@
-"""Deviation graphs, eliminability, and taxation-scheme synthesis.
+"""Eliminability on run classes, taxation-scheme synthesis, and the
+implementation drivers.
 
 An initial deviation is a unilateral machine change that visibly changes the
-run and never turns the deviating agent from a winner into a loser.  A
-deviation graph collects profiles and such deviations; when no cycle of
-deviations by one single agent exists (on runs, i.e. in the observation
-quotient), a dynamic tax can be synthesized that makes every edge a strict
-improvement, which in turn eliminates the targeted profiles from the
-equilibrium set.
+run and never turns the deviating agent from a winner into a loser.  A tax
+machine reads only letters, so it tells runs apart but not the profiles that
+play them: eliminability is decided on runs.  Given distinct runs and
+deviations among them as (source, target, agent) edges, with no cycle of
+edges by one single agent, a dynamic tax can be synthesized under which
+every edge's agent pays strictly less on the target run than on the source
+run.  A targeted profile whose run is a source, with an initial deviation
+to the edge's target run, is then no equilibrium.
 
 The synthesized machine classifies the observed action-profile word among
-the graph's finitely many runs and, once the word is pinned down, adds a
-constant per-step surcharge on that run's cycle cells.  The surcharge for
-agent i is d·(c_i*+1), where d is the length of the longest chain of
-i-deviations leaving the run's class and c_i* the agent's maximum step cost;
-along any i-edge d drops by at least one, so the taxed costs of source and
-target differ by at least (c_i*+1) - c_i* = 1 in the target's favour.
+the finitely many runs and, once the word is pinned down, adds a constant
+per-step surcharge on that run's cycle cells.  The surcharge for agent i is
+d·(c_i*+1), where d is the length of the longest chain of i-edges leaving
+the run and c_i* the agent's maximum step cost; along any i-edge d drops by
+at least one, so the taxed costs of source and target differ by at least
+(c_i*+1) - c_i* = 1 in the target's favour.
 
 Levelled game.  A yes verdict's witness tax is the uniform levelling tax
 at the cost ceiling λ, with a_nash_implement's eliminator X composed on
@@ -39,7 +42,13 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from ._graphs import strongly_connected_components
-from .arena import Game, _cost_ceilings, _uniform_cost_game, zero_cost_game
+from .arena import (
+    Game,
+    _check_agent,
+    _cost_ceilings,
+    _uniform_cost_game,
+    zero_cost_game,
+)
 from .errors import ResourceLimitError, SearchLimitError
 from .ltl import Formula, Not, to_text
 from .strategy import (
@@ -69,21 +78,6 @@ from .equilibrium import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class DeviationGraph:
-    """Profiles with their canonical runs and goal verdicts, plus initial
-    deviations among them as (source, target, agent) index triples."""
-
-    nodes: tuple[Profile, ...]
-    runs: tuple[LassoRun, ...]
-    winners: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-
 def _canonical(profile: Profile) -> Profile:
     return Profile(tuple(canonicalize_machine(m) for m in profile.machines))
 
@@ -94,6 +88,7 @@ def initial_deviation(
     """Whether switching one agent to alt is an initial deviation: the run
     changes, and the agent keeps winning if it was winning.  Goal verdicts
     only depend on the label trace, never on costs."""
+    _check_agent(game.arena, agent)
     deviated = profile.replace(agent, alt)
     check_profile(game.arena, profile)
     check_profile(game.arena, deviated)
@@ -112,169 +107,35 @@ def _edge_ok(
     return not same_run and (agent not in source or agent in target)
 
 
-def build_deviation_graph(
-    game: Game,
-    seed_nodes: Iterable[Profile],
-    memory_bound: int,
-    cap: int = 10**7,
-    *,
-    plays: _Plays | None = None,
-) -> DeviationGraph:
-    """Nodes are the seeds plus every one-step initial-deviation target
-    reachable from a seed within the bounded machine universe; edges are all
-    initial deviations among the node set.
-
-    plays is the run-class table of the calling driver, whose sweeps have
-    played the universe already, so a deviation is looked up by its index:
-    the seed's index moved by the agent's stride.  Without one the graph
-    plays its nodes on a fresh table."""
-    arena = game.arena
-    if plays is None:
-        plays = _Plays(game, memory_bound)
-    seeds = list(seed_nodes)
-    universes = plays.numbered()
-    if seeds and sum(len(u) for u in universes) * len(seeds) > cap:
-        raise ResourceLimitError(
-            f"deviation graph expansion exceeds cap {cap}"
-        )
-    seeds = [_canonical(p) for p in seeds]
-
-    nodes: list[Profile] = []
-    index: dict[Profile, int] = {}
-    classes: list[int] = []
-
-    def add(profile: Profile, k: int) -> None:
-        index[profile] = len(nodes)
-        nodes.append(profile)
-        classes.append(k)
-
-    for seed in seeds:
-        if seed not in index:
-            check_profile(arena, seed)
-            add(seed, plays.class_of(seed))
-    winners = plays.winners
-    for seed in seeds:
-        src = classes[index[seed]]
-        position = plays.position(seed)
-        for agent, machines in enumerate(universes):
-            stride = plays.strides[agent]
-            # the index of the seed with the agent's machine id at 0; a
-            # seed outside the universes has none
-            base = (
-                None
-                if position is None
-                else position - plays.ids[agent][seed.machines[agent]] * stride
-            )
-            for j, machine in enumerate(machines):
-                # the seed itself and nodes already added need no lookup
-                candidate = seed.replace(agent, machine)
-                if candidate in index:
-                    continue
-                at = None if base is None else base + j * stride
-                k = plays.class_at(at, candidate)
-                if _edge_ok(agent, src == k, winners[src], winners[k]):
-                    add(candidate, k)
-
-    edges: list[tuple[int, int, int]] = []
-    for u, source in enumerate(nodes):
-        for v, target in enumerate(nodes):
-            if u == v:
-                continue
-            differing = [
-                i
-                for i in range(arena.n_agents)
-                if source.machines[i] != target.machines[i]
-            ]
-            if len(differing) != 1:
-                continue
-            agent = differing[0]
-            u_class, v_class = classes[u], classes[v]
-            if _edge_ok(agent, u_class == v_class, winners[u_class], winners[v_class]):
-                edges.append((u, v, agent))
-
-    return DeviationGraph(
-        nodes=tuple(nodes),
-        runs=tuple(plays.runs[k] for k in classes),
-        winners=tuple(winners[k] for k in classes),
-        edges=tuple(edges),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Observation quotient
+# Tax synthesis
 
 
-@dataclass(frozen=True, eq=False)
-class ObservedPathIndex:
-    """Run-equality quotient of a deviation graph with path statistics.
-
-    class_nodes[c] lists node indices sharing run class c; node_class maps
-    nodes to classes.  d_out[i][c] is the length in edges of the longest
-    path using only agent-i edges that starts at class c, which requires
-    the per-agent class graphs to be acyclic.
-    """
-
-    class_nodes: tuple[tuple[int, ...], ...]
-    node_class: tuple[int, ...]
-    d_out: tuple[tuple[int, ...], ...]
-
-
-def _quotient(
-    graph: DeviationGraph,
-) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
-    class_of_run: dict[LassoRun, int] = {}
-    class_nodes: list[list[int]] = []
-    node_class: list[int] = []
-    for node, run in enumerate(graph.runs):
-        if run not in class_of_run:
-            class_of_run[run] = len(class_nodes)
-            class_nodes.append([])
-        cls = class_of_run[run]
-        class_nodes[cls].append(node)
-        node_class.append(cls)
-    seen = set()
-    class_edges: list[tuple[int, int, int]] = []
-    for u, v, agent in graph.edges:
-        item = (node_class[u], node_class[v], agent)
-        if item not in seen:
-            seen.add(item)
-            class_edges.append(item)
-    return class_nodes, node_class, class_edges
-
-
-def observed_path_index(graph: DeviationGraph) -> ObservedPathIndex:
-    """Path statistics of the run quotient; raises ValueError naming the
-    first agent whose class graph has a cycle, where path lengths diverge."""
-    class_nodes, node_class, class_edges = _quotient(graph)
-    n_classes = len(class_nodes)
-    n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
-    # adjacencies[i][c] lists the classes that agent-i edges lead to from c
-    adjacencies = [[[] for _ in range(n_classes)] for _ in range(n_agents)]
-    for src, tgt, agent in class_edges:
-        adjacencies[agent][src].append(tgt)
-    d_out: list[tuple[int, ...]] = []
+def _chain_lengths(
+    n_runs: int, n_agents: int, edges: Iterable[tuple[int, int, int]]
+) -> list[list[int]]:
+    """lengths[i][r]: the length in edges of the longest path of agent-i
+    edges that starts at run r.  Raises ValueError naming the first agent
+    whose edges close a cycle, where path lengths diverge."""
+    # adjacencies[i][r] lists the runs that agent-i edges lead to from r
+    adjacencies = [[[] for _ in range(n_runs)] for _ in range(n_agents)]
+    for source, target, agent in edges:
+        adjacencies[agent][source].append(target)
+    lengths = []
     for agent, adjacency in enumerate(adjacencies):
-        # components come successors first; one of two or more classes
-        # holds a cycle
-        depth = [0] * n_classes
+        # components come successors first; a cycle lies inside one of two
+        # or more runs, or is a run's edge to itself
+        depth = [0] * n_runs
         for component in strongly_connected_components(adjacency):
-            if len(component) > 1:
+            r = component[0]
+            if len(component) > 1 or r in adjacency[r]:
                 raise ValueError(
                     f"single-agent observed cycle for agent {agent}: "
                     "no acyclic surcharge assignment exists"
                 )
-            (cls,) = component
-            depth[cls] = max((1 + depth[t] for t in adjacency[cls]), default=0)
-        d_out.append(tuple(depth))
-    return ObservedPathIndex(
-        class_nodes=tuple(tuple(m) for m in class_nodes),
-        node_class=tuple(node_class),
-        d_out=tuple(d_out),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tax synthesis
+            depth[r] = max((1 + depth[t] for t in adjacency[r]), default=0)
+        lengths.append(depth)
+    return lengths
 
 
 def _run_word(run: LassoRun) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -286,38 +147,29 @@ def _run_word(run: LassoRun) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def synthesize_eliminating_tax(
     game: Game,
-    graph: DeviationGraph,
-    targets: Sequence[Profile] | None = None,
+    runs: Sequence[LassoRun],
+    edges: Iterable[tuple[int, int, int]],
     state_cap: int = 4096,
 ) -> DynamicTax:
-    """A dynamic tax making every graph edge a strict improvement for its
-    deviating agent.
+    """A dynamic tax under which each edge (source, target, agent), an
+    index triple into runs, distinct canonical runs of the game, costs its
+    agent strictly less on the target run than on the source run.
 
-    The machine runs a hypothesis set over (run class, word position) pairs,
-    all classes starting at position 0.  Each observed action profile kills
-    the hypotheses it contradicts; once a single class remains, the output
-    is that class's constant surcharge on its cycle cells, and a word
-    matching no class falls into an absorbing zero-tax state.  Words only
-    transiently consistent with a class are taxed only transiently, so runs
-    outside the graph keep their untaxed limit-average cost.
+    The machine runs a hypothesis set over (run, word position) pairs, all
+    runs starting at position 0.  Each observed action profile kills the
+    hypotheses it contradicts; once a single run remains, the output is
+    that run's constant surcharge on its cycle cells, and a word matching
+    no run falls into an absorbing zero-tax state.  Words only transiently
+    consistent with a run are taxed only transiently, so other runs keep
+    their untaxed limit-average cost.
     """
-    if targets is not None:
-        covered = {u for u, _, _ in graph.edges}
-        node_of = {profile: i for i, profile in enumerate(graph.nodes)}
-        for profile in targets:
-            if node_of.get(profile) not in covered:
-                raise ValueError(
-                    "deviation graph gives a targeted profile no outgoing edge"
-                )
-
     arena = game.arena
     n_agents = arena.n_agents
-    if graph.n_nodes == 0:
+    if not runs:
         return lift_static(zero_tax(n_agents), arena.n_letters)
 
-    index = observed_path_index(graph)
-    class_runs = [graph.runs[members[0]] for members in index.class_nodes]
-    words = [_run_word(run) for run in class_runs]
+    lengths = _chain_lengths(len(runs), n_agents, edges)
+    words = [_run_word(run) for run in runs]
     if len(set(words)) != len(words):
         raise ValueError(
             "two distinct runs share one action-profile word; "
@@ -325,30 +177,27 @@ def synthesize_eliminating_tax(
         )
     ceilings = _cost_ceilings(arena)
     surcharges = []
-    for cls, run in enumerate(class_runs):
+    for r, run in enumerate(runs):
         vector = tuple(
-            Fraction(index.d_out[i][cls]) * (ceilings[i] + 1)
-            for i in range(n_agents)
+            Fraction(lengths[i][r]) * (ceilings[i] + 1) for i in range(n_agents)
         )
-        rates = {
-            (step.state, step.letter): vector for step in run.cycle
-        }
+        rates = {(step.state, step.letter): vector for step in run.cycle}
         surcharges.append(static_tax(n_agents, rates))
 
-    def letter_at(cls: int, pos: int) -> int:
-        prefix, cycle = words[cls]
+    def letter_at(r: int, pos: int) -> int:
+        prefix, cycle = words[r]
         if pos < len(prefix):
             return prefix[pos]
         return cycle[(pos - len(prefix)) % len(cycle)]
 
-    def advance(cls: int, pos: int) -> int:
-        prefix, cycle = words[cls]
+    def advance(r: int, pos: int) -> int:
+        prefix, cycle = words[r]
         nxt = pos + 1
         if nxt >= len(prefix) + len(cycle):
             nxt = len(prefix)
         return nxt
 
-    start = frozenset((cls, 0) for cls in range(len(class_runs)))
+    start = frozenset((r, 0) for r in range(len(runs)))
     numbering: dict[frozenset, int] = {start: 0}
     order: list[frozenset] = [start]
     transitions: list[tuple[int, ...]] = []
@@ -359,9 +208,9 @@ def synthesize_eliminating_tax(
         row = []
         for letter in arena.letters():
             survivors = frozenset(
-                (cls, advance(cls, pos))
-                for cls, pos in hypotheses
-                if letter_at(cls, pos) == letter
+                (r, advance(r, pos))
+                for r, pos in hypotheses
+                if letter_at(r, pos) == letter
             )
             if survivors not in numbering:
                 if len(order) >= state_cap:
@@ -377,9 +226,9 @@ def synthesize_eliminating_tax(
     untaxed = zero_tax(n_agents)
     outputs = []
     for hypotheses in order:
-        classes = {cls for cls, _ in hypotheses}
-        if len(classes) == 1:
-            outputs.append(surcharges[classes.pop()])
+        alive = {r for r, _ in hypotheses}
+        if len(alive) == 1:
+            outputs.append(surcharges[alive.pop()])
         else:
             outputs.append(untaxed)
     return DynamicTax(outputs=tuple(outputs), transitions=tuple(transitions))
@@ -398,40 +247,70 @@ def check_eliminable(
     state_cap: int = 4096,
     *,
     plays: _Plays | None = None,
-) -> tuple[DeviationGraph, DynamicTax] | None:
-    """Search for a witness deviation graph eliminating the given profiles.
+) -> DynamicTax | None:
+    """A tax eliminating the given profiles, searched on the run classes
+    of plays, the calling driver's run-class table (a fresh one without).
 
-    Candidate graphs pick one outgoing initial deviation per targeted
-    profile from the bounded universe (richer graphs only add quotient
-    cycles and surcharges, so one edge per target is complete); a candidate
-    is rejected if its edges form a single-agent cycle on runs or if the
-    synthesized tax fails re-verification (every edge strict, every target
-    non-Nash).  Returns the reindexed witness graph with the tax
-    synthesized and re-verified for it, None when no candidate works, and
-    raises SearchLimitError when the search budget runs out.  plays, the
-    calling driver's run-class table, goes to build_deviation_graph and to
-    the Nash test of each target, which reads rows when it is complete.
+    A target's options are its initial deviations in the bounded universe,
+    as (agent, class) pairs, looked up on the table by index: the target's
+    index moved by the agent's stride.  A candidate picks one option per
+    target (more edges only add cycles and surcharges, so one per target is
+    complete).  It fails if its class edges close a single-agent cycle, or
+    if the tax synthesized for them leaves an edge not strict or a target
+    Nash (read from rows on a complete table).  Returns the first tax that
+    holds, or None; raises SearchLimitError when the search budget runs
+    out, and ResourceLimitError when targets times the machines of every
+    universe exceed cap.
     """
     targets = list(profiles)
     if not targets:
-        empty = DeviationGraph(nodes=(), runs=(), winners=(), edges=())
-        return empty, synthesize_eliminating_tax(game, empty)
+        return synthesize_eliminating_tax(game, (), ())
     if plays is None:
         plays = _Plays(game, memory_bound)
-    full = build_deviation_graph(game, targets, memory_bound, cap=cap, plays=plays)
-    node_of = {profile: i for i, profile in enumerate(full.nodes)}
-    target_ids = [node_of[_canonical(p)] for p in targets]
-    positions = [plays.position(full.nodes[i]) for i in target_ids]
-    out_edges: dict[int, list[tuple[int, int, int]]] = {u: [] for u in target_ids}
-    for edge in full.edges:
-        if edge[0] in out_edges:
-            out_edges[edge[0]].append(edge)
-    if any(not options for options in out_edges.values()):
-        return None
-    _, node_class, _ = _quotient(full)
+    universes = plays.numbered()
+    if sum(len(u) for u in universes) * len(targets) > cap:
+        raise ResourceLimitError(f"deviation graph expansion exceeds cap {cap}")
+    targets = [_canonical(p) for p in targets]
+    winners = plays.winners
 
-    choice_lists = [sorted(out_edges[u]) for u in target_ids]
-    budget = search_cap
+    # Options are tried in the order that numbers every profile met: the
+    # targets first, then each target's initial deviations by agent and
+    # machine id, each numbered when it is first found.  An (agent, class)
+    # pair that several deviations share is kept once, at its lowest
+    # number; it stands for the same class edge whichever it is.
+    numbers: dict[Profile, int] = {}
+    for target in targets:
+        check_profile(game.arena, target)
+        numbers.setdefault(target, len(numbers))
+    sources: dict[Profile, int] = {}
+    positions: dict[Profile, int | None] = {}
+    options: dict[Profile, list[tuple[int, int]]] = {}
+    for target in list(numbers):
+        position = positions[target] = plays.position(target)
+        src = sources[target] = plays.class_at(position, target)
+        lowest: dict[tuple[int, int], int] = {}
+        for agent, machines in enumerate(universes):
+            stride = plays.strides[agent]
+            # the index of the target with the agent's machine id at 0; a
+            # target outside the universes has none
+            base = (
+                None
+                if position is None
+                else position - plays.ids[agent][target.machines[agent]] * stride
+            )
+            for j, machine in enumerate(machines):
+                candidate = target.replace(agent, machine)
+                at = None if base is None else base + j * stride
+                k = plays.class_at(at, candidate)
+                if _edge_ok(agent, src == k, winners[src], winners[k]):
+                    number = numbers.setdefault(candidate, len(numbers))
+                    option = (agent, k)
+                    lowest[option] = min(number, lowest.get(option, number))
+        options[target] = sorted(lowest, key=lowest.__getitem__)
+    if not all(options.values()):
+        return None
+    choice_lists = [options[target] for target in targets]
+    source_classes = [sources[target] for target in targets]
 
     def has_path(
         adjacency: dict[int, dict[int, int]], source: int, sink: int
@@ -448,49 +327,35 @@ def check_eliminable(
                     stack.append(nxt)
         return False
 
-    def verify(
-        selection: list[tuple[int, int, int]],
-    ) -> tuple[DeviationGraph, DynamicTax] | None:
-        kept = sorted({u for u, _, _ in selection} | {v for _, v, _ in selection})
-        renumber = {old: new for new, old in enumerate(kept)}
-        candidate = DeviationGraph(
-            nodes=tuple(full.nodes[i] for i in kept),
-            runs=tuple(full.runs[i] for i in kept),
-            winners=tuple(full.winners[i] for i in kept),
-            edges=tuple(
-                (renumber[u], renumber[v], a) for u, v, a in sorted(selection)
-            ),
-        )
+    def verify(selection: list[tuple[int, int]]) -> DynamicTax | None:
+        edges = [(src, k, a) for src, (a, k) in zip(source_classes, selection)]
+        classes = sorted({c for src, k, _ in edges for c in (src, k)})
+        renumber = {k: r for r, k in enumerate(classes)}
         try:
             tax = synthesize_eliminating_tax(
                 game,
-                candidate,
-                targets=[full.nodes[i] for i in target_ids],
+                [plays.runs[k] for k in classes],
+                [(renumber[src], renumber[k], agent) for src, k, agent in edges],
                 state_cap=state_cap,
             )
         except (ValueError, ResourceLimitError):
             return None
         responses = _Responses(game, tax)
-        costs = [responses.run_costs(run) for run in candidate.runs]
-
-        def taxed_value(node: int, agent: int) -> tuple[bool, int, int]:
-            totals, length = costs[node]
-            return agent in candidate.winners[node], totals[agent], length
-
-        for u, v, agent in candidate.edges:
-            if not _beats(taxed_value(v, agent), taxed_value(u, agent)):
+        for src, k, agent in edges:
+            before = responses.class_values(plays, src)[agent]
+            if not _beats(responses.class_values(plays, k)[agent], before):
                 return None
-        for i, at in zip(target_ids, positions):
-            if _no_agent_improves(
-                responses, full.nodes[i], full.runs[i], full.winners[i], plays, at
-            ):
+        for target, src in sources.items():
+            run, at = plays.runs[src], positions[target]
+            if _no_agent_improves(responses, target, run, winners[src], plays, at):
                 return None
-        return candidate, tax
+        return tax
 
-    # Quotient edges are counted, not set-inserted: two targets sharing a
-    # run class may select the same class edge, and backtracking one must
-    # not drop the other's copy.
+    # Class edges are counted, not set-inserted: two targets sharing a run
+    # class may select the same class edge, and backtracking one must not
+    # drop the other's copy.
     per_agent_edges: dict[int, dict[int, dict[int, int]]] = {}
+    budget = search_cap
 
     def spend() -> None:
         nonlocal budget
@@ -500,23 +365,23 @@ def check_eliminable(
                 f"eliminability search exceeded {search_cap} steps"
             )
 
-    # Depth first over one edge per target, in choice order: choices[k]
-    # iterates the edges left for target k, and selection[k] is the edge
+    # Depth first over one option per target, in choice order: choices[t]
+    # iterates the options left for target t, and selection[t] is the one
     # taken for it while the search is below it.  Every node of the search
     # tree spends one step of the budget.
-    selection: list[tuple[int, int, int]] = []
+    selection: list[tuple[int, int]] = []
     spend()
     choices = [iter(choice_lists[0])]
     while choices:
         if len(selection) == len(choices):
-            u, v, agent = selection.pop()
-            counts = per_agent_edges[agent][node_class[u]]
-            counts[node_class[v]] -= 1
-            if not counts[node_class[v]]:
-                del counts[node_class[v]]
-        for edge in choices[-1]:
-            u, v, agent = edge
-            cu, cv = node_class[u], node_class[v]
+            agent, cv = selection.pop()
+            counts = per_agent_edges[agent][source_classes[len(selection)]]
+            counts[cv] -= 1
+            if not counts[cv]:
+                del counts[cv]
+        cu = source_classes[len(selection)]
+        for option in choices[-1]:
+            agent, cv = option
             adjacency = per_agent_edges.setdefault(agent, {})
             if not has_path(adjacency, cv, cu):
                 break
@@ -525,14 +390,14 @@ def check_eliminable(
             continue
         counts = adjacency.setdefault(cu, {})
         counts[cv] = counts.get(cv, 0) + 1
-        selection.append(edge)
+        selection.append(option)
         spend()
         if len(selection) < len(choice_lists):
             choices.append(iter(choice_lists[len(selection)]))
         else:
-            found = verify(selection)
-            if found is not None:
-                return found
+            tax = verify(selection)
+            if tax is not None:
+                return tax
     return None
 
 
@@ -699,7 +564,7 @@ def a_nash_implement(
     eliminator composed with the levelling tax, is re-verified within the
     bounded universe before a yes is returned; the final sweep and the
     witness check run on the levelled game (see the module docstring).
-    Every sweep, the deviation graph and the witness checks read one
+    Every sweep, the eliminability search and the witness checks read one
     run-class table, so each bounded profile is played once per call; it
     is completed before the first sweep, so rows refute profiles (see Row
     refutation in the equilibrium module docstring).
@@ -721,7 +586,7 @@ def a_nash_implement(
     diagnostics: list[str] = []
     if violating:
         try:
-            eliminable = check_eliminable(
+            eliminator = check_eliminable(
                 game,
                 violating,
                 memory_bound,
@@ -738,7 +603,7 @@ def a_nash_implement(
                 objective_text=text,
                 diagnostics=(str(stop),),
             )
-        if eliminable is None:
+        if eliminator is None:
             return ImplementationVerdict(
                 problem="anash",
                 answer="no-within-bound",
@@ -749,7 +614,6 @@ def a_nash_implement(
                     f"not eliminable at bound {memory_bound}",
                 ),
             )
-        _, eliminator = eliminable
         diagnostics.append(
             f"eliminated {len(violating)} objective-violating equilibria"
         )

@@ -188,6 +188,8 @@ def compose_tax(dynamic: DynamicTax, extra: StaticTax) -> DynamicTax:
     """Add a static tax on top of every output of a dynamic scheme.  Each
     distinct output object is summed once, and the states that share it
     share the sum."""
+    if not dynamic.outputs:
+        raise AlphabetMismatchError("tax machine has no states")
     if dynamic.n_agents != extra.n_agents:
         raise AlphabetMismatchError("composed taxes cover different agent counts")
     sums: dict[int, StaticTax] = {}

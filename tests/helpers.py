@@ -19,12 +19,16 @@ automaton acceptance check `buchi_accepts_lasso` (with `buchi_successors`),
 `min_mean_cycle` (the library's Karp on Fraction weights), `run_at` and
 `single_agent_observed_cycle`.  The first two still use the library's
 Tarjan and Karp, which `reachable_components` and `simple_cycle_min_mean`
-check independently.
+check independently.  The profile-level deviation graph
+(`DeviationGraph`, `reference_deviation_graph` with its pairwise edges,
+`reference_quotient`) and the eliminability search on it
+(`reference_check_eliminable`) were the library's before it decided
+eliminability on run classes; they are its reference now.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -52,7 +56,6 @@ from taxgames.ltl import (
 import taxgames as tg
 from taxgames._graphs import strongly_connected_components
 from taxgames.equilibrium import _component_means
-from taxgames.implementation import _quotient
 
 
 # ======================== Bundled example, built in code ====================
@@ -1021,15 +1024,215 @@ def reference_is_nash(
 # ======================== Deviation graph oracle ============================
 
 
+@dataclass(frozen=True, eq=False)
+class DeviationGraph:
+    """Profiles with their canonical runs and goal verdicts, plus initial
+    deviations among them as (source, target, agent) index triples."""
+
+    nodes: tuple[tg.Profile, ...]
+    runs: tuple[tg.LassoRun, ...]
+    winners: tuple[frozenset[int], ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+
+def _reference_play(
+    game: tg.Game, profile: tg.Profile
+) -> tuple[tg.LassoRun, frozenset[int]]:
+    run = tg.lasso_canonical(tg.generate_run(game.arena, profile))
+    trace = tg.label_trace(game.arena, run)
+    return run, frozenset(
+        i for i, goal in enumerate(game.goals) if tg.eval_on_lasso(goal, trace)
+    )
+
+
+def _initial(agent: int, source, target) -> bool:
+    """Whether a switch by the agent between two (run, winners) plays is
+    an initial deviation: the run changes and a winner stays one."""
+    return source[0] != target[0] and (agent not in source[1] or agent in target[1])
+
+
+def reference_deviation_graph(
+    game: tg.Game, seed_nodes: Iterable[tg.Profile], memory_bound: int
+) -> DeviationGraph:
+    """The profile-level deviation graph, the reference for eliminability
+    on run classes.  Nodes are the canonical seeds, then every one-step
+    initial deviation of a seed within the bounded machine universes, in
+    the order first found (seed by seed, agent by agent, machine by
+    machine); edges are all initial deviations among the nodes, found by
+    comparing every pair.  Every node is played on its own."""
+    arena = game.arena
+    universes = [
+        list(tg.enumerate_machines(len(actions), arena.n_letters, memory_bound))
+        for actions in arena.actions
+    ]
+    seeds = [
+        tg.Profile(tuple(tg.canonicalize_machine(m) for m in p.machines))
+        for p in seed_nodes
+    ]
+    plays: dict[tg.Profile, tuple[tg.LassoRun, frozenset[int]]] = {}
+    for seed in seeds:
+        plays.setdefault(seed, _reference_play(game, seed))
+    for seed in seeds:
+        for agent, machines in enumerate(universes):
+            for machine in machines:
+                candidate = seed.replace(agent, machine)
+                if candidate not in plays:
+                    played = _reference_play(game, candidate)
+                    if _initial(agent, plays[seed], played):
+                        plays[candidate] = played
+    nodes = list(plays)
+    edges = []
+    for u, source in enumerate(nodes):
+        for v, target in enumerate(nodes):
+            differing = [
+                i
+                for i in range(arena.n_agents)
+                if source.machines[i] != target.machines[i]
+            ]
+            if len(differing) == 1 and _initial(
+                differing[0], plays[source], plays[target]
+            ):
+                edges.append((u, v, differing[0]))
+    return DeviationGraph(
+        nodes=tuple(nodes),
+        runs=tuple(plays[p][0] for p in nodes),
+        winners=tuple(plays[p][1] for p in nodes),
+        edges=tuple(edges),
+    )
+
+
+def reference_quotient(
+    graph: DeviationGraph,
+) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
+    """The run quotient of a deviation graph: the nodes of each run class,
+    classes numbered by first occurrence of their run, each node's class,
+    and the distinct class edges in edge order."""
+    class_of_run: dict[tg.LassoRun, int] = {}
+    class_nodes: list[list[int]] = []
+    node_class: list[int] = []
+    for node, run in enumerate(graph.runs):
+        if run not in class_of_run:
+            class_of_run[run] = len(class_nodes)
+            class_nodes.append([])
+        cls = class_of_run[run]
+        class_nodes[cls].append(node)
+        node_class.append(cls)
+    class_edges: list[tuple[int, int, int]] = []
+    for u, v, agent in graph.edges:
+        item = (node_class[u], node_class[v], agent)
+        if item not in class_edges:
+            class_edges.append(item)
+    return class_nodes, node_class, class_edges
+
+
+def quotient_synthesis_input(
+    graph: DeviationGraph,
+) -> tuple[list[tg.LassoRun], list[tuple[int, int, int]]]:
+    """The runs and class edges of the graph's run quotient, as
+    `synthesize_eliminating_tax` takes them."""
+    class_nodes, _, class_edges = reference_quotient(graph)
+    return [graph.runs[members[0]] for members in class_nodes], class_edges
+
+
+def reference_check_eliminable(
+    game: tg.Game,
+    profiles: Iterable[tg.Profile],
+    memory_bound: int,
+) -> tuple[DeviationGraph, tg.DynamicTax] | None:
+    """The eliminability search on the profile-level deviation graph, the
+    reference for `check_eliminable`: depth first over one out-edge per
+    target, each target's edges in node order, pruning a choice that
+    closes a single-agent cycle on runs.  A full choice is verified on
+    Fractions through the public API: the tax synthesized for its run
+    quotient makes each edge a strict gain, and no target is Nash under
+    it.  Returns the witness graph and its tax, or None."""
+    targets = [
+        tg.Profile(tuple(tg.canonicalize_machine(m) for m in p.machines))
+        for p in profiles
+    ]
+    if not targets:
+        empty = DeviationGraph(nodes=(), runs=(), winners=(), edges=())
+        return empty, tg.synthesize_eliminating_tax(game, (), ())
+    full = reference_deviation_graph(game, targets, memory_bound)
+    node_of = {profile: i for i, profile in enumerate(full.nodes)}
+    target_ids = [node_of[p] for p in targets]
+    choice_lists = [sorted(e for e in full.edges if e[0] == u) for u in target_ids]
+    if not all(choice_lists):
+        return None
+    _, node_class, _ = reference_quotient(full)
+
+    def closes_cycle(chosen: list[tuple[int, int, int]]) -> bool:
+        u, v, agent = chosen[-1]
+        adjacency: dict[int, set[int]] = {}
+        for a, b, by in chosen[:-1]:
+            if by == agent:
+                adjacency.setdefault(node_class[a], set()).add(node_class[b])
+        stack, seen = [node_class[v]], {node_class[v]}
+        while stack:
+            cls = stack.pop()
+            if cls == node_class[u]:
+                return True
+            for nxt in adjacency.get(cls, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    def verify(chosen) -> tuple[DeviationGraph, tg.DynamicTax] | None:
+        kept = sorted({u for u, _, _ in chosen} | {v for _, v, _ in chosen})
+        renumber = {old: new for new, old in enumerate(kept)}
+        candidate = DeviationGraph(
+            nodes=tuple(full.nodes[i] for i in kept),
+            runs=tuple(full.runs[i] for i in kept),
+            winners=tuple(full.winners[i] for i in kept),
+            edges=tuple((renumber[u], renumber[v], a) for u, v, a in sorted(chosen)),
+        )
+        try:
+            tax = tg.synthesize_eliminating_tax(
+                game, *quotient_synthesis_input(candidate)
+            )
+        except (ValueError, tg.ResourceLimitError):
+            return None
+
+        def value(node: int, agent: int) -> tg.LexValue:
+            return tg.LexValue(
+                goal_met=agent in candidate.winners[node],
+                cost=tg.taxed_cost(game, candidate.runs[node], tax, agent),
+            )
+
+        for u, v, agent in candidate.edges:
+            if tg.prefers(value(v, agent), value(u, agent)) <= 0:
+                return None
+        if any(tg.is_nash(game, target, tax) for target in targets):
+            return None
+        return candidate, tax
+
+    def search(chosen: list[tuple[int, int, int]]):
+        if len(chosen) == len(choice_lists):
+            return verify(chosen)
+        for edge in choice_lists[len(chosen)]:
+            if not closes_cycle(chosen + [edge]):
+                found = search(chosen + [edge])
+                if found is not None:
+                    return found
+        return None
+
+    return search([])
+
+
 def single_agent_observed_cycle(
-    graph: tg.DeviationGraph,
+    graph: DeviationGraph,
 ) -> tuple[int, tuple[int, ...]] | None:
     """A cycle in the run quotient whose edges all carry one agent, as
     (agent, class cycle), or None.  Classes are numbered as
-    `implementation._quotient` numbers them.  Self-loops cannot occur
-    because edges require distinct runs, so exactly the strongly connected
+    `reference_quotient` numbers them.  Self-loops cannot occur because
+    edges require distinct runs, so exactly the strongly connected
     components of two or more classes hold cycles."""
-    class_nodes, _, class_edges = _quotient(graph)
+    class_nodes, _, class_edges = reference_quotient(graph)
     n_agents = len(graph.nodes[0].machines) if graph.nodes else 0
     for agent in range(n_agents):
         adjacency: list[list[int]] = [[] for _ in class_nodes]

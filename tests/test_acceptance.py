@@ -14,12 +14,15 @@ import taxgames as tg
 from taxgames.cli import main
 
 from helpers import (
+    DeviationGraph,
     buchi_accepts_lasso,
     constant_profile,
     min_mean_cycle,
     oracle_response_values,
+    quotient_synthesis_input,
     random_game,
     random_static_tax,
+    reference_deviation_graph,
     reference_running_means,
     reference_to_buchi,
     simple_cycle_min_mean,
@@ -144,7 +147,7 @@ def plant_witness(rng: Random):
                 seeds.append(constant_profile(arena, [first, second]))
         rng.shuffle(seeds)
         seeds = seeds[: rng.randint(1, 2)]
-        full = tg.build_deviation_graph(game, seeds, 1)
+        full = reference_deviation_graph(game, seeds, 1)
         target_ids = list(range(len(seeds)))
         pools = [
             [e for e in full.edges if e[0] == t] for t in target_ids
@@ -160,7 +163,7 @@ def plant_witness(rng: Random):
 
 
 def lex_of(
-    game: tg.Game, graph: tg.DeviationGraph, node: int, agent: int, tax
+    game: tg.Game, graph: DeviationGraph, node: int, agent: int, tax
 ) -> tg.LexValue:
     return tg.LexValue(
         goal_met=agent in graph.winners[node],
@@ -351,7 +354,9 @@ class TestAcceptance:
         rng = Random(707)
         for _ in range(50):
             game, graph, targets = plant_witness(rng)
-            tax = tg.synthesize_eliminating_tax(game, graph, targets=targets)
+            tax = tg.synthesize_eliminating_tax(
+                game, *quotient_synthesis_input(graph)
+            )
             for u, v, agent in graph.edges:
                 gain = tg.prefers(
                     lex_of(game, graph, v, agent, tax),

@@ -11,20 +11,20 @@ import taxgames as tg
 SOURCE = Path(tg.__file__).parent
 
 PUBLIC = (
-    "AlphabetMismatchError Arena BuchiAutomaton DeviationGraph DocumentError "
+    "AlphabetMismatchError Arena BuchiAutomaton DocumentError "
     "DynamicTax FALSE Formula Game GridSpec ImplementationVerdict LabelTrace "
-    "LassoRun LexValue LtlError LtlSyntaxError Next Not ObservedPathIndex Or "
+    "LassoRun LexValue LtlError LtlSyntaxError Next Not Or "
     "Outcome Profile ResourceLimitError RunStep SearchLimitError "
     "StaticInsufficiencyReport StaticInsufficiencyRow StaticTax "
     "StrategyMachine TRUE TaxgamesError TrueConst UnknownVariableError Until "
     "Var a_nash_implement add_static always and_ apply_static best_response "
-    "build_deviation_graph canonicalize_machine check_eliminable "
+    "canonicalize_machine check_eliminable "
     "check_profile check_run check_tax compose_tax dump_yaml e_nash_implement "
     "enumerate_machines enumerate_profiles eval_on_lasso evaluate eventually "
     "find_ne game_to_yaml generate_run grid_spec_diagnostics grid_to_yaml "
     "grid_world_game iff implies initial_deviation is_nash label_trace "
     "lasso_canonical lift_static load_game load_grid load_profile load_tax "
-    "load_verdict make_arena make_game max_cost observed_path_index "
+    "load_verdict make_arena make_game max_cost "
     "parse_game parse_grid parse_ltl parse_profile parse_tax parse_verdict "
     "prefers profile_to_yaml response_graph static_insufficiency_check "
     "static_tax subformulas synthesize_eliminating_tax tax_to_yaml taxed_cost "

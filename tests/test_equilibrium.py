@@ -592,12 +592,34 @@ def test_tax_of_another_alphabet_rejected_at_entry(entry):
 
 
 @pytest.mark.parametrize("agent", [-1, 2])
-@pytest.mark.parametrize("entry", ["best_response", "response_graph"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "best_response",
+        "response_graph",
+        "initial_deviation",
+        "taxed_cost",
+        "max_cost",
+    ],
+)
 def test_agent_outside_the_game_rejected(entry, agent):
+    # one check for every entry point taking an agent index: -1 must not
+    # wrap to the last agent, and 2 must not raise IndexError
     game = junction_game()
     profile = constant_profile(game.arena, [0, 0])
+    run = tg.lasso_canonical(tg.generate_run(game.arena, profile))
+    alt = constant_profile(game.arena, [1, 1]).machines[0]
+    calls = {
+        "best_response": lambda: tg.best_response(game, profile, agent),
+        "response_graph": lambda: tg.response_graph(game, profile, agent),
+        "initial_deviation": lambda: tg.initial_deviation(
+            game, profile, agent, alt
+        ),
+        "taxed_cost": lambda: tg.taxed_cost(game, run, None, agent),
+        "max_cost": lambda: tg.max_cost(game, agent),
+    }
     with pytest.raises(ValueError, match=rf"agent index {agent} is outside 0\.\.1"):
-        getattr(tg, entry)(game, profile, agent)
+        calls[entry]()
 
 
 class TestFindNe:

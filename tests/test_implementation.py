@@ -1,4 +1,5 @@
-"""Tests for deviation graphs, eliminating taxes, and implementation checks."""
+"""Tests for eliminability on run classes, eliminating taxes, and the
+implementation checks."""
 
 from __future__ import annotations
 
@@ -11,15 +12,22 @@ from random import Random
 import pytest
 
 import taxgames as tg
+from taxgames.equilibrium import _Plays
+from taxgames.implementation import _chain_lengths
 
 from helpers import (
     RESPONSE_GOALS,
+    DeviationGraph,
     constant_machine,
     constant_profile,
     junction_game,
+    quotient_synthesis_input,
     random_game,
     rational_game,
+    reference_check_eliminable,
+    reference_deviation_graph,
     reference_no_agent_improves,
+    reference_quotient,
     single_agent_observed_cycle,
 )
 
@@ -42,12 +50,16 @@ def one_action_game() -> tg.Game:
     return tg.make_game(arena, ["true", "true"])
 
 
-def witness_graph(game) -> tg.DeviationGraph:
+def witness_graph(game) -> DeviationGraph:
     # the full bound-1 graph minus the return edges, leaving one
     # out-edge per agent from the cut-through profile
-    full = tg.build_deviation_graph(game, [alpha(game, 0, 0)], 1)
+    full = reference_deviation_graph(game, [alpha(game, 0, 0)], 1)
     keep = tuple(e for e in full.edges if e[0] == 0)
     return replace(full, edges=keep)
+
+
+def ring_runs(n: int) -> tuple[tg.LassoRun, ...]:
+    return tuple(tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0),)) for i in range(n))
 
 
 class TestInitialDeviation:
@@ -79,9 +91,11 @@ class TestInitialDeviation:
 
 
 class TestBuildDeviationGraph:
+    """The profile-level reference graph of the eliminability tests."""
+
     def test_junction_one_seed(self):
         game = junction_game()
-        graph = tg.build_deviation_graph(game, [alpha(game, 0, 0)], 1)
+        graph = reference_deviation_graph(game, [alpha(game, 0, 0)], 1)
         assert graph.n_nodes == 3
         assert graph.nodes[0] == alpha(game, 0, 0)
         assert set(graph.nodes[1:]) == {alpha(game, 1, 0), alpha(game, 0, 1)}
@@ -93,7 +107,7 @@ class TestBuildDeviationGraph:
     def test_seed_with_no_deviations(self):
         game = one_action_game()
         profile = alpha(game, 0, 0)
-        graph = tg.build_deviation_graph(game, [profile], 1)
+        graph = reference_deviation_graph(game, [profile], 1)
         assert graph.n_nodes == 1
         assert graph.edges == ()
 
@@ -101,7 +115,7 @@ class TestBuildDeviationGraph:
 class TestObservedQuotient:
     def test_full_junction_graph_has_agent_cycle(self):
         game = junction_game()
-        graph = tg.build_deviation_graph(game, [alpha(game, 0, 0)], 1)
+        graph = reference_deviation_graph(game, [alpha(game, 0, 0)], 1)
         hit = single_agent_observed_cycle(graph)
         assert hit is not None
         agent, cycle = hit
@@ -122,14 +136,12 @@ class TestObservedQuotient:
     def test_long_single_agent_ring(self):
         n = 5000
         machine = constant_machine(0, 1)
-        graph = tg.DeviationGraph(
+        edges = tuple((i, (i + 1) % n, 0) for i in range(n))
+        graph = DeviationGraph(
             nodes=(tg.Profile((machine,)),) * n,
-            runs=tuple(
-                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0),))
-                for i in range(n)
-            ),
+            runs=ring_runs(n),
             winners=(frozenset(),) * n,
-            edges=tuple((i, (i + 1) % n, 0) for i in range(n)),
+            edges=edges,
         )
         agent, cycle = single_agent_observed_cycle(graph)
         assert agent == 0
@@ -138,61 +150,59 @@ class TestObservedQuotient:
             cycle[(k + 1) % n] == (cls + 1) % n for k, cls in enumerate(cycle)
         )
         with pytest.raises(ValueError, match="for agent 0"):
-            tg.observed_path_index(graph)
+            _chain_lengths(n, 1, edges)
 
     def test_index_rejects_cyclic_graph(self):
         game = junction_game()
-        graph = tg.build_deviation_graph(game, [alpha(game, 0, 0)], 1)
-        with pytest.raises(ValueError):
-            tg.observed_path_index(graph)
+        graph = reference_deviation_graph(game, [alpha(game, 0, 0)], 1)
+        with pytest.raises(ValueError, match="single-agent observed cycle"):
+            tg.synthesize_eliminating_tax(game, *quotient_synthesis_input(graph))
+
+    def test_edge_from_a_run_to_itself_is_a_cycle(self):
+        with pytest.raises(ValueError, match="for agent 1"):
+            _chain_lengths(2, 2, [(0, 1, 0), (1, 1, 1)])
 
     def test_path_statistics(self):
         game = junction_game()
         graph = witness_graph(game)
         assert single_agent_observed_cycle(graph) is None
-        index = tg.observed_path_index(graph)
-        assert index.node_class == (0, 1, 2)  # three distinct runs
-        root = index.node_class[0]
-        assert index.d_out[0][root] == 1
-        assert index.d_out[1][root] == 1
-        assert (max(index.d_out[0]), max(index.d_out[1])) == (1, 1)
+        _, node_class, class_edges = reference_quotient(graph)
+        assert node_class == [0, 1, 2]  # three distinct runs
+        lengths = _chain_lengths(3, 2, class_edges)
+        root = node_class[0]
+        assert lengths[0][root] == 1
+        assert lengths[1][root] == 1
+        assert (max(lengths[0]), max(lengths[1])) == (1, 1)
 
     def test_long_single_agent_chain(self):
-        # one class per node, agent 0 deviating from each class to the next
+        # one run per class, agent 0 deviating from each run to the next
         n = 5000
-        machine = constant_machine(0, 1)
-        graph = tg.DeviationGraph(
-            nodes=(tg.Profile((machine,)),) * n,
-            runs=tuple(
-                tg.LassoRun(prefix=(), cycle=(tg.RunStep(i, 0),))
-                for i in range(n)
-            ),
-            winners=(frozenset(),) * n,
-            edges=tuple((i, i + 1, 0) for i in range(n - 1)),
-        )
-        index = tg.observed_path_index(graph)
-        assert max(index.d_out[0]) == n - 1
-        assert index.d_out[0][0] == n - 1
-        assert index.d_out[0][n - 1] == 0
+        lengths = _chain_lengths(n, 1, [(i, i + 1, 0) for i in range(n - 1)])
+        assert max(lengths[0]) == n - 1
+        assert lengths[0][0] == n - 1
+        assert lengths[0][n - 1] == 0
 
 
 class TestSynthesize:
     def test_junction_witness(self):
         game = junction_game()
         graph = witness_graph(game)
-        tax = tg.synthesize_eliminating_tax(game, graph)
+        runs, edges = quotient_synthesis_input(graph)
+        tax = tg.synthesize_eliminating_tax(game, runs, edges)
         seed_run = graph.runs[0]
         # ceiling is 2 for both agents, so the seed class pays 3 extra
         assert tg.taxed_cost(game, seed_run, tax, 0) == Fraction(3)
-        for u, v, agent in graph.edges:
-            before = tg.taxed_cost(game, graph.runs[u], tax, agent)
-            after = tg.taxed_cost(game, graph.runs[v], tax, agent)
+        for u, v, agent in edges:
+            before = tg.taxed_cost(game, runs[u], tax, agent)
+            after = tg.taxed_cost(game, runs[v], tax, agent)
             assert after < before
         assert not tg.is_nash(game, graph.nodes[0], tax)
 
     def test_untargeted_runs_untouched(self):
         game = junction_game()
-        tax = tg.synthesize_eliminating_tax(game, witness_graph(game))
+        tax = tg.synthesize_eliminating_tax(
+            game, *quotient_synthesis_input(witness_graph(game))
+        )
         outside = tg.lasso_canonical(
             tg.generate_run(game.arena, alpha(game, 1, 1))
         )
@@ -201,30 +211,27 @@ class TestSynthesize:
                 game, outside, None, agent
             )
 
-    def test_targets_must_have_out_edges(self):
+    def test_runs_must_be_distinct(self):
         game = junction_game()
-        graph = witness_graph(game)
-        with pytest.raises(ValueError):
-            tg.synthesize_eliminating_tax(
-                game, graph, targets=[graph.nodes[1]]
-            )
+        run = witness_graph(game).runs[0]
+        with pytest.raises(ValueError, match="share one action-profile word"):
+            tg.synthesize_eliminating_tax(game, [run, run], [])
 
 
 class TestCheckEliminable:
     def test_junction_seed_is_eliminable(self):
         game = junction_game()
         target = alpha(game, 0, 0)
-        found = tg.check_eliminable(game, [target], 1)
-        assert found is not None
-        graph, tax = found
+        tax = tg.check_eliminable(game, [target], 1)
+        assert tax is not None
+        graph, expected = reference_check_eliminable(game, [target], 1)
         assert single_agent_observed_cycle(graph) is None
-        assert tax == tg.synthesize_eliminating_tax(game, graph)
+        assert tax == expected
         assert not tg.is_nash(game, target, tax)
 
     def test_empty_targets(self):
         game = junction_game()
-        graph, tax = tg.check_eliminable(game, [], 1)
-        assert graph.n_nodes == 0
+        tax = tg.check_eliminable(game, [], 1)
         assert tax == tg.lift_static(tg.zero_tax(2), game.arena.n_letters)
 
     def test_stuck_profile_is_not_eliminable(self):
@@ -235,6 +242,54 @@ class TestCheckEliminable:
         game = junction_game()
         with pytest.raises(tg.SearchLimitError):
             tg.check_eliminable(game, [alpha(game, 0, 0)], 1, search_cap=0)
+
+    def test_expansion_cap(self):
+        # targets times the machines of every universe: 1 x (2 + 2) > 1
+        game = junction_game()
+        with pytest.raises(
+            tg.ResourceLimitError,
+            match=r"^deviation graph expansion exceeds cap 1$",
+        ):
+            tg.check_eliminable(game, [alpha(game, 0, 0)], 1, cap=1)
+
+    def test_matches_profile_level_reference(self):
+        # on random bound-1 games, the run-class search returns the tax of
+        # the profile-level search, or None with it, on a fresh table and
+        # on a complete one whose rows refute targets; targets are the
+        # cost-free objective-violating equilibria, 1-3 random bounded
+        # profiles, and the whole bounded universe
+        rng = Random(61)
+        answers = []
+        for k in range(44):
+            goals = (rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+            n_actions = rng.choice(((2, 2), (3, 2), (2, 3)))
+            if k % 2:
+                game = rational_game(rng, goals=goals, n_actions=n_actions)
+            else:
+                game = random_game(rng, n_actions=n_actions, goals=goals)
+            objective = tg.parse_ltl(
+                rng.choice(("G F p", "F G q", "G (p <-> q)", "G !q")),
+                game.arena.vocabulary,
+            )
+            universe = list(tg.enumerate_profiles(game.arena, 1))
+            target_sets = [
+                tg.find_ne(tg.zero_cost_game(game), None, 1, tg.Not(objective)),
+                rng.sample(universe, rng.randint(1, 3)),
+                universe,
+            ]
+            complete = _Plays(game, 1)
+            complete.fill()
+            for targets in target_sets:
+                found = reference_check_eliminable(game, targets, 1)
+                expected = None if found is None else found[1]
+                assert tg.check_eliminable(game, targets, 1) == expected
+                assert (
+                    tg.check_eliminable(game, targets, 1, plays=complete)
+                    == expected
+                )
+                answers.append(expected is not None)
+        assert len(answers) == 132
+        assert answers.count(False) >= 5 and answers.count(True) >= 100
 
 
 class TestImplementationVerdicts:
@@ -277,7 +332,7 @@ class TestImplementationVerdicts:
         violating = tg.find_ne(
             tg.zero_cost_game(game), None, 1, tg.Not(objective)
         )
-        _, eliminator = tg.check_eliminable(game, violating, 1)
+        eliminator = tg.check_eliminable(game, violating, 1)
         levelling = tg.uniform_levelling_tax(game, 2)
         verdict = tg.a_nash_implement(game, objective, 1)
         assert verdict.witness_tax == tg.compose_tax(eliminator, levelling)
@@ -465,8 +520,8 @@ def record_plays(monkeypatch) -> list:
 
 
 def test_a_nash_plays_each_profile_once(monkeypatch):
-    # the e-nash sweep, the violating sweep, the deviation graph, the final
-    # sweep and the witness checks read one run-class table: each profile
+    # the e-nash sweep, the violating sweep, the eliminability search, the
+    # final sweep and the witness checks read one run-class table: each profile
     # of the bound-1 universe is played once, and each run's goals are
     # decided once
     game = junction_game()

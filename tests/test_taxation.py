@@ -161,6 +161,12 @@ class TestDynamicTax:
         assert second is fourth
         assert second == tg.static_tax(2, {(0, 0): (2, 2), (1, 1): (0, 3)})
 
+    def test_compose_rejects_machine_without_states(self):
+        # a machine with no output has no agent count to compare
+        empty = tg.DynamicTax(outputs=(), transitions=())
+        with pytest.raises(tg.AlphabetMismatchError, match="tax machine has no states"):
+            tg.compose_tax(empty, tg.zero_tax(2))
+
     def test_levelling_rates(self):
         game = junction_game()
         tax = tg.uniform_levelling_tax(game, 2)
@@ -243,7 +249,7 @@ def levelled_cases() -> list:
     game = junction_game()
     objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
     violating = tg.find_ne(tg.zero_cost_game(game), None, 1, tg.Not(objective))
-    _, eliminator = tg.check_eliminable(game, violating, 1)
+    eliminator = tg.check_eliminable(game, violating, 1)
     cases = [pytest.param(game, eliminator, id="junction")]
     rng = Random(23)
     for k in range(20):
