@@ -11,13 +11,11 @@ from .arena import (
     Arena,
     Game,
     GridSpec,
-    grid_spec_diagnostics,
     grid_world_game,
     make_arena,
     make_game,
     max_cost,
     to_fraction,
-    validate,
     zero_cost_game,
 )
 from .documents import (

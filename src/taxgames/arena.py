@@ -1,20 +1,24 @@
-"""Concurrent game arenas: model types, validation, and the grid-world generator.
+"""Concurrent game arenas: model types and the grid-world generator.
 
 An arena is a finite set of states over which all agents simultaneously pick
 one action each; the joint action profile determines the successor state and
 a vector of per-agent step costs.  Letters (joint profiles) are indexed in
 row-major order over the per-agent action lists, so a letter index and a
 tuple of per-agent action indices are interchangeable.
+
+Arena, Game and GridSpec are valid by construction: building one, directly,
+through a constructor function or through dataclasses.replace, raises one
+ValueError that names every invariant it violates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .ltl import Formula, parse_ltl, variables
 
@@ -26,6 +30,8 @@ _GRID_MOVES = {
     "right": (1, 0),
     "stay": (0, 0),
 }
+
+_T = TypeVar("_T")
 
 
 def to_fraction(value: object) -> Fraction:
@@ -75,13 +81,13 @@ class Arena:
     """Immutable concurrent game arena.
 
     transition[s][letter] is the successor state index and cost[s][letter]
-    the per-agent Fraction vector of every state and letter.  The arena is
-    total by construction: a None cell in either table raises one
-    ValueError naming every missing cell, so no algorithm meets a hole.
-    A copy made by dataclasses.replace that keeps its source's transition
-    table object, as the cost-only copies do, scans only its cost table:
-    _checked_transition, which replace hands on, is the table the source
-    was checked with.
+    the per-agent Fraction vector of every state and letter.  An arena is
+    valid by construction, however it is built: each table has a row per
+    state and a cell per letter, and no cell is None (the arena is total);
+    the initial state and every target are state indices; labels lie in
+    the vocabulary; and every cost vector has one non-negative entry per
+    agent.  A violation raises one ValueError that names each one, so no
+    algorithm meets a hole, an index out of range or a negative cost.
     """
 
     states: tuple[str, ...]
@@ -92,30 +98,76 @@ class Arena:
     transition: tuple[tuple[int, ...], ...]
     cost: tuple[tuple[tuple[Fraction, ...], ...], ...]
     initial: int
-    _checked_transition: tuple[tuple[int, ...], ...] | None = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self) -> None:
-        tables = (self.cost,)
-        if self.transition is not self._checked_transition:
-            tables = (self.transition, self.cost)
-        # a row object that many states share is read once
-        if not any(
-            None in row
-            for table in tables
-            for row in {id(row): row for row in table}.values()
-        ):
-            object.__setattr__(self, "_checked_transition", self.transition)
-            return
-        missing = [
-            f"missing-{kind}: ({name}, {'/'.join(self.letter_names(letter))})"
-            for s, name in enumerate(self.states)
-            for letter in self.letters()
-            for kind, table in (("transition", self.transition), ("cost", self.cost))
-            if table[s][letter] is None
+        n_states, vocabulary = len(self.states), frozenset(self.vocabulary)
+        issues = [
+            f"unknown-label: state {name} uses {', '.join(sorted(labels - vocabulary))}"
+            for name, labels in zip(self.states, self.labels)
+            if not labels <= vocabulary
         ]
-        raise ValueError("arena is not total: " + "; ".join(missing))
+        if not 0 <= self.initial < n_states:
+            issues.insert(0, f"initial-state: index {self.initial} out of range")
+        if len(self.labels) != n_states:
+            issues.append(f"bad-shape: {len(self.labels)} label sets, want {n_states}")
+        # one set test per row finds a None cell or a target out of range
+        targets = frozenset(range(n_states))
+        rows = _distinct(self.transition)
+        self._check_tables(issues, {id(r) for r in rows if not targets.issuperset(r)})
+
+    def _with_cost(self, cost: tuple) -> Arena:
+        """A copy with another cost table, the only table it checks, as
+        zero_cost_game, the levelled game and apply_static make."""
+        copy = object.__new__(Arena)
+        copy.__dict__.update({f.name: getattr(self, f.name) for f in fields(Arena)})
+        copy.__dict__["cost"] = cost
+        copy._check_tables([], None)
+        return copy
+
+    def _check_tables(self, issues: list[str], bad_rows: set[int] | None) -> None:
+        """Raise one ValueError naming the issues found so far and each bad
+        shape or cell of the tables; bad_rows holds the transition rows with
+        a bad cell, or is None when that table was checked before.  Each
+        distinct cost vector object is judged once, and a state's cells are
+        read one by one only when one is bad."""
+        n_states, n_letters, n_agents = len(self.states), self.n_letters, self.n_agents
+        tables = {"transition": self.transition} if bad_rows is not None else {}
+        shapes = [
+            f"bad-shape: {kind} table is not {n_states} rows of {n_letters} cells"
+            for kind, table in {**tables, "cost": self.cost}.items()
+            if len(table) != n_states or not set(map(len, table)) <= {n_letters}
+        ]
+        if shapes:
+            raise ValueError("invalid arena: " + "; ".join(issues + shapes))
+        # signs are read off the integer table, which every analysis converts
+        vectors = self._vectors
+        bad = {id(v) for v in vectors if v is None or len(v) != n_agents}
+        if bad or min(self._integer_costs.floors, default=0) < 0:
+            bad |= {id(v) for v in vectors if v is not None and min(v, default=0) < 0}
+        bad_rows = bad_rows or set()
+        for s, name in enumerate(self.states if bad_rows or bad else ()):
+            targets, costs = self.transition[s], self.cost[s]
+            if id(targets) not in bad_rows and not any(id(v) in bad for v in costs):
+                continue
+            for letter, (target, vector) in enumerate(zip(targets, costs)):
+                cell = f"({name}, {'/'.join(self.letter_names(letter))})"
+                if target is None:
+                    issues.append(f"missing-transition: {cell}")
+                elif not 0 <= target < n_states:
+                    issues.append(f"bad-transition-target: {cell} -> {target}")
+                if vector is None:
+                    issues.append(f"missing-cost: {cell}")
+                elif len(vector) != n_agents:
+                    issues.append(f"bad-cost-arity: {cell} has {len(vector)} entries")
+                issues += [
+                    f"negative-cost: {cell} agent {agent} = {value}"
+                    for agent, value in zip(self.agents, vector or ())
+                    if value < 0
+                ]
+        if issues:
+            total = all(issue.startswith("missing-") for issue in issues)
+            heading = "arena is not total" if total else "invalid arena"
+            raise ValueError(f"{heading}: " + "; ".join(issues))
 
     @property
     def n_states(self) -> int:
@@ -171,10 +223,16 @@ class Arena:
         return tuple(self.letter_of([int(j == i) for j in range(n)]) for i in range(n))
 
     @cached_property
+    def _vectors(self) -> Iterable[tuple[Fraction, ...]]:
+        """Each cost vector object once; a row that many states share is
+        read once."""
+        return _distinct(chain.from_iterable(_distinct(self.cost)))
+
+    @cached_property
     def _integer_costs(self) -> _IntegerCosts:
         """The cost table as integers, converted on first use; the arena
         is frozen, so the conversion is kept with it."""
-        vectors = _cost_vectors(self)
+        vectors = self._vectors
         scale = lcm(*(x.denominator for v in vectors for x in v))
         scaled = {
             id(v): tuple(x.numerator * (scale // x.denominator) for x in v)
@@ -198,9 +256,28 @@ class Arena:
 
 @dataclass(frozen=True, eq=False)
 class Game:
+    """An arena with one goal formula, and its text, per agent.  Building
+    one raises ValueError unless the counts match and every goal reads
+    only the arena's vocabulary."""
+
     arena: Arena
     goals: tuple[Formula, ...]
     goal_texts: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        arena, vocabulary = self.arena, frozenset(self.arena.vocabulary)
+        issues = [
+            f"goal-variable: goal of agent {agent} uses {', '.join(sorted(extra))}"
+            for agent, goal in zip(arena.agents, self.goals)
+            if (extra := variables(goal) - vocabulary)
+        ]
+        if not len(self.goals) == len(self.goal_texts) == arena.n_agents:
+            issues.append(
+                f"goal-count: {len(self.goals)} goals and {len(self.goal_texts)} "
+                f"goal texts for {arena.n_agents} agents"
+            )
+        if issues:
+            raise ValueError("invalid game: " + "; ".join(issues))
 
 
 def make_arena(
@@ -213,21 +290,19 @@ def make_arena(
     transitions: Mapping[tuple[str, tuple[str, ...]], str],
     costs: Mapping[tuple[str, tuple[str, ...]], Sequence[object]],
     initial: str,
-    default_target: str | None = None,
     default_cost: Sequence[object] | None = None,
 ) -> Arena:
     """Build an arena from name-keyed tables.
 
-    Unspecified transition or cost cells take the defaults when given; a
-    cell left uncovered makes the arena raise ValueError, which names every
-    such cell.
+    Unspecified cost cells take default_cost when given.  Names must be
+    known; the arena itself checks everything else (see Arena), and names
+    every cell left uncovered.
     """
     state_ids = {name: i for i, name in enumerate(states)}
     if len(state_ids) != len(states):
         raise ValueError("duplicate state names")
     if initial not in state_ids:
         raise ValueError(f"unknown initial state {initial!r}")
-    vocab = tuple(vocabulary)
     if len(set(agents)) != len(agents):
         raise ValueError("duplicate agent names")
     stray = set(labels) - state_ids.keys()
@@ -241,20 +316,8 @@ def make_arena(
             raise ValueError(f"agent {agent!r} needs a non-empty action list")
         action_lists.append(tuple(actions[agent]))
 
-    label_sets = []
-    for name in states:
-        given = frozenset(labels.get(name, ()))
-        unknown = given - frozenset(vocab)
-        if unknown:
-            raise ValueError(
-                f"state {name!r} labelled with unknown variables "
-                + ", ".join(sorted(unknown))
-            )
-        label_sets.append(given)
-
     letter_order = list(product(*action_lists))
     letter_ids = {combo: i for i, combo in enumerate(letter_order)}
-    n = len(agents)
 
     # equal vectors share one object, so per-vector work downstream (the
     # levelling tax, the cost ceilings) runs once per distinct vector
@@ -262,16 +325,10 @@ def make_arena(
 
     def normalize_cost(raw: Sequence[object]) -> tuple[Fraction, ...]:
         vector = tuple(to_fraction(x) for x in raw)
-        if len(vector) != n:
-            raise ValueError(f"cost vector {raw!r} has arity {len(vector)}, want {n}")
         return interned.setdefault(vector, vector)
 
     default_cost_vec = None if default_cost is None else normalize_cost(default_cost)
-    transition_rows = [
-        [None if default_target is None else state_ids[default_target]]
-        * len(letter_order)
-        for _ in states
-    ]
+    transition_rows = [[None] * len(letter_order) for _ in states]
     cost_rows = [[default_cost_vec] * len(letter_order) for _ in states]
 
     for (state, combo), target in transitions.items():
@@ -291,10 +348,10 @@ def make_arena(
 
     return Arena(
         states=tuple(states),
-        vocabulary=vocab,
+        vocabulary=tuple(vocabulary),
         agents=tuple(agents),
         actions=tuple(action_lists),
-        labels=tuple(label_sets),
+        labels=tuple(frozenset(labels.get(name, ())) for name in states),
         transition=tuple(tuple(row) for row in transition_rows),
         cost=tuple(tuple(row) for row in cost_rows),
         initial=state_ids[initial],
@@ -302,71 +359,14 @@ def make_arena(
 
 
 def make_game(arena: Arena, goal_texts: Sequence[str]) -> Game:
-    if len(goal_texts) != arena.n_agents:
-        raise ValueError(
-            f"{len(goal_texts)} goals for {arena.n_agents} agents"
-        )
     goals = tuple(parse_ltl(text, arena.vocabulary) for text in goal_texts)
     return Game(arena=arena, goals=goals, goal_texts=tuple(goal_texts))
 
 
-def validate(game: Game) -> list[str]:
-    """All invariant violations, one diagnostic string each; [] means valid.
-    Totality is not among them: an arena with a missing cell cannot be
-    built (see Arena)."""
-    arena = game.arena
-    issues: list[str] = []
-    vocab = frozenset(arena.vocabulary)
-    if not (0 <= arena.initial < arena.n_states):
-        issues.append(f"initial-state: index {arena.initial} out of range")
-    for s, name in enumerate(arena.states):
-        extra = arena.labels[s] - vocab
-        if extra:
-            issues.append(
-                f"unknown-label: state {name} uses " + ", ".join(sorted(extra))
-            )
-    # each cost vector object is checked once, however many cells share
-    # it, and a cell is named only in a state that has an issue
-    n_states = arena.n_states
-    bad_vectors = {
-        id(v)
-        for v in _cost_vectors(arena)
-        if len(v) != arena.n_agents or any(x < 0 for x in v)
-    }
-    for s in range(n_states):
-        targets, costs = arena.transition[s], arena.cost[s]
-        bad_target = targets and (min(targets) < 0 or max(targets) >= n_states)
-        bad_cost = bad_vectors and any(id(v) in bad_vectors for v in costs)
-        if not (bad_target or bad_cost):
-            continue
-        for letter in arena.letters():
-            cell = f"({arena.states[s]}, {'/'.join(arena.letter_names(letter))})"
-            target = arena.transition[s][letter]
-            if not (0 <= target < n_states):
-                issues.append(f"bad-transition-target: {cell} -> {target}")
-            vector = arena.cost[s][letter]
-            if len(vector) != arena.n_agents:
-                issues.append(f"bad-cost-arity: {cell} has {len(vector)} entries")
-            for i, value in enumerate(vector):
-                if value < 0:
-                    issues.append(
-                        f"negative-cost: {cell} agent {arena.agents[i]} = {value}"
-                    )
-    for i, goal in enumerate(game.goals):
-        extra = variables(goal) - vocab
-        if extra:
-            issues.append(
-                f"goal-variable: goal of agent {arena.agents[i]} uses "
-                + ", ".join(sorted(extra))
-            )
-    return issues
-
-
-def _cost_vectors(arena: Arena) -> Iterable[tuple[Fraction, ...]]:
-    """Each cost vector object once, told apart by identity so no Fraction
-    is hashed; a row that many states share is read once."""
-    rows = {id(row): row for row in arena.cost}.values()
-    return {id(v): v for row in rows for v in row}.values()
+def _distinct(objects: Iterable[_T]) -> Iterable[_T]:
+    """Each object once, told apart by identity, so none is hashed."""
+    objects = list(objects)
+    return dict(zip(map(id, objects), objects)).values()
 
 
 def _cost_ceilings(arena: Arena) -> tuple[Fraction, ...]:
@@ -393,12 +393,13 @@ def zero_cost_game(game: Game) -> Game:
 
 
 def _uniform_cost_game(game: Game, level: Fraction) -> Game:
-    """A copy of the game whose every cost cell is one shared vector charging level to every agent.  Its single row is shared
-    by every state, so the integer cost table reads one row."""
+    """A copy of the game whose every cost cell is one shared vector
+    charging level to every agent.  Its single row is shared by every
+    state, so the integer cost table reads one row."""
     arena = game.arena
     vector = (level,) * arena.n_agents
     cost = ((vector,) * arena.n_letters,) * arena.n_states
-    return replace(game, arena=replace(arena, cost=cost))
+    return replace(game, arena=arena._with_cost(cost))
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +422,35 @@ class GridSpec:
     basket: tuple[int, int] | None = None
     action_costs: tuple[tuple[str, Fraction], ...] = ()
 
+    def __post_init__(self) -> None:
+        def inside(cell: tuple[int, int]) -> bool:
+            x, y = cell
+            return 0 <= x < self.width and 0 <= y < self.height
 
-def grid_spec_diagnostics(spec: GridSpec) -> list[str]:
-    issues: list[str] = []
-    if spec.width < 1 or spec.height < 1:
-        issues.append(f"bad-dimensions: {spec.width}x{spec.height}")
-        return issues
-
-    def inside(cell: tuple[int, int]) -> bool:
-        x, y = cell
-        return 0 <= x < spec.width and 0 <= y < spec.height
-
-    if not spec.robots:
-        issues.append("no-robots: at least one robot required")
-    for i, cell in enumerate(spec.robots):
-        if not inside(cell):
-            issues.append(f"robot-out-of-bounds: robot {i} at {cell}")
-    if len(set(spec.robots)) != len(spec.robots):
-        issues.append("robots-overlap: start cells must be distinct")
-    for j, cell in enumerate(spec.apples):
-        if not inside(cell):
-            issues.append(f"apple-out-of-bounds: apple {j} at {cell}")
-    if spec.basket is not None and not inside(spec.basket):
-        issues.append(f"basket-out-of-bounds: {spec.basket}")
-    if spec.apples and spec.basket is None:
-        issues.append("basket-missing: apples need a basket cell")
-    for action, value in spec.action_costs:
-        if action not in _GRID_ACTIONS:
-            issues.append(f"unknown-action-cost: {action}")
-        elif value < 0:
-            issues.append(f"negative-action-cost: {action} = {value}")
-    return issues
+        issues = []
+        if self.width < 1 or self.height < 1:
+            issues.append(f"bad-dimensions: {self.width}x{self.height}")
+        if not self.robots:
+            issues.append("no-robots: at least one robot required")
+        for i, cell in enumerate(self.robots):
+            if not inside(cell):
+                issues.append(f"robot-out-of-bounds: robot {i} at {cell}")
+        if len(set(self.robots)) != len(self.robots):
+            issues.append("robots-overlap: start cells must be distinct")
+        for j, cell in enumerate(self.apples):
+            if not inside(cell):
+                issues.append(f"apple-out-of-bounds: apple {j} at {cell}")
+        if self.basket is not None and not inside(self.basket):
+            issues.append(f"basket-out-of-bounds: {self.basket}")
+        if self.apples and self.basket is None:
+            issues.append("basket-missing: apples need a basket cell")
+        for action, value in self.action_costs:
+            if action not in _GRID_ACTIONS:
+                issues.append(f"unknown-action-cost: {action}")
+            elif value < 0:
+                issues.append(f"negative-action-cost: {action} = {value}")
+        if issues:
+            raise ValueError("invalid grid spec: " + "; ".join(issues))
 
 
 def grid_world_game(spec: GridSpec) -> Game:
@@ -469,10 +468,6 @@ def grid_world_game(spec: GridSpec) -> Game:
     having delivered something; c marks the crash bit.  Goals are G !c for
     every robot.
     """
-    issues = grid_spec_diagnostics(spec)
-    if issues:
-        raise ValueError("invalid grid spec: " + "; ".join(issues))
-
     n_robots = len(spec.robots)
     n_apples = len(spec.apples)
     cells = [(x, y) for y in range(spec.height) for x in range(spec.width)]

@@ -24,11 +24,9 @@ from .arena import (
     Arena,
     Game,
     GridSpec,
-    grid_spec_diagnostics,
     make_arena,
     make_game,
     to_fraction,
-    validate,
 )
 from .errors import DocumentError
 from .implementation import ImplementationVerdict
@@ -283,13 +281,9 @@ def parse_game(text: str) -> Game:
             initial=initial,
             default_cost=default_cost,
         )
-        game = make_game(arena, goals)
+        return make_game(arena, goals)
     except (ValueError, KeyError) as err:
         raise DocumentError(f"game: {err}") from err
-    problems = validate(game)
-    if problems:
-        raise DocumentError("game fails validation", problems)
-    return game
 
 
 def game_to_yaml(game: Game) -> str:
@@ -583,8 +577,8 @@ def parse_grid(text: str) -> GridSpec:
         if not isinstance(value, int) or isinstance(value, bool):
             raise DocumentError(f"grid.{key} must be an integer")
     robots_raw = _need(body, "robots", "grid")
-    if not isinstance(robots_raw, list) or not robots_raw:
-        raise DocumentError("grid.robots must be a non-empty list")
+    if not isinstance(robots_raw, list):
+        raise DocumentError("grid.robots must be a list")
     robots = tuple(
         cell(value, f"grid.robots[{i}]") for i, value in enumerate(robots_raw)
     )
@@ -604,18 +598,10 @@ def parse_grid(text: str) -> GridSpec:
         (name, _fraction(value, f"grid.action_costs[{name}]"))
         for name, value in costs_raw.items()
     )
-    spec = GridSpec(
-        width=width,
-        height=height,
-        robots=robots,
-        apples=apples,
-        basket=basket,
-        action_costs=action_costs,
-    )
-    problems = grid_spec_diagnostics(spec)
-    if problems:
-        raise DocumentError("grid fails validation", problems)
-    return spec
+    try:
+        return GridSpec(width, height, robots, apples, basket, action_costs)
+    except ValueError as err:
+        raise DocumentError(f"grid: {err}") from err
 
 
 def grid_to_yaml(spec: GridSpec) -> str:

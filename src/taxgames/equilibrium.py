@@ -170,7 +170,8 @@ class _Plays:
     played yet; a table is complete once it has played them all (see Row
     refutation in the module docstring).  An index is mixed radix over the
     profile's machine ids, the positions of its machines in the numbered
-    universes, with the last agent's digit lowest.  class_of looks up any
+    universes, with the last agent's digit lowest, and row(agent, index)
+    gives the indices of the agent's row there.  class_of looks up any
     profile that fits the game: by index once the walk has passed it, and
     otherwise by the profile itself, played on first sight; a table that
     is never walked numbers no universe.  memory_bound and cap size the
@@ -247,6 +248,13 @@ class _Plays:
                 return None
             index += k * stride
         return index
+
+    def row(self, agent: int, index: int) -> range:
+        """The table indices of the profiles that differ from the one at
+        index only in the agent's machine, by the agent's machine id."""
+        stride, n = self.strides[agent], len(self.universes[agent])
+        base = index - index // stride % n * stride
+        return range(base, base + n * stride, stride)
 
     def class_at(self, index: int | None, profile: Profile) -> int:
         """The class of a profile that fits the game; index is the
@@ -565,7 +573,7 @@ class _Responses:
     class is summed once, and each row's best value is kept per (agent,
     row); a memo that is handed another table forgets the first one's.
     floors[i] is agent i's cheapest untaxed step cost over scale.  The
-    arena is total (see Arena) and the tax is checked against it here, so
+    arena is valid (see Arena) and the tax is checked against it here, so
     every cell a graph or run reaches has a successor, a cost and a tax
     state.
     """
@@ -683,20 +691,17 @@ class _Responses:
 
     def row_best(self, plays: _Plays, agent: int, index: int) -> tuple[bool, int, int]:
         """The agent's best value, as (goal met, total, length) over the
-        run's cycle, among the profiles of plays, a complete table, that
-        differ from the one at index only in the agent's machine: table
-        indices base + m * stride for each machine id m of the agent."""
+        run's cycle, among the profiles of plays, a complete table, in the
+        agent's row of the profile at index."""
         self._read(plays)
-        stride = plays.strides[agent]
-        n = len(plays.universes[agent])
-        base = index - index // stride % n * stride
-        found = self._row_values.get((agent, base))
+        row = plays.row(agent, index)
+        found = self._row_values.get((agent, row.start))
         if found is None:
-            for k in set(plays.rows[base : base + n * stride : stride]):
+            for k in set(plays.rows[row.start : row.stop : row.step]):
                 value = self.class_values(plays, k)[agent]
                 if found is None or _beats(value, found):
                     found = value
-            self._row_values[(agent, base)] = found
+            self._row_values[(agent, row.start)] = found
         return found
 
     def value(self, profile: Profile, agent: int) -> tuple[bool, int, int]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Sequence
 
 from ._graphs import strongly_connected_components
@@ -115,11 +115,17 @@ def _chain_lengths(
     n_runs: int, n_agents: int, edges: Iterable[tuple[int, int, int]]
 ) -> list[list[int]]:
     """lengths[i][r]: the length in edges of the longest path of agent-i
-    edges that starts at run r.  Raises ValueError naming the first agent
-    whose edges close a cycle, where path lengths diverge."""
+    edges that starts at run r.  Raises ValueError for an edge outside the
+    runs or agents, or naming the first agent whose edges close a cycle."""
     # adjacencies[i][r] lists the runs that agent-i edges lead to from r
     adjacencies = [[[] for _ in range(n_runs)] for _ in range(n_agents)]
+    runs = range(n_runs)
     for source, target, agent in edges:
+        if not (source in runs and target in runs and 0 <= agent < n_agents):
+            raise ValueError(
+                f"edge {(source, target, agent)} is outside {n_runs} runs "
+                f"and {n_agents} agents"
+            )
         adjacencies[agent][source].append(target)
     lengths = []
     for agent, adjacency in enumerate(adjacencies):
@@ -165,10 +171,9 @@ def synthesize_eliminating_tax(
     """
     arena = game.arena
     n_agents = arena.n_agents
+    lengths = _chain_lengths(len(runs), n_agents, edges)
     if not runs:
         return lift_static(zero_tax(n_agents), arena.n_letters)
-
-    lengths = _chain_lengths(len(runs), n_agents, edges)
     words = [_run_word(run) for run in runs]
     if len(set(words)) != len(words):
         raise ValueError(
@@ -252,15 +257,15 @@ def check_eliminable(
     of plays, the calling driver's run-class table (a fresh one without).
 
     A target's options are its initial deviations in the bounded universe,
-    as (agent, class) pairs, looked up on the table by index: the target's
-    index moved by the agent's stride.  A candidate picks one option per
-    target (more edges only add cycles and surcharges, so one per target is
-    complete).  It fails if its class edges close a single-agent cycle, or
-    if the tax synthesized for them leaves an edge not strict or a target
-    Nash (read from rows on a complete table).  Returns the first tax that
-    holds, or None; raises SearchLimitError when the search budget runs
-    out, and ResourceLimitError when targets times the machines of every
-    universe exceed cap.
+    as (agent, class) pairs, looked up on the target's rows of the table
+    (see _Plays.row).  A candidate picks one option per target (more edges
+    only add cycles and surcharges, so one per target is complete).  It
+    fails if its class edges close a single-agent cycle, or if the tax
+    synthesized for them leaves an edge not strict or a target Nash (read
+    from rows on a complete table).  Returns the first tax that holds, or
+    None; raises SearchLimitError when the search budget runs out, and
+    ResourceLimitError when targets times the machines of every universe
+    exceed cap.
     """
     targets = list(profiles)
     if not targets:
@@ -290,17 +295,10 @@ def check_eliminable(
         src = sources[target] = plays.class_at(position, target)
         lowest: dict[tuple[int, int], int] = {}
         for agent, machines in enumerate(universes):
-            stride = plays.strides[agent]
-            # the index of the target with the agent's machine id at 0; a
-            # target outside the universes has none
-            base = (
-                None
-                if position is None
-                else position - plays.ids[agent][target.machines[agent]] * stride
-            )
-            for j, machine in enumerate(machines):
+            # a target outside the universes has no row in the table
+            row = repeat(None) if position is None else plays.row(agent, position)
+            for machine, at in zip(machines, row):
                 candidate = target.replace(agent, machine)
-                at = None if base is None else base + j * stride
                 k = plays.class_at(at, candidate)
                 if _edge_ok(agent, src == k, winners[src], winners[k]):
                     number = numbers.setdefault(candidate, len(numbers))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -40,11 +41,20 @@ class StaticTax:
         return (Fraction(0),) * self.n_agents
 
     @cached_property
+    def _vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each rate vector object once, however many cells share it."""
+        return tuple({id(v): v for _, _, v in self.entries}.values())
+
+    @cached_property
+    def _negative(self) -> bool:
+        """Whether some rate is negative, read once however often check_tax
+        reads the tax, and once per vector that cells share."""
+        return min(chain.from_iterable(self._vectors), default=0) < 0
+
+    @cached_property
     def _scale(self) -> int:
-        """The lcm of every rate denominator; a vector that cells share is
-        read once."""
-        vectors = {id(v): v for _, _, v in self.entries}.values()
-        return lcm(*(x.denominator for v in vectors for x in v))
+        """The lcm of every rate denominator."""
+        return lcm(*(x.denominator for v in self._vectors for x in v))
 
     def rate(self, state: int, letter: int) -> tuple[Fraction, ...]:
         return self._table.get((state, letter), self._zero)
@@ -109,7 +119,7 @@ def apply_static(game: Game, tax: StaticTax) -> Game:
     cost = [list(row) for row in arena.cost]
     for s, a, vector in tax.entries:
         cost[s][a] = tuple(x + y for x, y in zip(cost[s][a], vector))
-    taxed = replace(arena, cost=tuple(tuple(row) for row in cost))
+    taxed = arena._with_cost(tuple(tuple(row) for row in cost))
     return replace(game, arena=taxed)
 
 
@@ -148,7 +158,8 @@ def lift_static(tax: StaticTax, n_letters: int = 1) -> DynamicTax:
 def check_tax(arena: Arena, tax: DynamicTax) -> None:
     """Raise AlphabetMismatchError unless the tax machine has a state, one
     transition row per state with targets among its states, covers the
-    arena's agents, reads its letters and rates only its cells."""
+    arena's agents, reads its letters and rates only its cells, with one
+    non-negative rate per agent in each distinct rate vector."""
     rows = tax.transitions
     if not tax.outputs or len(rows) != tax.n_states:
         raise AlphabetMismatchError(
@@ -159,7 +170,7 @@ def check_tax(arena: Arena, tax: DynamicTax) -> None:
         raise AlphabetMismatchError(
             f"tax covers {tax.n_agents} agents, game has {arena.n_agents}"
         )
-    n_states, n_letters = arena.n_states, arena.n_letters
+    n_states, n_letters, n_agents = arena.n_states, arena.n_letters, arena.n_agents
     for q, row in enumerate(rows):
         if len(row) != n_letters:
             raise AlphabetMismatchError(
@@ -182,6 +193,12 @@ def check_tax(arena: Arena, tax: DynamicTax) -> None:
                     f"tax machine state {q} rates unknown cell "
                     f"({state}, {letter})"
                 )
+        if not set(map(len, output._vectors)) <= {n_agents} or output._negative:
+            bad = next(v for v in output._vectors if len(v) != n_agents or min(v) < 0)
+            raise AlphabetMismatchError(
+                f"tax machine state {q} rates ({', '.join(map(str, bad))}), "
+                f"want {n_agents} non-negative entries"
+            )
 
 
 def compose_tax(dynamic: DynamicTax, extra: StaticTax) -> DynamicTax:

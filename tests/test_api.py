@@ -21,14 +21,14 @@ PUBLIC = (
     "canonicalize_machine check_eliminable "
     "check_profile check_run check_tax compose_tax dump_yaml e_nash_implement "
     "enumerate_machines enumerate_profiles eval_on_lasso evaluate eventually "
-    "find_ne game_to_yaml generate_run grid_spec_diagnostics grid_to_yaml "
+    "find_ne game_to_yaml generate_run grid_to_yaml "
     "grid_world_game iff implies initial_deviation is_nash label_trace "
     "lasso_canonical lift_static load_game load_grid load_profile load_tax "
     "load_verdict make_arena make_game max_cost "
     "parse_game parse_grid parse_ltl parse_profile parse_tax parse_verdict "
     "prefers profile_to_yaml response_graph static_insufficiency_check "
     "static_tax subformulas synthesize_eliminating_tax tax_to_yaml taxed_cost "
-    "to_buchi to_fraction to_text uniform_levelling_tax validate variables "
+    "to_buchi to_fraction to_text uniform_levelling_tax variables "
     "verdict_to_yaml verify_witness zero_cost_game zero_tax"
 ).split()
 

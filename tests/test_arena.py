@@ -1,9 +1,9 @@
-"""Tests for arenas, validation diagnostics, and the grid generator."""
+"""Tests for arenas, their construction checks, and the grid generator."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 import taxgames as tg
-from taxgames.arena import _cost_ceilings
+from taxgames.arena import _cost_ceilings, _uniform_cost_game
 
 from helpers import constant_profile, junction_game, rational_game
 
@@ -63,44 +63,96 @@ class TestLetters:
 
 
 class TestValidation:
+    """An arena or game that breaks an invariant cannot be built, directly,
+    through make_arena or through replace; the one ValueError names every
+    violation."""
+
     def test_junction_is_clean(self):
-        assert tg.validate(junction_game()) == []
+        game = junction_game()
+        assert replace(game, arena=replace(game.arena)).arena.n_states == 4
+        tg.load_game(FIXTURES / "junction.game")
+
+    def test_no_constructor_argument_skips_the_check(self):
+        assert [f.name for f in fields(tg.Arena)] == [
+            "states", "vocabulary", "agents", "actions", "labels",
+            "transition", "cost", "initial",
+        ]
 
     def test_negative_cost_reported(self):
-        arena = tg.make_arena(
-            states=["s0"],
-            vocabulary=["p"],
-            agents=["a1"],
-            actions={"a1": ["go"]},
-            labels={},
-            transitions={("s0", ("go",)): "s0"},
-            costs={("s0", ("go",)): ["-1"]},
-            initial="s0",
-        )
-        game = tg.make_game(arena, ["F p"])
-        assert any("negative-cost" in x for x in tg.validate(game))
+        with pytest.raises(ValueError) as err:
+            tg.make_arena(
+                states=["s0"],
+                vocabulary=["p"],
+                agents=["a1"],
+                actions={"a1": ["go"]},
+                labels={},
+                transitions={("s0", ("go",)): "s0"},
+                costs={("s0", ("go",)): ["-1"]},
+                initial="s0",
+            )
+        assert str(err.value) == "invalid arena: negative-cost: (s0, go) agent a1 = -1"
 
     def test_direct_construction_names_only_bad_cells(self):
-        game = junction_game()
-        arena = game.arena
+        arena = junction_game().arena
         zero = (Fraction(0),) * 2
         # s2 and s3 share one cost row, with a negative and a short vector
         row = (zero, (Fraction(-1), Fraction(0)), (Fraction(0),), zero)
-        bad = replace(
-            arena,
-            transition=(arena.transition[0], (0, 4, 0, 0)) + arena.transition[2:],
-            cost=arena.cost[:2] + (row, row),
-        )
-        assert tg.validate(replace(game, arena=bad)) == [
+        with pytest.raises(ValueError) as err:
+            replace(
+                arena,
+                transition=(arena.transition[0], (0, 4, 0, 0)) + arena.transition[2:],
+                cost=arena.cost[:2] + (row, row),
+            )
+        assert str(err.value) == "invalid arena: " + "; ".join([
             "bad-transition-target: (s1, a/d) -> 4",
             "negative-cost: (s2, a/d) agent driver1 = -1",
             "bad-cost-arity: (s2, b/c) has 1 entries",
             "negative-cost: (s3, a/d) agent driver1 = -1",
             "bad-cost-arity: (s3, b/c) has 1 entries",
-        ]
+        ])
+
+    @pytest.mark.parametrize(
+        "field, corrupt, named",
+        [
+            ("initial", lambda a: 7, "initial-state: index 7 out of range"),
+            (
+                "transition",
+                lambda a: ((99,) + a.transition[0][1:],) + a.transition[1:],
+                "bad-transition-target: (s0, a/c) -> 99",
+            ),
+            (
+                "cost",
+                lambda a: ((a.cost[0][0][:1],) + a.cost[0][1:],) + a.cost[1:],
+                "bad-cost-arity: (s0, a/c) has 1 entries",
+            ),
+            (
+                "labels",
+                lambda a: (frozenset({"r"}),) + a.labels[1:],
+                "unknown-label: state s0 uses r",
+            ),
+            (
+                "transition",
+                lambda a: a.transition[:3],
+                "bad-shape: transition table is not 4 rows of 4 cells",
+            ),
+            (
+                "cost",
+                lambda a: (a.cost[0][:3],) + a.cost[1:],
+                "bad-shape: cost table is not 4 rows of 4 cells",
+            ),
+        ],
+        ids=["initial", "target", "arity", "label", "rows", "cells"],
+    )
+    def test_corruption_raises_before_any_algorithm(self, field, corrupt, named):
+        # unchecked, each of these would make find_ne raise IndexError or
+        # answer on a game outside the model
+        game = junction_game()
+        with pytest.raises(ValueError) as err:
+            replace(game.arena, **{field: corrupt(game.arena)})
+        assert str(err.value) == f"invalid arena: {named}"
 
     def test_unknown_label_rejected_at_build(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown-label: state s0 uses zzz"):
             tg.make_arena(
                 states=["s0"],
                 vocabulary=["p"],
@@ -114,8 +166,17 @@ class TestValidation:
 
     def test_goal_arity_checked(self):
         arena = junction_game().arena
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="goal-count: 1 goals"):
             tg.make_game(arena, ["G F p"])
+
+    def test_goal_outside_the_vocabulary_rejected(self):
+        game = junction_game()
+        with pytest.raises(ValueError) as err:
+            replace(game, goals=(tg.Var("r"), tg.Var("s")))
+        assert str(err.value) == (
+            "invalid game: goal-variable: goal of agent driver1 uses r; "
+            "goal-variable: goal of agent driver2 uses s"
+        )
 
 
 def holed_arena(holes: str) -> tg.Arena:
@@ -203,18 +264,19 @@ class TestTotality:
 
 
 class _CountedRow(tuple):
-    """A transition row that counts the totality scans that read it."""
+    """A transition row that counts the scans that read its cells."""
 
     scans = 0
 
-    def __contains__(self, item) -> bool:
+    def __iter__(self):
         _CountedRow.scans += 1
-        return super().__contains__(item)
+        return super().__iter__()
 
 
 def test_cost_only_copies_skip_the_transition_scan(monkeypatch):
-    # a copy that keeps its source's checked transition table scans only
-    # its cost table; a copy with another transition table is scanned
+    # a cost-only copy (zero_cost_game, the levelled game, apply_static)
+    # keeps its source's checked transition table and scans only its cost
+    # table; any other build, replace included, scans the whole arena
     game = junction_game()
     arena = game.arena
     counted = tuple(_CountedRow(row) for row in arena.transition)
@@ -223,13 +285,21 @@ def test_cost_only_copies_skip_the_transition_scan(monkeypatch):
     assert _CountedRow.scans == len(counted)
     copies = [
         tg.zero_cost_game(replace(game, arena=source)).arena,
+        _uniform_cost_game(replace(game, arena=source), Fraction(2)).arena,
         tg.apply_static(replace(game, arena=source), tg.zero_tax(2)).arena,
-        replace(source, cost=arena.cost),
     ]
     assert _CountedRow.scans == len(counted)
     assert all(copy.transition is counted for copy in copies)
-    replace(source, transition=tuple(_CountedRow(row) for row in arena.transition))
+    replace(source, cost=arena.cost)
     assert _CountedRow.scans == 2 * len(counted)
+
+
+def test_cost_only_copy_checks_its_cost_table():
+    arena = junction_game().arena
+    cost = ((arena.cost[0][0][:1],) + arena.cost[0][1:],) + arena.cost[1:]
+    with pytest.raises(ValueError) as err:
+        arena._with_cost(cost)
+    assert str(err.value) == "invalid arena: bad-cost-arity: (s0, a/c) has 1 entries"
 
 
 class TestCostHelpers:
@@ -301,30 +371,50 @@ def orchard() -> tg.GridSpec:
 
 
 class TestGridSpecDiagnostics:
+    """A grid spec that breaks an invariant cannot be built, directly or
+    through replace; the one ValueError names every violation."""
+
+    @staticmethod
+    def rejected(**spec) -> str:
+        with pytest.raises(ValueError) as err:
+            tg.GridSpec(**spec)
+        return str(err.value)
+
     def test_clean_specs(self):
-        assert tg.grid_spec_diagnostics(corridor()) == []
-        assert tg.grid_spec_diagnostics(orchard()) == []
+        assert replace(corridor()) == corridor()
+        assert replace(orchard()) == orchard()
 
     def test_out_of_bounds_robot(self):
-        spec = tg.GridSpec(width=1, height=1, robots=((5, 0),))
-        assert any("robot" in x for x in tg.grid_spec_diagnostics(spec))
+        assert self.rejected(width=1, height=1, robots=((5, 0),)) == (
+            "invalid grid spec: robot-out-of-bounds: robot 0 at (5, 0)"
+        )
 
     def test_overlapping_robots(self):
-        spec = tg.GridSpec(width=2, height=1, robots=((0, 0), (0, 0)))
-        assert any("overlap" in x for x in tg.grid_spec_diagnostics(spec))
+        assert self.rejected(width=2, height=1, robots=((0, 0), (0, 0))) == (
+            "invalid grid spec: robots-overlap: start cells must be distinct"
+        )
+        with pytest.raises(ValueError, match="robots-overlap"):
+            replace(corridor(), robots=((0, 0), (0, 0)))
 
     def test_apples_need_basket(self):
-        spec = tg.GridSpec(
+        assert self.rejected(
             width=2, height=2, robots=((0, 0),), apples=((1, 1),)
-        )
-        assert any("basket" in x for x in tg.grid_spec_diagnostics(spec))
+        ) == "invalid grid spec: basket-missing: apples need a basket cell"
 
     def test_unknown_action_cost(self):
-        spec = tg.GridSpec(
+        assert self.rejected(
             width=2, height=1, robots=((0, 0),),
-            action_costs=(("fly", Fraction(1)),),
+            action_costs=(("fly", Fraction(1)), ("up", Fraction(-1))),
+        ) == (
+            "invalid grid spec: unknown-action-cost: fly; "
+            "negative-action-cost: up = -1"
         )
-        assert any("unknown-action" in x for x in tg.grid_spec_diagnostics(spec))
+
+    def test_bad_dimensions(self):
+        assert self.rejected(width=0, height=1, robots=((0, 0),)) == (
+            "invalid grid spec: bad-dimensions: 0x1; "
+            "robot-out-of-bounds: robot 0 at (0, 0)"
+        )
 
 
 class TestGridGame:

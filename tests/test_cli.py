@@ -136,6 +136,27 @@ class TestEvaluate:
         assert err.startswith("error: ") and "zero denominator" in err
         assert err.count("\n") == 1
 
+    def test_invalid_game_and_grid_name_every_violation(self, tmp_path, capsys):
+        game = tmp_path / "bad.game"
+        game.write_text(
+            Path(GAME).read_text()
+            .replace("cost: [2, 0]", "cost: [-2, 0]", 1)
+            .replace("    s3: [q]", "    s3: [q, r]")
+        )
+        grid = tmp_path / "bad.grid"
+        grid.write_text("grid:\n  width: 0\n  height: 1\n  robots: [[0, 0]]\n")
+        for argv in (
+            ["evaluate", "--game", str(game), "--profile", PROFILE_AC],
+            ["gridworld", "--grid", str(grid)],
+        ):
+            assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: game: invalid arena: unknown-label: state s3 uses r; "
+            "negative-cost: (s0, a/d) agent driver1 = -2",
+            "error: grid: invalid grid spec: bad-dimensions: 0x1; "
+            "robot-out-of-bounds: robot 0 at (0, 0)",
+        ]
+
     def test_exponent_notation_is_input_error(self, tmp_path, capsys):
         text = Path(GAME).read_text()
         huge = tmp_path / "huge.game"

@@ -84,6 +84,28 @@ class TestGameDocuments:
             tg.parse_game(text)
         assert "s1" in str(err.value)  # s1 has no outgoing transition
 
+    def test_invalid_arena_names_every_violation(self):
+        text = "\n".join(
+            [
+                "game:",
+                "  states: [s0]",
+                "  initial: s0",
+                "  vocabulary: [p]",
+                "  labels: {s0: [p, r]}",
+                "  agents:",
+                "    - {name: a, actions: [x]}",
+                "  transitions:",
+                "    - {from: s0, when: [x], to: s0, cost: [-1]}",
+                "  goals: [G F p]",
+            ]
+        )
+        with pytest.raises(tg.DocumentError) as err:
+            tg.parse_game(text)
+        assert str(err.value) == (
+            "game: invalid arena: unknown-label: state s0 uses r; "
+            "negative-cost: (s0, x) agent a = -1"
+        )
+
     def test_labels_of_unknown_state_rejected(self):
         text = (FIXTURES / "junction.game").read_text()
         with pytest.raises(tg.DocumentError) as err:
@@ -215,6 +237,16 @@ class TestGridDocuments:
         )
         with pytest.raises(tg.DocumentError):
             tg.parse_grid(text)
+
+    def test_invalid_grid_names_every_violation(self):
+        text = "grid:\n  width: 2\n  height: 1\n  robots: [[0, 0], [0, 0]]\n"
+        text += "  action_costs: {fly: 1}\n"
+        with pytest.raises(tg.DocumentError) as err:
+            tg.parse_grid(text)
+        assert str(err.value) == (
+            "grid: invalid grid spec: robots-overlap: start cells must be "
+            "distinct; unknown-action-cost: fly"
+        )
 
 
 class TestVerdictDocuments:

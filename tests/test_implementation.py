@@ -217,6 +217,20 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="share one action-profile word"):
             tg.synthesize_eliminating_tax(game, [run, run], [])
 
+    @pytest.mark.parametrize(
+        "edge", [(0, -1, -1), (0, 1, 2), (0, 5, 0)], ids=["negative", "agent", "run"]
+    )
+    def test_edge_outside_the_runs_or_agents_raises(self, edge):
+        # unchecked, a negative index would wrap and a large one would raise
+        # IndexError
+        game = junction_game()
+        runs = [
+            tg.lasso_canonical(tg.generate_run(game.arena, alpha(game, first, 0)))
+            for first in (0, 1)
+        ]
+        with pytest.raises(ValueError, match=r"is outside 2 runs and 2 agents"):
+            tg.synthesize_eliminating_tax(game, runs, [edge])
+
 
 class TestCheckEliminable:
     def test_junction_seed_is_eliminable(self):

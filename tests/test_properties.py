@@ -6,6 +6,7 @@ draws the same examples.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -301,3 +302,62 @@ def test_machine_order_matches_recursive_enumeration():
             assert list(tg.enumerate_machines(n_actions, n_letters, 3)) == list(
                 reference_machines(n_actions, n_letters, 3)
             )
+
+
+CORRUPTIONS = (
+    "target", "initial", "sign", "arity", "label", "goal-variable", "goal-count"
+)
+
+
+@DETERMINISTIC
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from(CORRUPTIONS),
+    n_states=st.integers(1, 4),
+)
+def test_corrupted_field_is_named_at_construction(rng, kind, n_states):
+    # one field of a valid game, corrupted through replace: building the
+    # arena or the game raises a ValueError naming the cell or field
+    game = random_game(rng, n_states=n_states, max_cost=4)
+    arena = game.arena
+    s, letter = rng.randrange(arena.n_states), rng.randrange(arena.n_letters)
+    agent = rng.randrange(arena.n_agents)
+    cell = f"({arena.states[s]}, {'/'.join(arena.letter_names(letter))})"
+
+    def at_cell(table, value):
+        row = table[s][:letter] + (value,) + table[s][letter + 1 :]
+        return table[:s] + (row,) + table[s + 1 :]
+
+    vector = arena.cost[s][letter]
+    if kind == "target":
+        target = rng.choice((-1 - rng.randrange(3), arena.n_states + rng.randrange(3)))
+        build = lambda: replace(arena, transition=at_cell(arena.transition, target))
+        named = f"bad-transition-target: {cell} -> {target}"
+    elif kind == "initial":
+        initial = rng.choice((-1 - rng.randrange(3), arena.n_states + rng.randrange(3)))
+        build = lambda: replace(arena, initial=initial)
+        named = f"initial-state: index {initial} out of range"
+    elif kind == "sign":
+        value = -vector[agent] - Fraction(1, rng.randint(1, 3))
+        signed = vector[:agent] + (value,) + vector[agent + 1 :]
+        build = lambda: replace(arena, cost=at_cell(arena.cost, signed))
+        named = f"negative-cost: {cell} agent {arena.agents[agent]} = {value}"
+    elif kind == "arity":
+        short = rng.choice((vector[:1], vector + (Fraction(0),)))
+        build = lambda: replace(arena, cost=at_cell(arena.cost, short))
+        named = f"bad-cost-arity: {cell} has {len(short)} entries"
+    elif kind == "label":
+        labels = arena.labels[:s] + (arena.labels[s] | {"r"},) + arena.labels[s + 1 :]
+        build = lambda: replace(arena, labels=labels)
+        named = f"unknown-label: state {arena.states[s]} uses r"
+    elif kind == "goal-variable":
+        goals = game.goals[:agent] + (tg.parse_ltl("F r"),) + game.goals[agent + 1 :]
+        build = lambda: replace(game, goals=goals)
+        named = f"goal-variable: goal of agent {arena.agents[agent]} uses r"
+    else:
+        goals = rng.choice((game.goals[:1], game.goals + game.goals[:1]))
+        build = lambda: replace(game, goals=goals)
+        named = f"goal-count: {len(goals)} goals and 2 goal texts for 2 agents"
+    with pytest.raises(ValueError) as err:
+        build()
+    assert named in str(err.value)

@@ -132,6 +132,45 @@ class TestCheckTax:
         with pytest.raises(tg.AlphabetMismatchError, match=message):
             tg.check_tax(game.arena, tax)
 
+    @pytest.mark.parametrize(
+        "vector, shown",
+        [((Fraction(-1), Fraction(0)), "-1, 0"), ((Fraction(1),), "1")],
+        ids=["negative", "short"],
+    )
+    def test_bad_rate_vector_raises(self, vector, shown):
+        # a negative rate would break the cost-floor skip of the Nash test,
+        # and a short vector would make find_ne raise IndexError
+        game = junction_game()
+        tax = tg.lift_static(tg.StaticTax(2, ((0, 0, vector),)), 4)
+        message = rf"state 0 rates \({shown}\), want 2 non-negative entries"
+        profile = constant_profile(game.arena, [0, 0])
+        for call in (
+            lambda: tg.check_tax(game.arena, tax),
+            lambda: tg.find_ne(game, tax, 1),
+            lambda: tg.is_nash(game, profile, tax),
+        ):
+            with pytest.raises(tg.AlphabetMismatchError, match=message):
+                call()
+
+    def test_each_rate_vector_is_read_once(self):
+        vector = _CountedVector((Fraction(1), Fraction(1)))
+        cells = tuple((s, a, vector) for s in range(4) for a in range(4))
+        output = tg.StaticTax(2, cells)
+        tax = tg.DynamicTax((output, output), ((0, 1, 0, 1), (1, 0, 1, 0)))
+        _CountedVector.reads = 0
+        tg.check_tax(junction_game().arena, tax)
+        assert _CountedVector.reads == 1
+
+
+class _CountedVector(tuple):
+    """A rate vector that counts the checks that read its length."""
+
+    reads = 0
+
+    def __len__(self) -> int:
+        _CountedVector.reads += 1
+        return super().__len__()
+
 
 class TestDynamicTax:
     def test_lift_static_single_state(self):
