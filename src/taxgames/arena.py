@@ -110,6 +110,11 @@ class Arena:
             issues.insert(0, f"initial-state: index {self.initial} out of range")
         if len(self.labels) != n_states:
             issues.append(f"bad-shape: {len(self.labels)} label sets, want {n_states}")
+        if len(self.actions) != len(self.agents):
+            issues.append(
+                f"bad-shape: {len(self.actions)} action lists "
+                f"for {len(self.agents)} agents"
+            )
         # one set test per row finds a None cell or a target out of range
         targets = frozenset(range(n_states))
         rows = _distinct(self.transition)
@@ -423,25 +428,31 @@ class GridSpec:
     action_costs: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        def inside(cell: tuple[int, int]) -> bool:
-            x, y = cell
-            return 0 <= x < self.width and 0 <= y < self.height
+        def placed(cell: object, named: str, outside: str) -> bool:
+            """Whether the cell is an (x, y) pair of integers; one that is
+            not, or that lies off the grid, is named."""
+            if type(cell) is not tuple or len(cell) != 2 or {*map(type, cell)} != {int}:
+                issues.append(f"bad-cell: {named} is {cell!r}, not a pair of integers")
+                return False
+            if not (0 <= cell[0] < self.width and 0 <= cell[1] < self.height):
+                issues.append(outside)
+            return True
 
         issues = []
         if self.width < 1 or self.height < 1:
             issues.append(f"bad-dimensions: {self.width}x{self.height}")
         if not self.robots:
             issues.append("no-robots: at least one robot required")
-        for i, cell in enumerate(self.robots):
-            if not inside(cell):
-                issues.append(f"robot-out-of-bounds: robot {i} at {cell}")
-        if len(set(self.robots)) != len(self.robots):
+        robots = [
+            cell for i, cell in enumerate(self.robots)
+            if placed(cell, f"robot {i}", f"robot-out-of-bounds: robot {i} at {cell}")
+        ]
+        if len(set(robots)) != len(robots):
             issues.append("robots-overlap: start cells must be distinct")
         for j, cell in enumerate(self.apples):
-            if not inside(cell):
-                issues.append(f"apple-out-of-bounds: apple {j} at {cell}")
-        if self.basket is not None and not inside(self.basket):
-            issues.append(f"basket-out-of-bounds: {self.basket}")
+            placed(cell, f"apple {j}", f"apple-out-of-bounds: apple {j} at {cell}")
+        if self.basket is not None:
+            placed(self.basket, "basket", f"basket-out-of-bounds: {self.basket}")
         if self.apples and self.basket is None:
             issues.append("basket-missing: apples need a basket cell")
         for action, value in self.action_costs:

@@ -11,17 +11,16 @@ that hashes no formula node (`_compile`).  The walk runs once per formula
 object, whose node keeps the immutable program for every later call.
 Evaluation is exact on ultimately periodic words (a finite prefix followed
 by a repeated cycle of label sets): each row becomes an int bitset over the
-word's positions.  The Buchi translation is the declarative tableau
-construction: states are maximal consistent assignments over the rows, and
-the acceptance is generalized, one set per until node, so no counter
-multiplies the states.
+word's positions.  The Buchi translation builds only the states that the
+rows' obligations reach, each from a minimal way to meet them, and its
+acceptance is generalized, one set per until row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
-from typing import Iterable, NamedTuple
+from functools import cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceLimitError, TaxgamesError
 
@@ -455,113 +454,114 @@ def to_buchi(
     vocabulary: Iterable[str] | None = None,
     state_cap: int = 1 << 20,
 ) -> BuchiAutomaton:
-    """Tableau translation of a core formula.
+    """On-the-fly translation (Gerth, Peled, Vardi & Wolper, PSTV 1995).
 
-    States are the maximal consistent truth assignments over the closure of
-    the formula; the free choices are the variable values, the next-node
-    values, and the until-node values where the expansion law leaves a
-    choice.  Only the assignments reachable from the initial ones become
-    states.  Each until node gives one acceptance set, the states where it
-    is not pending, which enforces its eventuality; a formula without until
-    nodes gets the one set of all non-sink states, since a run that meets
-    no set would otherwise accept the sink's self-loop.
+    An obligation is a row that must hold, or fail, at a position; its
+    covers are the minimal ways to meet it there.  A state is an atom (an
+    exact set of true variables) that a minimal cover of what its
+    predecessor left allows, and that cover's tail: the obligations it
+    leaves and the until rows it puts off.  Of two states with one atom, one
+    whose tail is a subset of the other's accepts every word the other does,
+    so only it is kept.  Until row r's acceptance set holds the states that
+    do not put r off; with no until row, one set holds every non-sink state.
+    state_cap bounds the work: each cover, subset test, atom, edge and
+    acceptance entry counts one, and a cover one more per kilobyte.
     """
     rows = _compile(formula).rows
-    free = [
-        i for kind in (_VAR, _NEXT, _UNTIL) for i, row in enumerate(rows)
-        if row[0] == kind
-    ]
-    names = [(rows[i][1], i) for i in free if rows[i][0] == _VAR]
-    if vocabulary is not None:
-        missing = {name for name, _ in names} - frozenset(vocabulary)
-        if missing:
-            raise UnknownVariableError(
-                "formula variables outside vocabulary: " + ", ".join(sorted(missing))
-            )
-    if 2 ** len(free) > state_cap:
-        raise ResourceLimitError(
-            f"tableau would enumerate 2^{len(free)} assignments, cap is {state_cap}"
-        )
-    slot = {i: k for k, i in enumerate(free)}
-    next_pairs = [(i, rows[i][1]) for i in free if rows[i][0] == _NEXT]
-    until_triples = [(i, *rows[i][1:]) for i in free if rows[i][0] == _UNTIL]
+    names = sorted({row[1] for row in rows if row[0] == _VAR})
+    if missing := set(names).difference(names if vocabulary is None else vocabulary):
+        listed = ", ".join(sorted(missing))
+        raise UnknownVariableError(f"formula variables outside vocabulary: {listed}")
+    # a cover is an int: bit j (n + j) holds (fails) variable j; in its tail,
+    # from bit 2n, 2r + 1 (2r) holds (fails) row r next, width + r puts r off
+    n, width, spent = len(names), 2 * len(rows), [0]
+    full, needs_mask = (1 << n) - 1, (1 << width) - 1
 
-    # Enumerate consistent assignments.  An until bit must match the value
-    # its expansion law forces, so each assignment appears once.
-    assignments: list[tuple[bool, ...]] = []
-    for bits in _iterproduct((False, True), repeat=len(free)):
-        values: list[bool] = []
-        for i, row in enumerate(rows):
-            kind = row[0]
+    def charge(count: int) -> None:
+        spent[0] += count
+        if spent[0] > state_cap:
+            raise ResourceLimitError(f"goal automaton exceeds cap {state_cap}")
+
+    def minimal(candidates: Iterable[int], kept: Sequence[int] = ()) -> Sequence[int]:
+        # kept holds no subset of another; a candidate joins it unless one of
+        # them is a subset of it, and drops the ones it is a subset of
+        for c in candidates:
+            charge(1 + len(kept) + c.bit_length() // 8192)
+            if all(k & c != k for k in kept):
+                kept = [k for k in kept if k & c != c] + [c]
+        return kept
+
+    def merge(left: Sequence[int], right: Sequence[int]) -> Sequence[int]:
+        charge(len(left) * len(right))
+        pairs = (a | b for a in left for b in right)
+        return minimal(c for c in pairs if not c & c >> n & full)
+
+    raised = [0] * (len(rows) - 1) + [2]  # bit 1 (0): some obligation holds (fails) it
+    for r in reversed(range(len(rows))):
+        kind, *children = rows[r]
+        for child in children if kind != _VAR else ():
+            raised[child] |= (0, 2, 1, 3)[raised[r]] if kind == _NOT else raised[r]
+    covers: list[Sequence[int]] = [()] * width
+    for r, (kind, *args) in enumerate(rows):
+        for sign in (sign for sign in (0, 1) if raised[r] >> sign & 1):
             if kind == _TRUE:
-                value = True
+                found = [0] * sign
+            elif kind == _VAR:
+                found = [1 << names.index(args[0]) + n - n * sign]
             elif kind == _NOT:
-                value = not values[row[1]]
-            elif kind == _OR:
-                value = values[row[1]] or values[row[2]]
-            else:
-                value = bits[slot[i]]
-                if kind == _UNTIL and value != (
-                    values[row[2]] or values[row[1]] and value
-                ):
-                    break
-            values.append(value)
-        else:
-            assignments.append(tuple(values))
+                found = covers[2 * args[0] + 1 - sign]
+            elif kind == _NEXT:
+                found = [1 << 2 * n + 2 * args[0] + sign]
+            else:  # a U b holds as b or as a, a U b next; fails as !b, !a or fail next
+                a, b = covers[2 * args[0] + sign], covers[2 * args[1] + sign]
+                later = 1 << 2 * n + 2 * r + sign
+                if kind == _OR:
+                    found = minimal(b, a) if sign else merge(a, b)
+                elif sign:
+                    found = minimal(merge(a, [later | 1 << 2 * n + width + r]), b)
+                else:
+                    found = merge(b, minimal([later], a))
+            covers[2 * r + sign] = found
 
-    def step_allowed(a: tuple[bool, ...], b: tuple[bool, ...]) -> bool:
-        for node, operand in next_pairs:
-            if a[node] != b[operand]:
-                return False
-        for node, left, right in until_triples:
-            if a[left] and not a[right] and a[node] != b[node]:
-                return False
-        return True
+    states, number = [], {}  # (atom, tail) pairs and their numbers
 
-    tableau_edges: list[list[int]] = [
-        [j for j, b in enumerate(assignments) if step_allowed(a, b)]
-        for a in assignments
-    ]
+    @cache
+    def meet(needs: int) -> tuple[int, ...]:
+        """The states that meet obligations `needs`, numbered when first met."""
+        met, tails, out = [0], {}, []
+        while needs:  # merge the covers of each obligation, lowest bit first
+            met = merge(met, covers[(needs & -needs).bit_length() - 1])
+            needs &= needs - 1
+        for c in met:
+            sub = free = full & ~(c | c >> n)
+            charge(1 << free.bit_count())
+            while sub >= 0:  # every atom from c's true variables up to free
+                tails.setdefault(c & full | sub, []).append(c >> 2 * n)
+                sub = sub - 1 & free if sub else -1
+        for state in [(a, t) for a, group in tails.items() for t in minimal(group)]:
+            if state not in number:
+                number[state] = len(states)
+                states.append(state)
+            out.append(number[state])
+        return tuple(out)
 
-    if len(assignments) + 1 > state_cap:
-        raise ResourceLimitError(
-            f"automaton would have {len(assignments) + 1} states, "
-            f"cap is {state_cap}"
-        )
-
-    # Number the assignments reachable from the initial ones, which are
-    # those where the formula, the last row of the postorder closure, holds.
-    root = len(rows) - 1
-    starts = [i for i, a in enumerate(assignments) if a[root]]
-    order = list(starts)
-    numbering = {i: idx for idx, i in enumerate(order)}
-    for i in order:  # order grows while it is walked
-        for j in tableau_edges[i]:
-            if j not in numbering:
-                numbering[j] = len(order)
-                order.append(j)
-
-    # One acceptance set per until node: states where the until is not
-    # pending (false, or already discharged by its right operand).
-    acceptance = tuple(
-        frozenset(
-            idx for idx, i in enumerate(order)
-            if not assignments[i][node] or assignments[i][right]
-        )
-        for node, _, right in until_triples
-    ) or (frozenset(range(len(order))),)
-
-    sink = len(order)
-    atoms = [
-        frozenset(name for name, node in names if assignments[i][node])
-        for i in order
-    ]
-    edges = [tuple(numbering[j] for j in tableau_edges[i]) for i in order]
+    initial, edges = meet(1 << width - 1), []  # initial states hold the root
+    for _, tail in states:  # states grows while it is walked, breadth first
+        edges.append(meet(tail & needs_mask))
+        charge(len(edges[-1]))
+    sink = len(states)
+    charge(sink * sum(row[0] == _UNTIL for row in rows))
     return BuchiAutomaton(
-        constrained=frozenset(name for name, _ in names),
-        atoms=(*atoms, frozenset()),
+        constrained=frozenset(names),
+        atoms=tuple(
+            frozenset(v for j, v in enumerate(names) if a >> j & 1) for a, _ in states
+        ) + (frozenset(),),
         edges=(*edges, (sink,)),
-        initial=tuple(range(len(starts))),
-        acceptance=acceptance,
+        initial=initial,
+        acceptance=tuple(
+            frozenset(i for i, (_, t) in enumerate(states) if not t >> width + r & 1)
+            for r, row in enumerate(rows)
+            if row[0] == _UNTIL
+        ) or (frozenset(range(sink)),),
         sink=sink,
     )

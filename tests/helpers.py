@@ -161,12 +161,14 @@ def oracle_eval(formula: tg.Formula, trace: tg.LabelTrace) -> bool:
 
 
 def reference_to_buchi(formula: tg.Formula) -> tg.BuchiAutomaton:
-    """The tableau translation with a round-robin counter over the until
-    nodes, as `to_buchi` built it before its acceptance was generalized.
+    """The declarative tableau translation with a round-robin counter over
+    the until nodes: a construction independent of `to_buchi`'s on-the-fly
+    one, which enumerates every truth assignment over the variable, next
+    and until rows.
 
     States are (assignment, round) pairs reachable from the initial ones,
     and the one acceptance set holds the round-0 states whose assignment is
-    in the first until node's set.  Same tableau as `to_buchi`, no caps.
+    in the first until node's set.  No caps.
     """
     rows = _compile(formula).rows
     free = [

@@ -318,8 +318,8 @@ class TestAcceptance:
         assert time.monotonic() - start < 120.0
 
     def test_automata_pinned(self):
-        """reference_to_buchi keeps the automata to_buchi built with its
-        round-robin counter, and to_buchi keeps its generalized automata:
+        """reference_to_buchi keeps the tableau automata with their
+        round-robin counter, and to_buchi keeps its on-the-fly automata:
         same states, numbering and acceptance."""
         vocabulary = ("p", "q")
 
@@ -346,7 +346,7 @@ class TestAcceptance:
         assert digest(
             lambda f: tg.to_buchi(f, vocabulary),
             lambda sets: [sorted(marks) for marks in sets],
-        ) == "1f2a6103d9dfdfe2413bcaa494c35c1757b46f0545b9215f970a5fb4ae6c0709"
+        ) == "47e1737fc57496fb8bc71a7086049e48e8b7373c9c5ca34fdf39c3df6226fcca"
 
     def test_synthesized_taxes_eliminate_planted_targets(self):
         """Synthesis prices out planted targets and spares other runs."""

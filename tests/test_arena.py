@@ -410,6 +410,17 @@ class TestGridSpecDiagnostics:
             "negative-action-cost: up = -1"
         )
 
+    def test_cells_are_integer_pairs(self):
+        assert self.rejected(
+            width=2, height=1, robots=((0.5, 0), (0, 0, 0)), apples=((True, 0),),
+            basket=[1, 0],
+        ) == (
+            "invalid grid spec: bad-cell: robot 0 is (0.5, 0), not a pair of integers; "
+            "bad-cell: robot 1 is (0, 0, 0), not a pair of integers; "
+            "bad-cell: apple 0 is (True, 0), not a pair of integers; "
+            "bad-cell: basket is [1, 0], not a pair of integers"
+        )
+
     def test_bad_dimensions(self):
         assert self.rejected(width=0, height=1, robots=((0, 0),)) == (
             "invalid grid spec: bad-dimensions: 0x1; "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import taxgames as tg
@@ -143,13 +145,17 @@ class TestDeepFormulas:
         text, _, shallow = DEEP[shape]
         arena = junction_game().arena
         deep = tg.make_game(arena, [text, "G F p"])
-        if shape in ("next", "until"):
-            # every X and U node is a free tableau bit
-            with pytest.raises(tg.ResourceLimitError):
-                tg.find_ne(deep, None, 1)
+        # every junction run is in the unlabelled s0 at each even position,
+        # so X^10000 p holds on no run, as p does not
+        shallow_game = tg.make_game(arena, [shallow or "p", "G F p"])
+        start = time.monotonic()
+        try:
+            answer = tg.find_ne(deep, None, 1)
+        except tg.ResourceLimitError:
+            # a 10,000-deep until chain may stop at the automaton cap, fast
+            assert shape == "until" and time.monotonic() - start < 5.0
         else:
-            shallow_game = tg.make_game(arena, [shallow, "G F p"])
-            assert tg.find_ne(deep, None, 1) == tg.find_ne(shallow_game, None, 1)
+            assert answer == tg.find_ne(shallow_game, None, 1)
 
 
 class TestCompile:
@@ -278,6 +284,23 @@ class TestEvalOnLasso:
 
 
 class TestBuchi:
+    @pytest.mark.parametrize(
+        "deep, shallow",
+        [
+            # junction is in s0, unlabelled, at every even position
+            ("X " * 600 + "p", "p"),
+            ("X " * 601 + "p", "X p"),
+            (" U ".join(["p"] * 601), "p"),
+        ],
+        ids=["next-600", "next-601", "until-600"],
+    )
+    def test_deep_goals_answer_on_junction(self, deep, shallow):
+        arena = junction_game().arena
+        start = time.monotonic()
+        answer = tg.find_ne(tg.make_game(arena, [deep, "G F p"]), None, 1)
+        assert time.monotonic() - start < 1.0
+        assert answer == tg.find_ne(tg.make_game(arena, [shallow, "G F p"]), None, 1)
+
     def test_simple_formula_accepts_matching_lasso(self):
         auto = tg.to_buchi(tg.parse_ltl("G F p"), vocabulary=("p",))
         assert buchi_accepts_lasso(auto, trace([], [{"p"}]))

@@ -21,8 +21,10 @@ from taxgames.equilibrium import _component_means, _Responses  # noqa: E402
 
 from helpers import (  # noqa: E402
     RESPONSE_GOALS,
+    buchi_accepts_lasso,
     left_nested_or,
     min_mean_cycle,
+    oracle_eval,
     random_game,
     rational_game,
     rational_tax,
@@ -42,14 +44,18 @@ DETERMINISTIC = settings(
 
 
 # goals whose automata keep two and four acceptance sets, so product
-# vertices carry multi-bit acceptance masks
+# vertices carry multi-bit acceptance masks, and a goal whose automaton
+# states pass obligations on through X rows
 MULTI_SET_GOALS = ("(G F p) & (G F q)", "(G F p) & (G F q) & (F G p)")
+NEXT_GOALS = ("X X X p",)
 
 
 @DETERMINISTIC
 @given(
     rng=st.randoms(use_true_random=False),
-    goals=st.tuples(*[st.sampled_from(RESPONSE_GOALS + MULTI_SET_GOALS)] * 2),
+    goals=st.tuples(
+        *[st.sampled_from(RESPONSE_GOALS + MULTI_SET_GOALS + NEXT_GOALS)] * 2
+    ),
     n_states=st.integers(1, 3),
     memory=st.integers(1, 2),
     taxed=st.booleans(),
@@ -296,6 +302,23 @@ def test_equality_and_hash_are_structural(f, g):
     assert copy == left_nested_or(f) and hash(copy) == hash(left_nested_or(f))
 
 
+letters = st.frozensets(st.sampled_from(("p", "q")))
+lassos = st.builds(
+    tg.LabelTrace,
+    prefix=st.lists(letters, max_size=3).map(tuple),
+    cycle=st.lists(letters, min_size=1, max_size=3).map(tuple),
+)
+
+
+@DETERMINISTIC
+@given(formulas, st.lists(lassos, min_size=1, max_size=4))
+def test_automaton_and_evaluation_agree_on_lassos(f, traces):
+    automaton = tg.to_buchi(f, ("p", "q"))
+    for t in traces:
+        assert buchi_accepts_lasso(automaton, t) == oracle_eval(f, t)
+        assert oracle_eval(f, t) == tg.eval_on_lasso(f, t)
+
+
 def test_machine_order_matches_recursive_enumeration():
     for n_actions in (1, 2, 3):
         for n_letters in (1, 2, 3):
@@ -305,7 +328,14 @@ def test_machine_order_matches_recursive_enumeration():
 
 
 CORRUPTIONS = (
-    "target", "initial", "sign", "arity", "label", "goal-variable", "goal-count"
+    "target",
+    "initial",
+    "sign",
+    "arity",
+    "label",
+    "actions",
+    "goal-variable",
+    "goal-count",
 )
 
 
@@ -350,6 +380,10 @@ def test_corrupted_field_is_named_at_construction(rng, kind, n_states):
         labels = arena.labels[:s] + (arena.labels[s] | {"r"},) + arena.labels[s + 1 :]
         build = lambda: replace(arena, labels=labels)
         named = f"unknown-label: state {arena.states[s]} uses r"
+    elif kind == "actions":
+        actions = rng.choice((arena.actions[:1], arena.actions + (("x",),)))
+        build = lambda: replace(arena, actions=actions)
+        named = f"bad-shape: {len(actions)} action lists for 2 agents"
     elif kind == "goal-variable":
         goals = game.goals[:agent] + (tg.parse_ltl("F r"),) + game.goals[agent + 1 :]
         build = lambda: replace(game, goals=goals)
