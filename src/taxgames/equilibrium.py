@@ -39,27 +39,25 @@ the same step-cost table the product graphs read; the Nash test compares
 it with the memoised best responses by cross-multiplication.  Fractions
 are built only for values that leave the library (evaluate, taxed_cost,
 best_response).  An agent that wins its goal while its run costs its
-cheapest untaxed step needs no product graph: taxes are non-negative, so
-no deviation can cost it less.
+cheapest untaxed step needs no row and no product graph: taxes are
+non-negative, so no deviation can cost it less.
 
 Sweeps play profiles through a run-class table (_Plays) owned by the
 sweep or driver call: each bounded profile is played once per call, and
 each distinct canonical run is labelled and has its goals decided once.
 
-Row refutation.  One strictly better deviation refutes a profile, and a
-table that has played every bounded profile holds many.  For agent i, a
-profile's row is the profiles that differ from it only in agent i's
-machine.  On a complete table the Nash test first reads each agent's row:
-the best value in it, from the goal winners of the table and the integer
-run cost of each run class, summed once per class under the memo's (game,
-tax).  A row whose best strictly beats the agent's own value refutes the
-profile with no product graph.  This is exact: a bounded machine is a
-deviation, and the exact best response is at least as good as it, so the
-exact test would refute the profile too.  Only bounded equilibria reach
-the product graphs.  Rows are read only from a complete table: find_ne
-and a_nash_implement walk the whole table anyway and complete it first,
-while the lazy sweep of e_nash_implement stops at its witness and plays
-nothing ahead of it.
+Row refutation.  One strictly better deviation refutes a profile.  For
+agent i, a profile's row is the profiles that differ from it only in
+agent i's machine.  Whenever the profile has an index in the table, the
+Nash test first reads the row of each agent that does not win at its
+cost floor: the best value in it, from the goal winners of the table and
+the integer run cost of each run class, summed once per class under the
+memo's (game, tax).  A row's profiles are played on its first read, so
+every row read is whole.  A row whose best strictly beats the agent's
+own value refutes the profile with no product graph.  This is exact: a
+bounded machine is a deviation, and the exact best response is at least
+as good as it, so the exact test would refute the profile too.  Only
+bounded equilibria reach the product graphs.
 """
 
 from __future__ import annotations
@@ -75,7 +73,14 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphs import strongly_connected_components
 from .arena import Game, _check_agent
-from .ltl import Formula, LabelTrace, eval_on_lasso, to_buchi
+from .ltl import (
+    Formula,
+    LabelTrace,
+    UnknownVariableError,
+    eval_on_lasso,
+    to_buchi,
+    variables,
+)
 from .strategy import (
     LassoRun,
     Profile,
@@ -148,6 +153,9 @@ class _Verdicts(dict):
         return verdict
 
 
+_UNPLAYED = 0xFFFFFFFF
+
+
 class _Plays:
     """What each profile of a game plays, tabled for one sweep or driver
     call: the call that creates it owns it, so it lives no longer than the
@@ -163,19 +171,16 @@ class _Plays:
     and verdicts(formula)[k] says whether the run satisfies a formula,
     decided once per formula and class, for every sweep that reads it.
 
-    walk() yields each profile of the bounded universes with its class, in
-    enumeration order, and plays each profile once however many sweeps
-    walk it: rows[index] is the class of the profile at that index, for
-    every profile walked so far.  fill() plays every bounded profile not
-    played yet; a table is complete once it has played them all (see Row
-    refutation in the module docstring).  An index is mixed radix over the
-    profile's machine ids, the positions of its machines in the numbered
-    universes, with the last agent's digit lowest, and row(agent, index)
-    gives the indices of the agent's row there.  class_of looks up any
-    profile that fits the game: by index once the walk has passed it, and
-    otherwise by the profile itself, played on first sight; a table that
-    is never walked numbers no universe.  memory_bound and cap size the
-    walk, and a cap of None numbers the universes without a cap check.
+    numbered() numbers the bounded universes, cap-checked against
+    memory_bound and cap (a cap of None checks nothing), and gives each
+    bounded profile an entry of rows, _UNPLAYED until the profile is
+    played.  An index is mixed radix over the profile's machine ids, the
+    positions of its machines in the numbered universes, with the last
+    agent's digit lowest, and row(agent, index) gives the indices of the
+    agent's row there.  class_at plays a profile on its first read and
+    row_classes a row's unplayed profiles, so each profile is played once
+    per table; a profile without an index, outside the universes or on a
+    table never numbered, is looked up by the profile itself.
     """
 
     def __init__(
@@ -193,7 +198,6 @@ class _Plays:
         # and an agent's id counts strides[i] in a profile's index
         self.ids: list[dict[StrategyMachine, int]] = []
         self.strides: list[int] = []
-        self.size = 0
         self._class_of_run: dict[LassoRun, int] = {}
         self._class_of_profile: dict[Profile, int] = {}
         self._verdicts: dict[Formula, _Verdicts] = {}
@@ -211,30 +215,9 @@ class _Plays:
                 self.strides.append(stride)
                 stride *= len(machines)
             self.strides.reverse()
-            self.size = stride
+            self.rows = array("I", [_UNPLAYED]) * stride
             self.universes = universes
         return self.universes
-
-    @property
-    def complete(self) -> bool:
-        """Whether every bounded profile has been played."""
-        return self.universes is not None and len(self.rows) == self.size
-
-    def fill(self) -> None:
-        """Play every bounded profile not played yet, in enumeration
-        order, so that the table is complete."""
-        for _ in self.walk():
-            pass
-
-    def walk(self) -> Iterator[tuple[Profile, int]]:
-        """(profile, class) of every bounded profile, lazily, in
-        enumeration order; the cap is checked on the first item."""
-        rows = self.rows
-        for index, machines in enumerate(product(*self.numbered())):
-            profile = Profile(machines)
-            if index == len(rows):
-                rows.append(self._intern(profile))
-            yield profile, rows[index]
 
     def position(self, profile: Profile) -> int | None:
         """The profile's index, or None when the universes are not
@@ -256,22 +239,41 @@ class _Plays:
         base = index - index // stride % n * stride
         return range(base, base + n * stride, stride)
 
+    def row_classes(self, agent: int, row: range, profile: Profile) -> array:
+        """The classes of the agent's row of the profile, one per machine
+        id, playing each profile of the row not played yet."""
+        rows = self.rows
+        if _UNPLAYED in rows[row.start : row.stop : row.step]:
+            for index, machine in zip(row, self.universes[agent]):
+                if rows[index] == _UNPLAYED:
+                    rows[index] = self._intern(profile.replace(agent, machine))
+        return rows[row.start : row.stop : row.step]
+
     def class_at(self, index: int | None, profile: Profile) -> int:
-        """The class of a profile that fits the game; index is the
-        profile's index, or None when position finds none."""
-        if index is not None and index < len(self.rows):
-            return self.rows[index]
-        found = self._class_of_profile.get(profile)
-        if found is None:
-            found = self._class_of_profile[profile] = self._intern(profile)
+        """The class of a profile that fits the game, played on first
+        read; index is the profile's index, or None when position finds
+        none."""
+        if index is None:
+            found = self._class_of_profile.get(profile)
+            if found is None:
+                found = self._class_of_profile[profile] = self._intern(profile)
+        else:
+            found = self.rows[index]
+            if found == _UNPLAYED:
+                found = self.rows[index] = self._intern(profile)
         return found
 
     def class_of(self, profile: Profile) -> int:
         return self.class_at(self.position(profile), profile)
 
     def verdicts(self, formula: Formula) -> _Verdicts:
+        """Whether each class satisfies the formula, which may use only the
+        arena's variables; raises UnknownVariableError naming the others."""
         found = self._verdicts.get(formula)
         if found is None:
+            if stray := variables(formula).difference(self.game.arena.vocabulary):
+                listed = ", ".join(sorted(stray))
+                raise UnknownVariableError(f"variables outside vocabulary: {listed}")
             found = self._verdicts[formula] = _Verdicts(formula, self.traces)
         return found
 
@@ -282,34 +284,24 @@ class _Plays:
         found = self._class_of_run.get(run)
         if found is None:
             found = self._class_of_run[run] = len(self.runs)
-            trace, winners = _decide(self.game, run)
+            trace = _label_trace(self.game.arena, run)
+            met = [eval_on_lasso(goal, trace) for goal in self.game.goals]
             self.runs.append(run)
             self.traces.append(trace)
-            self.winners.append(winners)
+            self.winners.append(frozenset(i for i, won in enumerate(met) if won))
         return found
-
-
-def _decide(game: Game, run: LassoRun) -> tuple[LabelTrace, frozenset[int]]:
-    """A run's label trace and the agents whose goals it satisfies."""
-    trace = _label_trace(game.arena, run)
-    return trace, frozenset(
-        i for i, goal in enumerate(game.goals) if eval_on_lasso(goal, trace)
-    )
-
-
-def _play(game: Game, profile: Profile) -> tuple[LassoRun, LabelTrace, frozenset[int]]:
-    """Canonical run, label trace and goal winners of one profile that fits
-    the game, played on no table: a one-off check reads it once."""
-    run = lasso_canonical(_generate_run(game.arena, profile))
-    return (run, *_decide(game, run))
 
 
 def evaluate(game: Game, profile: Profile, tax: DynamicTax | None = None) -> Outcome:
     check_profile(game.arena, profile)
     responses = _Responses(game, tax)
-    run, trace, winners = _play(game, profile)
+    plays = _Plays(game)
+    k = plays.class_of(profile)
     return Outcome(
-        run=run, winners=winners, costs=responses.mean_costs(run), trace=trace
+        run=plays.runs[k],
+        winners=plays.winners[k],
+        costs=responses.mean_costs(plays.runs[k]),
+        trace=plays.traces[k],
     )
 
 
@@ -569,9 +561,9 @@ class _Responses:
     machines): a response reads nothing else of the profile.  run_costs
     sums a run's steps from the same table, and mean_costs turns those
     sums into the Fraction costs that evaluate and taxed_cost return.
-    row_best reads the rows of one complete run-class table: each run
-    class is summed once, and each row's best value is kept per (agent,
-    row); a memo that is handed another table forgets the first one's.
+    row_best reads the rows of one run-class table: each run class is
+    summed once, and each row's best value is kept per (agent, row); a
+    memo that is handed another table forgets the first one's.
     floors[i] is agent i's cheapest untaxed step cost over scale.  The
     arena is valid (see Arena) and the tax is checked against it here, so
     every cell a graph or run reaches has a successor, a cost and a tax
@@ -689,15 +681,17 @@ class _Responses:
             )
         return found
 
-    def row_best(self, plays: _Plays, agent: int, index: int) -> tuple[bool, int, int]:
+    def row_best(
+        self, plays: _Plays, agent: int, index: int, profile: Profile
+    ) -> tuple[bool, int, int]:
         """The agent's best value, as (goal met, total, length) over the
-        run's cycle, among the profiles of plays, a complete table, in the
-        agent's row of the profile at index."""
+        run's cycle, among the profiles of plays in the agent's row of the
+        profile, whose index is given."""
         self._read(plays)
         row = plays.row(agent, index)
         found = self._row_values.get((agent, row.start))
         if found is None:
-            for k in set(plays.rows[row.start : row.stop : row.step]):
+            for k in set(plays.row_classes(agent, row, profile)):
                 value = self.class_values(plays, k)[agent]
                 if found is None or _beats(value, found):
                     found = value
@@ -882,35 +876,31 @@ def best_response(
 
 def _no_agent_improves(
     responses: _Responses,
+    plays: _Plays,
     profile: Profile,
-    run: LassoRun,
-    winners: frozenset[int],
-    plays: _Plays | None = None,
+    k: int,
     index: int | None = None,
 ) -> bool:
     """Whether no agent's best response strictly beats its value on the
-    profile's run, whose goal winners are given; stops at the first agent
-    that improves.
-
-    When plays is a complete run-class table and index the profile's
-    index in it, every agent's row is read first (see Row refutation in
-    the module docstring).  In the exact test an agent that wins its goal
-    at its cost floor is skipped without a product graph."""
-    if plays is not None and index is not None and plays.complete:
-        values = responses.class_values(plays, plays.rows[index])
-        row_best = responses.row_best
-        for agent, value in enumerate(values):
-            if _beats(row_best(plays, agent, index), value):
-                return False
-    else:
-        totals, length = responses.run_costs(run)
-        values = [(i in winners, total, length) for i, total in enumerate(totals)]
+    profile's run, of class k of plays; stops at the first agent that
+    improves.  An agent that wins its goal at its cost floor cannot
+    improve, so it is skipped; when the profile's index is given, the
+    rows of the others are read first (see Row refutation in the module
+    docstring)."""
+    values = responses.class_values(plays, k)
     floors = responses.floors
-    for agent, value in enumerate(values):
-        met, total, length = value
-        if met and total == floors[agent] * length:
-            continue
-        if _beats(responses.value(profile, agent), value):
+    agents = [
+        agent
+        for agent, (met, total, length) in enumerate(values)
+        if not (met and total == floors[agent] * length)
+    ]
+    if index is not None:
+        row_best = responses.row_best
+        for agent in agents:
+            if _beats(row_best(plays, agent, index, profile), values[agent]):
+                return False
+    for agent in agents:
+        if _beats(responses.value(profile, agent), values[agent]):
             return False
     return True
 
@@ -920,24 +910,26 @@ def is_nash(
 ) -> bool:
     """Exact Nash membership: no agent has any strictly improving strategy."""
     check_profile(game.arena, profile)
-    run, _, winners = _play(game, profile)
-    return _no_agent_improves(_Responses(game, tax), profile, run, winners)
+    plays = _Plays(game)
+    k = plays.class_of(profile)
+    return _no_agent_improves(_Responses(game, tax), plays, profile, k)
 
 
 def _nash_sweep(
     responses: _Responses, plays: _Plays, objective: Formula | None = None
 ) -> Iterator[Profile]:
     """Lazily, in enumeration order, each bounded canonical profile of the
-    table's walk that is an exact Nash equilibrium of the responses' game
-    under their tax.  The objective, when given, filters runs before any
-    best response is computed, decided once per run class on the table.
-    The sweep plays nothing ahead of its walk."""
-    runs, winners = plays.runs, plays.winners
+    table that is an exact Nash equilibrium of the responses' game under
+    their tax.  The objective, when given, filters runs before any best
+    response is computed, decided once per run class on the table.  Each
+    profile is played when the sweep or a row read first reaches it."""
     satisfied = plays.verdicts(objective) if objective is not None else None
-    for index, (profile, k) in enumerate(plays.walk()):
+    for index, machines in enumerate(product(*plays.numbered())):
+        profile = Profile(machines)
+        k = plays.class_at(index, profile)
         if satisfied is not None and not satisfied[k]:
             continue
-        if _no_agent_improves(responses, profile, runs[k], winners[k], plays, index):
+        if _no_agent_improves(responses, plays, profile, k, index):
             yield profile
 
 
@@ -956,6 +948,4 @@ def find_ne(
     Results keep enumeration order.
     """
     responses = _Responses(game, tax)  # checks the tax before any play
-    plays = _Plays(game, memory_bound, cap)
-    plays.fill()
-    return list(_nash_sweep(responses, plays, objective))
+    return list(_nash_sweep(responses, _Plays(game, memory_bound, cap), objective))

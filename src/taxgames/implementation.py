@@ -55,6 +55,7 @@ from .strategy import (
     LassoRun,
     Profile,
     StrategyMachine,
+    _universes,
     canonicalize_machine,
     check_profile,
 )
@@ -72,7 +73,6 @@ from .equilibrium import (
     _beats,
     _nash_sweep,
     _no_agent_improves,
-    _play,
     _Plays,
     _Responses,
 )
@@ -92,19 +92,17 @@ def initial_deviation(
     deviated = profile.replace(agent, alt)
     check_profile(game.arena, profile)
     check_profile(game.arena, deviated)
-    run, _, source = _play(game, profile)
-    other, _, target = _play(game, deviated)
-    return _edge_ok(agent, run == other, source, target)
+    plays = _Plays(game)
+    return _edge_ok(plays, agent, plays.class_of(profile), plays.class_of(deviated))
 
 
-def _edge_ok(
-    agent: int, same_run: bool, source: frozenset[int], target: frozenset[int]
-) -> bool:
-    """Whether the agent's switch from one profile to another is an
-    initial deviation: same_run tells whether their runs are equal, and
-    source and target are their goal winners.  On a run-class table, runs
-    are equal exactly when their classes are."""
-    return not same_run and (agent not in source or agent in target)
+def _edge_ok(plays: _Plays, agent: int, source: int, target: int) -> bool:
+    """Whether the agent's switch from a profile of class source of plays
+    to one of class target is an initial deviation: the run changes, and
+    the agent keeps winning if it was winning."""
+    if source == target:
+        return False
+    return agent not in plays.winners[source] or agent in plays.winners[target]
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +259,23 @@ def check_eliminable(
     (see _Plays.row).  A candidate picks one option per target (more edges
     only add cycles and surcharges, so one per target is complete).  It
     fails if its class edges close a single-agent cycle, or if the tax
-    synthesized for them leaves an edge not strict or a target Nash (read
-    from rows on a complete table).  Returns the first tax that holds, or
-    None; raises SearchLimitError when the search budget runs out, and
-    ResourceLimitError when targets times the machines of every universe
-    exceed cap.
+    synthesized for them leaves an edge not strict or a target Nash.
+    Returns the first tax that holds, or None; raises SearchLimitError
+    when the search budget runs out, and ResourceLimitError when targets
+    times the machines of every universe exceed cap.
     """
     targets = list(profiles)
     if not targets:
         return synthesize_eliminating_tax(game, (), ())
     if plays is None:
-        plays = _Plays(game, memory_bound)
-    universes = plays.numbered()
+        # unnumbered, a table of its own allocates no entry per profile
+        plays = _Plays(game)
+        universes = _universes(game.arena, memory_bound, None)
+    else:
+        universes = plays.numbered()
     if sum(len(u) for u in universes) * len(targets) > cap:
         raise ResourceLimitError(f"deviation graph expansion exceeds cap {cap}")
     targets = [_canonical(p) for p in targets]
-    winners = plays.winners
 
     # Options are tried in the order that numbers every profile met: the
     # targets first, then each target's initial deviations by agent and
@@ -300,7 +299,7 @@ def check_eliminable(
             for machine, at in zip(machines, row):
                 candidate = target.replace(agent, machine)
                 k = plays.class_at(at, candidate)
-                if _edge_ok(agent, src == k, winners[src], winners[k]):
+                if _edge_ok(plays, agent, src, k):
                     number = numbers.setdefault(candidate, len(numbers))
                     option = (agent, k)
                     lowest[option] = min(number, lowest.get(option, number))
@@ -344,8 +343,7 @@ def check_eliminable(
             if not _beats(responses.class_values(plays, k)[agent], before):
                 return None
         for target, src in sources.items():
-            run, at = plays.runs[src], positions[target]
-            if _no_agent_improves(responses, target, run, winners[src], plays, at):
+            if _no_agent_improves(responses, plays, target, src, positions[target]):
                 return None
         return tax
 
@@ -464,15 +462,11 @@ def _verify_witness(
     index = plays.position(profile)
     k = plays.class_at(index, profile)
     problems = []
-    if not _no_agent_improves(
-        responses, profile, plays.runs[k], plays.winners[k], plays, index
-    ):
+    if not _no_agent_improves(responses, plays, profile, k, index):
         problems.append("witness profile is not an equilibrium under the witness tax")
     if not plays.verdicts(objective)[k]:
         problems.append("witness run does not satisfy the objective")
     if problem == "anash" and not problems:
-        # the sweep walks the whole table, so it is completed first
-        plays.fill()
         bad = list(_nash_sweep(responses, plays, Not(objective)))
         if bad:
             problems.append(
@@ -563,15 +557,12 @@ def a_nash_implement(
     bounded universe before a yes is returned; the final sweep and the
     witness check run on the levelled game (see the module docstring).
     Every sweep, the eliminability search and the witness checks read one
-    run-class table, so each bounded profile is played once per call; it
-    is completed before the first sweep, so rows refute profiles (see Row
-    refutation in the equilibrium module docstring).
+    run-class table, so each bounded profile is played once per call.
     objective_text overrides how the objective is quoted in the verdict."""
     text = objective_text if objective_text is not None else to_text(objective)
     # the e-nash sweep and the violating sweep share one cost-free memo
     free = _Responses(zero_cost_game(game), None)
     plays = _Plays(game, memory_bound, cap)
-    plays.fill()
     base, levelled = _e_nash(game, free, plays, objective, objective_text)
     if base.answer != "yes":
         return replace(
@@ -787,9 +778,8 @@ def static_insufficiency_check(
             k = plays.class_of(canonical)
             if not violates[k]:
                 continue
-            run, winners = plays.runs[k], plays.winners[k]
-            if _no_agent_improves(responses, canonical, run, winners):
-                costs = ", ".join(str(c) for c in responses.mean_costs(run))
+            if _no_agent_improves(responses, plays, canonical, k):
+                costs = ", ".join(str(c) for c in responses.mean_costs(plays.runs[k]))
                 hit = StaticInsufficiencyRow(
                     tax=tax,
                     found=True,

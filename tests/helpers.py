@@ -963,18 +963,18 @@ def reference_response_value(
 
 def reference_no_agent_improves(
     responses,
+    plays,
     profile: tg.Profile,
-    run: tg.LassoRun,
-    winners: frozenset[int],
-    plays=None,
+    k: int,
     index: int | None = None,
 ) -> bool:
     """The library's Nash test on Fractions, with its signature: each
-    agent's `reference_taxed_costs` on the run against its
-    `reference_response_value` under the responses' game and tax, with no
-    memo and no shortcut.  It reads no rows, so plays and index are
-    ignored."""
+    agent's `reference_taxed_costs` on the run of class k of plays against
+    its `reference_response_value` under the responses' game and tax, with
+    no memo and no shortcut.  It reads the run and its goal winners from
+    the table but no rows, so index is ignored."""
     game, tax = responses.game, responses.tax
+    run, winners = plays.runs[k], plays.winners[k]
     costs = reference_taxed_costs(game.arena, run, tax)
     return all(
         tg.prefers(
@@ -994,22 +994,16 @@ def reference_nash_sweep(
 ) -> Iterator[tg.Profile]:
     """The Nash sweep one profile at a time, the reference for the
     run-class sweep: each bounded profile is played, labelled and has its
-    goals and the objective decided from scratch, then goes through the
-    library's Nash test on the responses' memo, in enumeration order, with
-    no table, so no row refutes it."""
+    goals and the objective decided from scratch, on a one-off table of its
+    own, then goes through the library's Nash test on the responses' memo,
+    in enumeration order, with no index, so no row refutes it."""
     game = responses.game
-    arena = game.arena
-    for profile in tg.enumerate_profiles(arena, memory_bound, cap=cap):
-        run = tg.lasso_canonical(tg.generate_run(arena, profile))
-        trace = tg.label_trace(arena, run)
-        winners = frozenset(
-            i for i, goal in enumerate(game.goals) if tg.eval_on_lasso(goal, trace)
-        )
-        if objective is not None and not tg.eval_on_lasso(objective, trace):
+    for profile in tg.enumerate_profiles(game.arena, memory_bound, cap=cap):
+        plays = tg.equilibrium._Plays(game)
+        k = plays.class_of(profile)
+        if objective is not None and not tg.eval_on_lasso(objective, plays.traces[k]):
             continue
-        if tg.equilibrium._no_agent_improves(
-            responses, profile, run, winners, None, None
-        ):
+        if tg.equilibrium._no_agent_improves(responses, plays, profile, k):
             yield profile
 
 
@@ -1017,9 +1011,10 @@ def reference_is_nash(
     game: tg.Game, profile: tg.Profile, tax: tg.DynamicTax | None = None
 ) -> bool:
     """is_nash on Fractions through reference_no_agent_improves."""
-    outcome = tg.evaluate(game, profile, tax)
+    tg.check_profile(game.arena, profile)
+    plays = tg.equilibrium._Plays(game)
     return reference_no_agent_improves(
-        SimpleNamespace(game=game, tax=tax), profile, outcome.run, outcome.winners
+        SimpleNamespace(game=game, tax=tax), plays, profile, plays.class_of(profile)
     )
 
 

@@ -476,22 +476,46 @@ class TestIntegerNashTest:
 
     def test_row_refuted_profile_builds_no_graph(self, monkeypatch):
         # at (d, d) both drivers lose, and driver 1 improves by swerving,
-        # a bounded machine: on a complete table its row refutes the
-        # profile before any graph, where the exact test builds one
+        # a bounded machine: on a fresh table that has played nothing
+        # else, its row is played on first read and refutes the profile
+        # before any graph, where the exact test builds one
         game = junction_game()
         profile = constant_profile(game.arena, [1, 1])
         plays = tg.equilibrium._Plays(game, 1)
-        plays.fill()
+        plays.numbered()
         index = plays.position(profile)
-        k = plays.rows[index]
+        k = plays.class_at(index, profile)
         responses = tg.equilibrium._Responses(game, None)
         keys = count_response_graphs(monkeypatch)
-        run, winners = plays.runs[k], plays.winners[k]
         no_improves = tg.equilibrium._no_agent_improves
-        assert not no_improves(responses, profile, run, winners, plays, index)
+        assert not no_improves(responses, plays, profile, k, index)
         assert keys == []
-        assert not no_improves(responses, profile, run, winners)
+        assert not no_improves(responses, plays, profile, k)
         assert [agent for agent, _ in keys] == [0]
+
+    def test_floor_winners_read_no_row(self, monkeypatch):
+        # in the cost-free junction every step costs the floor, and when
+        # the drivers play a and d both win: neither can improve, so the
+        # Nash test reads no row and builds no graph for either
+        game = tg.zero_cost_game(junction_game())
+        profile = constant_profile(game.arena, [0, 1])
+        plays = tg.equilibrium._Plays(game, 1)
+        plays.numbered()
+        index = plays.position(profile)
+        k = plays.class_at(index, profile)
+        assert plays.winners[k] == {0, 1}
+        responses = tg.equilibrium._Responses(game, None)
+        rows: list = []
+        row_best = tg.equilibrium._Responses.row_best
+
+        def recording(memo, *args):
+            rows.append(args)
+            return row_best(memo, *args)
+
+        monkeypatch.setattr(tg.equilibrium._Responses, "row_best", recording)
+        keys = count_response_graphs(monkeypatch)
+        assert tg.equilibrium._no_agent_improves(responses, plays, profile, k, index)
+        assert rows == [] and keys == []
 
     def test_find_ne_builds_graphs_only_for_bounded_equilibria(self, monkeypatch):
         # a profile that some bounded machine of one agent beats is refuted

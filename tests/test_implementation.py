@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import taxgames as tg
-from taxgames.equilibrium import _Plays
+from taxgames.equilibrium import _nash_sweep, _Plays, _Responses
 from taxgames.implementation import _chain_lengths
 
 from helpers import (
@@ -29,6 +29,21 @@ from helpers import (
     reference_no_agent_improves,
     reference_quotient,
     single_agent_observed_cycle,
+)
+
+
+# the goals of TestCheckEliminable::test_matches_profile_level_reference,
+# whose coverage floors hold for the games they draw
+ELIMINABLE_GOALS = (
+    "false",
+    "true",
+    "p",
+    "!p",
+    "X q",
+    "G F p",
+    "F G q",
+    "G (p -> F q)",
+    "(G F p) | (F G q)",
 )
 
 
@@ -269,13 +284,15 @@ class TestCheckEliminable:
     def test_matches_profile_level_reference(self):
         # on random bound-1 games, the run-class search returns the tax of
         # the profile-level search, or None with it, on a fresh table and
-        # on a complete one whose rows refute targets; targets are the
-        # cost-free objective-violating equilibria, 1-3 random bounded
-        # profiles, and the whole bounded universe
+        # on one that a find_ne sweep has read, whose rows refute targets;
+        # targets are the cost-free objective-violating equilibria, 1-3
+        # random bounded profiles, and the whole bounded universe.  The
+        # goals are the test's own, so RESPONSE_GOALS may grow without
+        # re-drawing these games
         rng = Random(61)
         answers = []
         for k in range(44):
-            goals = (rng.choice(RESPONSE_GOALS), rng.choice(RESPONSE_GOALS))
+            goals = (rng.choice(ELIMINABLE_GOALS), rng.choice(ELIMINABLE_GOALS))
             n_actions = rng.choice(((2, 2), (3, 2), (2, 3)))
             if k % 2:
                 game = rational_game(rng, goals=goals, n_actions=n_actions)
@@ -291,14 +308,14 @@ class TestCheckEliminable:
                 rng.sample(universe, rng.randint(1, 3)),
                 universe,
             ]
-            complete = _Plays(game, 1)
-            complete.fill()
+            read = _Plays(game, 1, 10**7)
+            list(_nash_sweep(_Responses(game, None), read))
             for targets in target_sets:
                 found = reference_check_eliminable(game, targets, 1)
                 expected = None if found is None else found[1]
                 assert tg.check_eliminable(game, targets, 1) == expected
                 assert (
-                    tg.check_eliminable(game, targets, 1, plays=complete)
+                    tg.check_eliminable(game, targets, 1, plays=read)
                     == expected
                 )
                 answers.append(expected is not None)
@@ -562,9 +579,11 @@ def test_a_nash_plays_each_profile_once(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1, 2])
 def test_e_nash_plays_no_profile_past_its_witness(monkeypatch, bound):
-    # the lazy e-nash sweep stops at its witness and plays nothing ahead,
-    # not even to complete rows; at bound 2 one row of agent 0 spans 962
-    # profiles, so completing one would play far past the witness
+    # the e-nash sweep stops at its witness and plays nothing ahead: rows
+    # are played on first read, but every agent of each profile it tests
+    # up to the witness wins at its cost floor in the cost-free game, so
+    # none reads a row; at bound 2 one row of agent 0 spans 962 profiles,
+    # so reading one would play far past the witness
     game = junction_game()
     objective = tg.parse_ltl("G (p <-> q)", game.arena.vocabulary)
     played = record_plays(monkeypatch)
@@ -575,6 +594,42 @@ def test_e_nash_plays_no_profile_past_its_witness(monkeypatch, bound):
     assert played == expected
     assert played[-1] == verdict.witness_profile
     assert next(universe, None) is not None
+
+
+@pytest.mark.parametrize(
+    "text, stray", [("G !Q", "Q"), ("G (p <-> Q)", "Q"), ("F (R & Q)", "Q, R")]
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda game, f: tg.find_ne(game, None, 1, f), id="find_ne"),
+        pytest.param(lambda game, f: tg.e_nash_implement(game, f, 1), id="enash"),
+        pytest.param(lambda game, f: tg.a_nash_implement(game, f, 1), id="anash"),
+        pytest.param(
+            lambda game, f: tg.verify_witness(
+                game,
+                "anash",
+                f,
+                1,
+                tg.lift_static(tg.zero_tax(2), game.arena.n_letters),
+                constant_profile(game.arena, [0, 0]),
+            ),
+            id="verify_witness",
+        ),
+        pytest.param(
+            lambda game, f: tg.static_insufficiency_check(game, f, 1, [tg.zero_tax(2)]),
+            id="static_insufficiency",
+        ),
+    ],
+)
+def test_objective_outside_vocabulary_is_rejected(check, text, stray):
+    # a variable the arena never labels would read false on every run, so
+    # each check names it instead of answering
+    game = junction_game()
+    with pytest.raises(
+        tg.UnknownVariableError, match=f"^variables outside vocabulary: {stray}$"
+    ):
+        check(game, tg.parse_ltl(text))
 
 
 class TestStaticInsufficiency:
